@@ -58,9 +58,6 @@ class KnowledgeBase:
         return not self.terminology
 
 
-EMPTY_KB = KnowledgeBase((), ())
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # duplicate-lhs | cycle | bad-assertion | name-collision
@@ -328,13 +325,3 @@ def star(kb: KnowledgeBase) -> FuzzyKb:
     """
     return _project(kb, truth_side=False)
 
-
-def kb_degrees(kb: KnowledgeBase) -> frozenset[Fraction]:
-    """Every degree mentioned in the KB's assertions."""
-    out = set()
-    for constraint in kb.assertions:
-        if constraint.tbound is not None:
-            out.add(constraint.tbound.value)
-        if constraint.fbound is not None:
-            out.add(constraint.fbound.value)
-    return frozenset(out)

@@ -37,6 +37,7 @@ from .kb import (
     unfold_constraint,
     validate,
 )
+from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not, nnf
 from .tableau import CompletionResult, Status, complete
 
@@ -117,14 +118,21 @@ class BtvbResult:
     candidates_examined: int
 
 
-def _candidate_degrees(assertions: list[Constraint], query: Constraint | None = None):
-    degrees = {ZERO, ONE}
-    for c in assertions:
-        if c.tbound is not None:
-            degrees.add(c.tbound.value)
-        if c.fbound is not None:
-            degrees.add(c.fbound.value)
-    return sorted(degrees)
+def _candidate_degrees(assertions: list[Constraint]) -> list[Fraction]:
+    return sorted(constraint_degrees(assertions) | {ZERO, ONE})
+
+
+def _first_entailed(assertions, assertion, ch: str, rel: Rel, candidates, default,
+                    max_branches):
+    """The first candidate whose one-component bound is entailed.
+
+    Returns it (``default`` when there is none) with the number of
+    candidates examined.
+    """
+    for examined, value in enumerate(candidates, 1):
+        if _half_entailed(assertions, assertion, ch, Bound(rel, value), max_branches):
+            return value, examined
+    return default, len(candidates)
 
 
 def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
@@ -139,20 +147,11 @@ def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
     assertions, resolved = _prepared(kb)
     assertion = unfold_assertion(assertion, resolved)
     degrees = _candidate_degrees(assertions)
-    examined = 0
-    best_n = ZERO
-    for n in sorted(degrees, reverse=True):
-        examined += 1
-        if _half_entailed(assertions, assertion, "t", Bound(Rel.GE, n), max_branches):
-            best_n = n
-            break
-    best_m = ONE
-    for m in sorted(degrees):
-        examined += 1
-        if _half_entailed(assertions, assertion, "f", Bound(Rel.LE, m), max_branches):
-            best_m = m
-            break
-    return BtvbResult(DegreePair(best_n, best_m), BoundKind.GLB, examined)
+    n, n_seen = _first_entailed(
+        assertions, assertion, "t", Rel.GE, degrees[::-1], ZERO, max_branches
+    )
+    m, m_seen = _first_entailed(assertions, assertion, "f", Rel.LE, degrees, ONE, max_branches)
+    return BtvbResult(DegreePair(n, m), BoundKind.GLB, n_seen + m_seen)
 
 
 def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
@@ -167,20 +166,11 @@ def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
     assertions, resolved = _prepared(kb)
     assertion = unfold_assertion(assertion, resolved)
     degrees = _candidate_degrees(assertions)
-    examined = 0
-    best_n = ONE
-    for n in sorted(degrees):
-        examined += 1
-        if _half_entailed(assertions, assertion, "t", Bound(Rel.LE, n), max_branches):
-            best_n = n
-            break
-    best_m = ZERO
-    for m in sorted(degrees, reverse=True):
-        examined += 1
-        if _half_entailed(assertions, assertion, "f", Bound(Rel.GE, m), max_branches):
-            best_m = m
-            break
-    return BtvbResult(DegreePair(best_n, best_m), BoundKind.LUB, examined)
+    n, n_seen = _first_entailed(assertions, assertion, "t", Rel.LE, degrees, ONE, max_branches)
+    m, m_seen = _first_entailed(
+        assertions, assertion, "f", Rel.GE, degrees[::-1], ZERO, max_branches
+    )
+    return BtvbResult(DegreePair(n, m), BoundKind.LUB, n_seen + m_seen)
 
 
 def lub_via_negation(kb: KnowledgeBase, assertion: ConceptAssertion,

@@ -5,13 +5,18 @@ with min/max and the falsity component with the dual operator, while
 negation swaps the two.  Quantifiers take the pointwise best value
 over the finite domain, so inf and sup are attained.
 
-``exists_model`` searches all assignments of grid values to the atomic
-concept and role tables.  The search is exhaustive (backtracking with
-exact per-channel interval pruning and connected-component splitting),
-so it serves as the ground-truth check for the tableau at desk scale.
-Everything is exact rational arithmetic; inside the search degrees are
-scaled to a common integer denominator, which changes nothing but the
-constant factor.
+Truth and falsity never meet in a cell, so each channel of a concept
+reads alone as a negation-free fuzzy-ALC term over a doubled signature
+(min, max, and sup/inf over role and filler degrees): negation swaps
+the channel and a universal reads the role in the other channel.  One
+exhaustive search over those terms (backtracking with interval pruning
+and connected-component splitting) serves both oracles.
+``exists_model`` gives every (name, channel) its own cell; the
+single-valued ``fuzzy_exists_model`` keeps the truth cells and reads
+falsity as one minus truth.  The search is the ground-truth check for
+the tableau at desk scale.  Everything is exact rational arithmetic;
+inside the search degrees are scaled to a common integer denominator,
+which changes nothing but the constant factor.
 """
 
 from __future__ import annotations
@@ -139,6 +144,10 @@ def _resolve(obj, interp: FiniteInterpretation, assignment) -> str:
     return assignment[obj]
 
 
+def _objects(a: Assertion):
+    return (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
+
+
 def assertion_value(
     interp: FiniteInterpretation, assertion: Assertion, assignment=None
 ) -> DegreePair:
@@ -164,11 +173,7 @@ def satisfies(interp: FiniteInterpretation, constraint: Constraint, assignment=N
 
 
 def constraint_variables(constraints) -> list[Variable]:
-    out = set()
-    for c in constraints:
-        a = c.assertion
-        objs = (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
-        out.update(o for o in objs if isinstance(o, Variable))
+    out = {o for c in constraints for o in _objects(c.assertion) if isinstance(o, Variable)}
     return sorted(out, key=lambda v: v.index)
 
 
@@ -226,6 +231,17 @@ QUARTER_GRID = DegreeGrid.containing([Fraction(1, 4), Fraction(1, 2), Fraction(3
 
 
 # --- exhaustive model search ------------------------------------------
+#
+# Each (concept, channel) translates into a negation-free term:
+#
+#   ("k", top)                      the constant 1 when top, else 0
+#   ("c", name, ch, neg)            the concept cell of the element
+#   ("r", role, target, ch, neg)    the role cell from the element to target
+#   ("min" | "max", left, right)
+#   ("sup", role, ch, neg, filler)  sup over d of min(role cell to d, filler at d)
+#   ("inf", role, ch, neg, filler)  inf over d of max(role cell to d, filler at d)
+#
+# A literal reads the cell of channel ``ch``, or one minus it when ``neg``.
 
 class _Budget:
     def __init__(self, ceiling: int):
@@ -238,81 +254,128 @@ class _Budget:
             raise SearchExhausted(self.nodes)
 
 
-def _int_interval(c: ConceptExpr, e: str, ch: str, cells, domain, scale: int):
-    """Exact reachable [lo, hi] of one evaluation channel, integer scaled.
+def _literal(ch: str, single: bool) -> tuple[str, bool]:
+    """(cell channel, negated) of a ``ch`` literal.
 
-    ``cells[key]`` is an assigned integer or None (free, meaning the
-    whole [0, scale] range).  Every cell occurs positively in a channel
-    evaluation, so the all-low / all-high corners are attained and the
-    interval is exact per channel.
+    The single-valued search keeps truth cells only and reads falsity
+    as one minus truth.
     """
-    if isinstance(c, Top):
-        return (scale, scale) if ch == "t" else (0, 0)
-    if isinstance(c, Bottom):
-        return (0, 0) if ch == "t" else (scale, scale)
+    return ("t", True) if single and ch == "f" else (ch, False)
+
+
+def _term(c: ConceptExpr, ch: str, single: bool) -> tuple:
+    """Translate one channel of a concept into a negation-free term.
+
+    Negation swaps the channel; an existential reads the role in the same
+    channel and a universal in the other one.  Subterms that are
+    constant whatever the cells hold fold to constants, so they read no
+    cells and the search never enumerates degrees that prune nothing.
+    """
     if isinstance(c, Atomic):
-        v = cells.get(("c", c.name, e, ch))
-        return (0, scale) if v is None else (v, v)
+        return ("c", c.name) + _literal(ch, single)
     if isinstance(c, Not):
-        return _int_interval(c.inner, e, "f" if ch == "t" else "t", cells, domain, scale)
+        return _term(c.inner, "f" if ch == "t" else "t", single)
     if isinstance(c, (And, Or)):
-        llo, lhi = _int_interval(c.left, e, ch, cells, domain, scale)
-        rlo, rhi = _int_interval(c.right, e, ch, cells, domain, scale)
-        takes_min = (isinstance(c, And)) == (ch == "t")
-        if takes_min:
-            return (llo if llo < rlo else rlo), (lhi if lhi < rhi else rhi)
-        return (llo if llo > rlo else rlo), (lhi if lhi > rhi else rhi)
-    if isinstance(c, (Forall, Exists)):
-        is_forall = isinstance(c, Forall)
-        role_ch = ("f" if ch == "t" else "t") if is_forall else ch
-        inner_min = is_forall != (ch == "t")
-        outer_min = is_forall == (ch == "t")
-        lo = hi = None
-        for d in domain:
-            rv = cells.get(("r", c.role, e, d, role_ch))
-            rlo, rhi = (0, scale) if rv is None else (rv, rv)
-            flo, fhi = _int_interval(c.filler, d, ch, cells, domain, scale)
-            if inner_min:
-                plo = rlo if rlo < flo else flo
-                phi = rhi if rhi < fhi else fhi
-            else:
-                plo = rlo if rlo > flo else flo
-                phi = rhi if rhi > fhi else fhi
-            if lo is None:
-                lo, hi = plo, phi
-            elif outer_min:
-                lo = lo if lo < plo else plo
-                hi = hi if hi < phi else phi
-            else:
-                lo = lo if lo > plo else plo
-                hi = hi if hi > phi else phi
-        return lo, hi
+        op = "min" if isinstance(c, And) == (ch == "t") else "max"
+        left = _term(c.left, ch, single)
+        right = _term(c.right, ch, single)
+        for const, other in ((left, right), (right, left)):
+            if const[0] == "k":
+                # 0 absorbs min and 1 absorbs max; the other constant is neutral
+                return const if const[1] == (op == "max") else other
+        return (op, left, right)
+    if isinstance(c, (Exists, Forall)):
+        filler = _term(c.filler, ch, single)
+        if isinstance(c, Exists) == (ch == "t"):
+            if filler == ("k", False):
+                return filler
+            return ("sup", c.role) + _literal("t", single) + (filler,)
+        if filler == ("k", True):
+            return filler
+        return ("inf", c.role) + _literal("f", single) + (filler,)
+    if isinstance(c, (Top, Bottom)):
+        return ("k", isinstance(c, Top) == (ch == "t"))
     raise TypeError(f"not a concept expression: {c!r}")
 
 
-def _reads(c: ConceptExpr, e: str, ch: str, domain, acc: set) -> None:
-    """Cells the evaluation can depend on.
+def _interval(t: tuple, e: str, cells, domain, scale: int):
+    """Reachable [lo, hi] of a term at element ``e``, integer scaled.
 
-    Subtrees whose value is already pinned with every cell free (e.g.
-    quantification into the top concept) contribute nothing; leaving
-    their cells out keeps the model search from enumerating degrees
-    that cannot prune anything.
+    ``cells[key]`` is an assigned integer or None (free, meaning the
+    whole [0, scale] range).  When every cell occurs with one sign, as
+    in the two-channel search, the all-low / all-high corners are
+    attained and the interval is exact; a cell read both ways makes it
+    a sound over-approximation.
     """
-    lo, hi = _int_interval(c, e, ch, {}, domain, 1)
-    if lo == hi:
-        return
-    if isinstance(c, Atomic):
-        acc.add(("c", c.name, e, ch))
-    elif isinstance(c, Not):
-        _reads(c.inner, e, "f" if ch == "t" else "t", domain, acc)
-    elif isinstance(c, (And, Or)):
-        _reads(c.left, e, ch, domain, acc)
-        _reads(c.right, e, ch, domain, acc)
-    elif isinstance(c, (Forall, Exists)):
-        role_ch = ("f" if ch == "t" else "t") if isinstance(c, Forall) else ch
+    tag = t[0]
+    if tag == "c":
+        v = cells.get(("c", t[1], e, t[2]))
+        if v is None:
+            return 0, scale
+        if t[3]:
+            v = scale - v
+        return v, v
+    if tag == "min":
+        llo, lhi = _interval(t[1], e, cells, domain, scale)
+        rlo, rhi = _interval(t[2], e, cells, domain, scale)
+        return (llo if llo < rlo else rlo), (lhi if lhi < rhi else rhi)
+    if tag == "max":
+        llo, lhi = _interval(t[1], e, cells, domain, scale)
+        rlo, rhi = _interval(t[2], e, cells, domain, scale)
+        return (llo if llo > rlo else rlo), (lhi if lhi > rhi else rhi)
+    if tag == "k":
+        return (scale, scale) if t[1] else (0, 0)
+    if tag == "r":
+        v = cells.get(("r", t[1], e, t[2], t[3]))
+        if v is None:
+            return 0, scale
+        if t[4]:
+            v = scale - v
+        return v, v
+    _, role, ch, neg, filler = t
+    if tag == "sup":
+        lo = hi = 0
         for d in domain:
-            acc.add(("r", c.role, e, d, role_ch))
-            _reads(c.filler, d, ch, domain, acc)
+            v = cells.get(("r", role, e, d, ch))
+            if v is None:
+                rlo, rhi = 0, scale
+            else:
+                rlo = rhi = scale - v if neg else v
+            flo, fhi = _interval(filler, d, cells, domain, scale)
+            plo = rlo if rlo < flo else flo
+            phi = rhi if rhi < fhi else fhi
+            lo = lo if lo > plo else plo
+            hi = hi if hi > phi else phi
+        return lo, hi
+    lo = hi = scale
+    for d in domain:
+        v = cells.get(("r", role, e, d, ch))
+        if v is None:
+            rlo, rhi = 0, scale
+        else:
+            rlo = rhi = scale - v if neg else v
+        flo, fhi = _interval(filler, d, cells, domain, scale)
+        plo = rlo if rlo > flo else flo
+        phi = rhi if rhi > fhi else fhi
+        lo = lo if lo < plo else plo
+        hi = hi if hi < phi else phi
+    return lo, hi
+
+
+def _reads(t: tuple, e: str, domain, acc: set) -> None:
+    """Cells a term at element ``e`` reads."""
+    tag = t[0]
+    if tag == "c":
+        acc.add(("c", t[1], e, t[2]))
+    elif tag == "r":
+        acc.add(("r", t[1], e, t[2], t[3]))
+    elif tag in ("min", "max"):
+        _reads(t[1], e, domain, acc)
+        _reads(t[2], e, domain, acc)
+    elif tag in ("sup", "inf"):
+        for d in domain:
+            acc.add(("r", t[1], e, d, t[2]))
+            _reads(t[4], d, domain, acc)
 
 
 def _int_check(bound: Bound, scale: int):
@@ -335,6 +398,56 @@ def _common_scale(fractions) -> int:
     return scale
 
 
+def _checks(bounded, axioms, element, domain, scale: int, single: bool):
+    """Feasibility checks over the cells, each paired with the cells it reads.
+
+    ``bounded`` holds (assertion, bound, channel) triples.  Each axiom
+    gives one check per element, comparing the name with its right-hand
+    side in every channel the search keeps.
+    """
+    checks = []
+    for assertion, bound, ch in bounded:
+        if isinstance(assertion, RoleAssertion):
+            term = ("r", assertion.role, element(assertion.target)) + _literal(ch, single)
+        else:
+            term = _term(assertion.concept, ch, single)
+        e = element(assertion.subject)
+        reads: set = set()
+        _reads(term, e, domain, reads)
+
+        def run(cells, term=term, e=e, check=_int_check(bound, scale)):
+            return check(*_interval(term, e, cells, domain, scale))
+
+        checks.append((run, reads))
+
+    for ax in axioms:
+        # (below, above) per channel: the name's truth may not exceed the
+        # right-hand side's and its falsity may not fall below it; a
+        # definition needs both directions.
+        pairs = []
+        for ch in ("t",) if single else ("t", "f"):
+            name = ("c", ax.lhs) + _literal(ch, single)
+            rhs = _term(ax.rhs, ch, single)
+            pairs.append((name, rhs) if ch == "t" else (rhs, name))
+        both = ax.kind is not AxiomKind.SPECIALIZATION
+        for d in domain:
+            reads = set()
+            for pair in pairs:
+                for term in pair:
+                    _reads(term, d, domain, reads)
+
+            def run(cells, pairs=pairs, d=d, both=both):
+                for below, above in pairs:
+                    blo, bhi = _interval(below, d, cells, domain, scale)
+                    alo, ahi = _interval(above, d, cells, domain, scale)
+                    if blo > ahi or (both and alo > bhi):
+                        return False
+                return True
+
+            checks.append((run, reads))
+    return checks
+
+
 def _backtrack(order, grid_ints, cells, watchers, run_check, budget) -> bool:
     """DFS over cell assignments; only checks watching a cell re-run."""
 
@@ -353,6 +466,86 @@ def _backtrack(order, grid_ints, cells, watchers, run_check, budget) -> bool:
     return go(0)
 
 
+def _solve(checks, grid_ints, budget) -> dict | None:
+    """Assign the cells the checks read, one independent component at a time."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _, reads in checks:
+        ordered = sorted(reads)
+        for a, b in zip(ordered, ordered[1:]):
+            parent[find(a)] = find(b)
+
+    cells = dict.fromkeys(key for _, reads in checks for key in reads)
+    groups: dict = {}
+    for idx, (_, reads) in enumerate(checks):
+        groups.setdefault(find(min(reads)) if reads else None, []).append(idx)
+
+    def run_check(i):
+        return checks[i][0](cells)
+
+    for root, idxs in groups.items():
+        if not all(run_check(i) for i in idxs):
+            return None
+        if root is None:
+            continue
+        watchers: dict = {}
+        for i in idxs:
+            for k in checks[i][1]:
+                watchers.setdefault(k, []).append(i)
+        # Tight checks first: cells of small-scope checks get assigned
+        # consecutively, so each check can prune as soon as possible.
+        order = list(dict.fromkeys(
+            k for i in sorted(idxs, key=lambda i: len(checks[i][1]))
+            for k in sorted(checks[i][1])
+        ))
+        if not _backtrack(order, grid_ints, cells, watchers, run_check, budget):
+            return None
+    return cells
+
+
+def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
+            single: bool):
+    """Grid search shared by both oracles.
+
+    Individuals map injectively onto the first elements; variables are
+    taken existentially over the whole domain.  Returns ``(domain,
+    individual map, assignment, degrees)`` for the first assignment with
+    a model, where ``degrees`` maps every cell read to its degree (a free
+    cell reads as fully false), or None when there is no model.
+    """
+    objects = [o for a, _, _ in bounded for o in _objects(a)]
+    individuals = sorted({o.name for o in objects if isinstance(o, Individual)})
+    if domain_size < max(1, len(individuals)):
+        raise ValueError("domain too small for the named individuals")
+    domain = tuple(f"d{i}" for i in range(domain_size))
+    ind_map = {name: domain[i] for i, name in enumerate(individuals)}
+    variables = sorted({o for o in objects if isinstance(o, Variable)}, key=lambda v: v.index)
+    scale = _common_scale(list(grid.values) + [b.value for _, b, _ in bounded])
+    grid_ints = [int(v * scale) for v in grid.values]
+    budget = _Budget(max_nodes)
+    for combo in itertools.product(domain, repeat=len(variables)):
+        assignment = dict(zip(variables, combo))
+
+        def element(obj) -> str:
+            return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
+
+        cells = _solve(_checks(bounded, axioms, element, domain, scale, single),
+                       grid_ints, budget)
+        if cells is not None:
+            degrees = {
+                k: (ZERO if k[-1] == "t" else ONE) if v is None else Fraction(v, scale)
+                for k, v in cells.items()
+            }
+            return domain, ind_map, assignment, degrees
+    return None
+
+
 def exists_model(
     constraints,
     domain_size: int,
@@ -362,177 +555,40 @@ def exists_model(
 ) -> FiniteInterpretation | None:
     """Search for a grid-valued model of the constraints.
 
-    Individuals map injectively onto the first elements; variables are
-    taken existentially over the whole domain.  Terminological axioms,
-    if given, are enforced pointwise at every element.  Raises
-    SearchExhausted when the search exceeds ``max_nodes`` nodes.
+    Every (name, channel) has its own cell.  Individuals map injectively
+    onto the first elements; variables are taken existentially over the
+    whole domain.  Terminological axioms, if given, are enforced
+    pointwise at every element.  Raises SearchExhausted when the search
+    exceeds ``max_nodes`` nodes.
     """
     constraints = list(constraints)
     axioms = list(axioms)
-    individuals = sorted(
-        {
-            o.name
-            for c in constraints
-            for o in (
-                (c.assertion.subject, c.assertion.target)
-                if isinstance(c.assertion, RoleAssertion)
-                else (c.assertion.subject,)
-            )
-            if isinstance(o, Individual)
-        }
-    )
-    if domain_size < max(1, len(individuals)):
-        raise ValueError("domain too small for the named individuals")
-    domain = tuple(f"d{i}" for i in range(domain_size))
-    ind_map = {name: domain[i] for i, name in enumerate(individuals)}
-    variables = constraint_variables(constraints)
-    budget = _Budget(max_nodes)
-
-    bound_values = [
-        b.value for c in constraints for b in (c.tbound, c.fbound) if b is not None
+    bounded = [
+        (c.assertion, bound, ch)
+        for c in constraints
+        for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
+        if bound is not None
     ]
-    scale = _common_scale(list(grid.values) + bound_values)
-    grid_ints = [int(v * scale) for v in grid.values]
+    found = _search(bounded, axioms, domain_size, grid, max_nodes, single=False)
+    if found is None:
+        return None
+    domain, ind_map, assignment, degrees = found
+    interp = FiniteInterpretation(domain, ind_map)
 
-    for combo in itertools.product(domain, repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
+    def pair(*key) -> DegreePair:
+        return DegreePair(degrees.get(key + ("t",), ZERO), degrees.get(key + ("f",), ONE))
 
-        def element(obj) -> str:
-            return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
-
-        halves = []  # (feasibility closure over cells, reads)
-        for c in constraints:
-            for bound, ch in ((c.tbound, "t"), (c.fbound, "f")):
-                if bound is None:
-                    continue
-                assertion = c.assertion
-                check = _int_check(bound, scale)
-                if isinstance(assertion, RoleAssertion):
-                    key = ("r", assertion.role, element(assertion.subject),
-                           element(assertion.target), ch)
-                    reads = {key}
-
-                    def run(cells, key=key, check=check):
-                        v = cells.get(key)
-                        lo, hi = (0, scale) if v is None else (v, v)
-                        return check(lo, hi)
-
-                else:
-                    reads = set()
-                    _reads(assertion.concept, element(assertion.subject), ch, domain, reads)
-
-                    def run(cells, concept=assertion.concept,
-                            e=element(assertion.subject), ch=ch, check=check):
-                        return check(*_int_interval(concept, e, ch, cells, domain, scale))
-
-                halves.append((run, reads))
-
-        for ax in axioms:
-            # pointwise per element: a pair of channel comparisons
-            for d in domain:
-                reads = {("c", ax.lhs, d, "t"), ("c", ax.lhs, d, "f")}
-                _reads(ax.rhs, d, "t", domain, reads)
-                _reads(ax.rhs, d, "f", domain, reads)
-
-                def run(cells, ax=ax, d=d):
-                    at = cells.get(("c", ax.lhs, d, "t"))
-                    af = cells.get(("c", ax.lhs, d, "f"))
-                    atlo, athi = (0, scale) if at is None else (at, at)
-                    aflo, afhi = (0, scale) if af is None else (af, af)
-                    ctlo, cthi = _int_interval(ax.rhs, d, "t", cells, domain, scale)
-                    cflo, cfhi = _int_interval(ax.rhs, d, "f", cells, domain, scale)
-                    if ax.kind is AxiomKind.SPECIALIZATION:
-                        return atlo <= cthi and afhi >= cflo
-                    return (
-                        atlo <= cthi and athi >= ctlo
-                        and aflo <= cfhi and afhi >= cflo
-                    )
-
-                halves.append((run, reads))
-
-        # Union-find cells into independent components.
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        for _, reads in halves:
-            ordered = sorted(reads)
-            for a, b in zip(ordered, ordered[1:]):
-                union(a, b)
-
-        cells: dict = {}
-        for _, reads in halves:
-            for key in reads:
-                cells.setdefault(key, None)
-
-        groups: dict = {}
-        for idx, (_, reads) in enumerate(halves):
-            root = find(sorted(reads)[0]) if reads else None
-            groups.setdefault(root, []).append(idx)
-
-        ok = True
-        for root, idxs in groups.items():
-            def run_check(i):
-                return halves[i][0](cells)
-
-            if not all(run_check(i) for i in idxs):
-                ok = False
-                break
-            if root is None:
-                continue
-            watchers: dict = {}
-            for i in idxs:
-                for k in halves[i][1]:
-                    watchers.setdefault(k, []).append(i)
-            # Tight checks first: cells of small-scope checks get assigned
-            # consecutively, so each check can prune as soon as possible.
-            member_cells: list = []
-            for i in sorted(idxs, key=lambda i: len(halves[i][1])):
-                for k in sorted(halves[i][1]):
-                    if k not in member_cells:
-                        member_cells.append(k)
-            if not _backtrack(member_cells, grid_ints, cells, watchers, run_check, budget):
-                ok = False
-                break
-        if not ok:
-            continue
-
-        interp = FiniteInterpretation(domain, ind_map)
-        names = {k[1] for k in cells if k[0] == "c"}
-        roles = {k[1] for k in cells if k[0] == "r"}
-
-        def degree(key) -> Fraction | None:
-            v = cells.get(key)
-            return None if v is None else Fraction(v, scale)
-
-        for name in names:
-            for d in domain:
-                t = degree(("c", name, d, "t"))
-                f = degree(("c", name, d, "f"))
-                interp.concept_table[(name, d)] = DegreePair(
-                    ZERO if t is None else t, ONE if f is None else f
-                )
-        for role in roles:
-            for d1 in domain:
-                for d2 in domain:
-                    t = degree(("r", role, d1, d2, "t"))
-                    f = degree(("r", role, d1, d2, "f"))
-                    interp.role_table[(role, d1, d2)] = DegreePair(
-                        ZERO if t is None else t, ONE if f is None else f
-                    )
-        if all(satisfies(interp, c, assignment) for c in constraints) and all(
-            satisfies_axiom(interp, ax) for ax in axioms
-        ):
-            return interp
-        raise AssertionError("search produced a non-model; pruning is unsound")
-    return None
+    for name in {k[1] for k in degrees if k[0] == "c"}:
+        for d in domain:
+            interp.concept_table[(name, d)] = pair("c", name, d)
+    for role in {k[1] for k in degrees if k[0] == "r"}:
+        for d1, d2 in itertools.product(domain, repeat=2):
+            interp.role_table[(role, d1, d2)] = pair("r", role, d1, d2)
+    if all(satisfies(interp, c, assignment) for c in constraints) and all(
+        satisfies_axiom(interp, ax) for ax in axioms
+    ):
+        return interp
+    raise AssertionError("search produced a non-model; pruning is unsound")
 
 
 def constraint_degrees(constraints) -> set[Fraction]:
@@ -550,12 +606,9 @@ def default_domain_size(constraints) -> int:
     objects = set()
     depth = 0
     for c in constraints:
-        a = c.assertion
-        if isinstance(a, RoleAssertion):
-            objects.update((a.subject, a.target))
-        else:
-            objects.add(a.subject)
-            depth = max(depth, quantifier_depth(a.concept))
+        objects.update(_objects(c.assertion))
+        if not isinstance(c.assertion, RoleAssertion):
+            depth = max(depth, quantifier_depth(c.assertion.concept))
     return max(1, len(objects)) + depth
 
 
@@ -624,56 +677,6 @@ def fuzzy_eval(interp: FuzzyInterpretation, c: ConceptExpr, element: str) -> Fra
     raise TypeError(f"not a concept expression: {c!r}")
 
 
-def _fuzzy_int_interval(c: ConceptExpr, e: str, cells, domain, scale: int):
-    """Reachable single-value range; exact up to repeated subterms."""
-    if isinstance(c, Top):
-        return scale, scale
-    if isinstance(c, Bottom):
-        return 0, 0
-    if isinstance(c, Atomic):
-        v = cells.get(("c", c.name, e))
-        return (0, scale) if v is None else (v, v)
-    if isinstance(c, Not):
-        lo, hi = _fuzzy_int_interval(c.inner, e, cells, domain, scale)
-        return scale - hi, scale - lo
-    if isinstance(c, (And, Or)):
-        llo, lhi = _fuzzy_int_interval(c.left, e, cells, domain, scale)
-        rlo, rhi = _fuzzy_int_interval(c.right, e, cells, domain, scale)
-        if isinstance(c, And):
-            return min(llo, rlo), min(lhi, rhi)
-        return max(llo, rlo), max(lhi, rhi)
-    lo = hi = None
-    for d in domain:
-        rv = cells.get(("r", c.role, e, d))
-        rlo, rhi = (0, scale) if rv is None else (rv, rv)
-        flo, fhi = _fuzzy_int_interval(c.filler, d, cells, domain, scale)
-        if isinstance(c, Forall):
-            plo, phi = max(scale - rhi, flo), max(scale - rlo, fhi)
-            lo, hi = (plo, phi) if lo is None else (min(lo, plo), min(hi, phi))
-        else:
-            plo, phi = min(rlo, flo), min(rhi, fhi)
-            lo, hi = (plo, phi) if lo is None else (max(lo, plo), max(hi, phi))
-    return lo, hi
-
-
-def _fuzzy_reads(c: ConceptExpr, e: str, domain, acc: set) -> None:
-    """Cells the evaluation can depend on; constant subtrees read nothing."""
-    lo, hi = _fuzzy_int_interval(c, e, {}, domain, 2)
-    if lo == hi:
-        return
-    if isinstance(c, Atomic):
-        acc.add(("c", c.name, e))
-    elif isinstance(c, Not):
-        _fuzzy_reads(c.inner, e, domain, acc)
-    elif isinstance(c, (And, Or)):
-        _fuzzy_reads(c.left, e, domain, acc)
-        _fuzzy_reads(c.right, e, domain, acc)
-    elif isinstance(c, (Forall, Exists)):
-        for d in domain:
-            acc.add(("r", c.role, e, d))
-            _fuzzy_reads(c.filler, d, domain, acc)
-
-
 def fuzzy_exists_model(
     bounded_assertions,
     axioms,
@@ -685,118 +688,20 @@ def fuzzy_exists_model(
 
     ``bounded_assertions`` is an iterable of ``(assertion, Bound)``
     pairs (strict bounds welcome); ``axioms`` are checked pointwise.
+    This is the two-valued search with one truth cell per name, the
+    falsity channel read as one minus truth.
     """
-    bounded = list(bounded_assertions)
-    axioms = list(axioms)
-    individuals = sorted(
-        {
-            o.name
-            for a, _ in bounded
-            for o in ((a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,))
-        }
-    )
-    if domain_size < max(1, len(individuals)):
-        raise ValueError("domain too small for the named individuals")
-    domain = tuple(f"d{i}" for i in range(domain_size))
-    ind_map = {name: domain[i] for i, name in enumerate(individuals)}
-
-    scale = _common_scale(list(grid.values) + [b.value for _, b in bounded])
-    grid_ints = [int(v * scale) for v in grid.values]
-
-    def element(obj) -> str:
-        return ind_map[obj.name]
-
-    checks = []  # (callable over cells, reads)
-    for a, bound in bounded:
-        pred = _int_check(bound, scale)
-        if isinstance(a, RoleAssertion):
-            key = ("r", a.role, element(a.subject), element(a.target))
-
-            def run(cells, key=key, pred=pred):
-                v = cells.get(key)
-                lo, hi = (0, scale) if v is None else (v, v)
-                return pred(lo, hi)
-
-            checks.append((run, {key}))
-        else:
-            local: set = set()
-            _fuzzy_reads(a.concept, element(a.subject), domain, local)
-
-            def run(cells, concept=a.concept, e=element(a.subject), pred=pred):
-                lo, hi = _fuzzy_int_interval(concept, e, cells, domain, scale)
-                return pred(lo, hi)
-
-            checks.append((run, local))
-    for ax in axioms:
-        for d in domain:
-            local = {("c", ax.lhs, d)}
-            _fuzzy_reads(ax.rhs, d, domain, local)
-
-            def run(cells, ax=ax, d=d):
-                av = cells.get(("c", ax.lhs, d))
-                alo, ahi = (0, scale) if av is None else (av, av)
-                clo, chi = _fuzzy_int_interval(ax.rhs, d, cells, domain, scale)
-                if ax.kind is AxiomKind.SPECIALIZATION:
-                    return alo <= chi
-                return alo <= chi and ahi >= clo
-
-            checks.append((run, local))
-
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for _, reads in checks:
-        ordered = sorted(reads)
-        for a, b in zip(ordered, ordered[1:]):
-            union(a, b)
-
-    cells: dict = {}
-    for _, reads in checks:
-        for key in reads:
-            cells.setdefault(key, None)
-
-    groups: dict = {}
-    for idx, (_, reads) in enumerate(checks):
-        root = find(sorted(reads)[0]) if reads else None
-        groups.setdefault(root, []).append(idx)
-
-    budget = _Budget(max_nodes)
-    for root, idxs in groups.items():
-        def run_check(i):
-            return checks[i][0](cells)
-
-        if not all(run_check(i) for i in idxs):
-            return None
-        if root is None:
-            continue
-        watchers: dict = {}
-        for i in idxs:
-            for k in checks[i][1]:
-                watchers.setdefault(k, []).append(i)
-        member_cells: list = []
-        for i in sorted(idxs, key=lambda i: len(checks[i][1])):
-            for k in sorted(checks[i][1]):
-                if k not in member_cells:
-                    member_cells.append(k)
-        if not _backtrack(member_cells, grid_ints, cells, watchers, run_check, budget):
-            return None
-
+    bounded = [(a, bound, "t") for a, bound in bounded_assertions]
+    found = _search(bounded, list(axioms), domain_size, grid, max_nodes, single=True)
+    if found is None:
+        return None
+    domain, ind_map, _, degrees = found
     interp = FuzzyInterpretation(domain, ind_map)
-    for key, value in cells.items():
-        if value is None:
-            value = 0
+    for key, value in degrees.items():
         if key[0] == "c":
-            interp.concept_table[(key[1], key[2])] = Fraction(value, scale)
+            interp.concept_table[key[1:3]] = value
         else:
-            interp.role_table[(key[1], key[2], key[3])] = Fraction(value, scale)
+            interp.role_table[key[1:4]] = value
     return interp
 
 

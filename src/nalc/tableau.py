@@ -61,8 +61,16 @@ from .syntax import (
     Variable,
 )
 
-DEFAULT_MAX_BRANCHES = int(os.environ.get("NALC_MAX_BRANCHES", 10**6))
+DEFAULT_MAX_BRANCHES = 10**6
 DEFAULT_MAX_STEPS = 100_000
+
+
+def _env_max_branches() -> int:
+    """The branch ceiling from ``NALC_MAX_BRANCHES``, else the default."""
+    text = os.environ.get("NALC_MAX_BRANCHES", str(DEFAULT_MAX_BRANCHES))
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
+    return int(text)
 
 
 class ResourceExhausted(RuntimeError):
@@ -152,14 +160,13 @@ class ConstraintSet:
         return Variable(self.fresh_counter)
 
     def objects(self):
-        seen = []
+        seen: dict = {}
         for c in self.constraints:
             a = c.assertion
-            objs = (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
-            for o in objs:
-                if o not in seen:
-                    seen.append(o)
-        return seen
+            seen.update(dict.fromkeys(
+                (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
+            ))
+        return list(seen)
 
     def channel_bounds(self, assertion: Assertion, ch: str):
         """(constraint, bound) pairs bounding one component of an assertion."""
@@ -329,8 +336,7 @@ def _role_channel(concept, ch: str) -> str:
 
 
 class _Engine:
-    def __init__(self, max_branches: int, max_steps: int):
-        self.max_branches = max_branches
+    def __init__(self, max_steps: int):
         self.max_steps = max_steps
         self.steps_done = 0
 
@@ -563,16 +569,12 @@ class _Engine:
         return None
 
 
-def apply_rules(s: ConstraintSet, _engine: _Engine | None = None):
-    """Apply one rule; returns the branch list or None at a fixpoint.
+def _children(s: ConstraintSet, engine: _Engine):
+    """Branches of a set at its deterministic fixpoint, or None when complete.
 
-    The input set is not modified.  Deterministic rules return a single
-    branch; decomposition choices and witness generation return several.
+    Decomposition choices come before witness generation; the input set
+    is not modified.
     """
-    engine = _engine or _Engine(DEFAULT_MAX_BRANCHES, DEFAULT_MAX_STEPS)
-    work = s.copy()
-    if engine.apply_deterministic(work):
-        return [work]
     found = engine.find_branches(s)
     if found is not None:
         c, label, key, premises, branches = found
@@ -586,25 +588,32 @@ def apply_rules(s: ConstraintSet, _engine: _Engine | None = None):
     found = engine.find_generation(s)
     if found is not None:
         c, label, premises, pending, conclusions = found
-        out = []
+        shared = s.copy()
+        x = shared.fresh_variable()
+        shared.add(conclusions(x, pending), label, premises)
+        out = [shared]
         if len(pending) == 2:
-            shared = s.copy()
-            x = shared.fresh_variable()
-            shared.add(conclusions(x, pending), label, premises)
-            out.append(shared)
             split = s.copy()
             x1 = split.fresh_variable()
             x2 = split.fresh_variable()
             additions = conclusions(x1, pending[:1]) + conclusions(x2, pending[1:])
             split.add(additions, label + " split", premises)
             out.append(split)
-        else:
-            child = s.copy()
-            x = child.fresh_variable()
-            child.add(conclusions(x, pending), label, premises)
-            out.append(child)
         return out
     return None
+
+
+def apply_rules(s: ConstraintSet):
+    """Apply one rule; returns the branch list or None at a fixpoint.
+
+    The input set is not modified.  Deterministic rules return a single
+    branch; decomposition choices and witness generation return several.
+    """
+    engine = _Engine(DEFAULT_MAX_STEPS)
+    work = s.copy()
+    if engine.apply_deterministic(work):
+        return [work]
+    return _children(s, engine)
 
 
 def complete(
@@ -620,8 +629,8 @@ def complete(
     branch when there is none.
     """
     if max_branches is None:
-        max_branches = DEFAULT_MAX_BRANCHES
-    engine = _Engine(max_branches, max_steps)
+        max_branches = _env_max_branches()
+    engine = _Engine(max_steps)
     root = ConstraintSet.from_constraints(constraints)
     stack = [root]
     clashes: list[tuple[ConstraintSet, ClashInfo]] = []
@@ -637,25 +646,13 @@ def complete(
                 break
             if engine.apply_deterministic(s):
                 continue
-            found = engine.find_branches(s)
-            if found is not None:
-                _c, label, key, premises, branches = found
-                children = []
-                for additions in branches:
-                    child = s.copy()
-                    child.processed.add(key)
-                    child.add(additions, label, premises)
-                    children.append(child)
-                stack.extend(reversed(children))
-                break
-            found = engine.find_generation(s)
-            if found is not None:
-                children = apply_rules(s, engine)
-                stack.extend(reversed(children))
-                break
-            return CompletionResult(
-                Status.SATISFIABLE, s, tuple(clashes), branch_count
-            )
+            children = _children(s, engine)
+            if children is None:
+                return CompletionResult(
+                    Status.SATISFIABLE, s, tuple(clashes), branch_count
+                )
+            stack.extend(reversed(children))
+            break
     return CompletionResult(Status.UNSATISFIABLE, None, tuple(clashes), branch_count)
 
 

@@ -130,3 +130,15 @@ class TestOtherCommands:
 
     def test_usage_error(self, capsys):
         assert run(["entails"]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
+    def test_malformed_branch_ceiling_is_a_usage_error(self, poll_kb, monkeypatch, capsys, value):
+        monkeypatch.setenv("NALC_MAX_BRANCHES", value)
+        assert run(["check", poll_kb]) == 2
+        assert "NALC_MAX_BRANCHES" in capsys.readouterr().err
+
+    def test_branch_ceiling_from_the_environment(self, poll_kb, monkeypatch, capsys):
+        monkeypatch.setenv("NALC_MAX_BRANCHES", "1")
+        assert run(["entails", poll_kb, "--query",
+                    "assert (some Support War)(p1) >= 0.6 <= 0.5"]) == 3
+        assert "branch ceiling 1" in capsys.readouterr().err

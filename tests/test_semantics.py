@@ -10,6 +10,7 @@ from nalc import (
     Atomic,
     AxiomKind,
     BOT,
+    Bound,
     ConceptAssertion,
     Constraint,
     DegreeGrid,
@@ -17,15 +18,20 @@ from nalc import (
     Exists,
     FiniteInterpretation,
     Forall,
+    FuzzyInterpretation,
+    FuzzyRel,
     Individual,
     Not,
     Or,
+    Rel,
     RoleAssertion,
     SearchExhausted,
     TOP,
     TerminologicalAxiom,
     eval_concept,
     exists_model,
+    fuzzy_eval,
+    fuzzy_exists_model,
     oracle_entails,
     parse_kb,
     parse_query,
@@ -33,11 +39,12 @@ from nalc import (
     satisfies_axiom,
     expand,
 )
-from nalc.semantics import default_domain_size
+from nalc.semantics import _interval, _term, default_domain_size
 from genutil import (
     QUARTERS,
     QUARTER_GRID,
     rand_concept,
+    rand_fuzzy_kb,
     rand_interpretation,
     stable_seed,
 )
@@ -266,3 +273,74 @@ class TestMonotoneBounds:
             "assert (some R (all S A))(a) >= 0.5 <= 0.5\nassert B(b) >= 0 <= 1\n"
         )
         assert default_domain_size(list(kb.assertions)) == 4
+
+
+class TestSingleChannelTerms:
+    def test_assigned_interval_is_the_evaluated_degree(self):
+        """With every cell assigned, a translated term's interval is the
+        point ``eval_concept`` gives in its channel, and with truth cells
+        only it is the point ``fuzzy_eval`` gives (falsity one minus it)."""
+        rng = random.Random(2718)
+        scale = 4  # every degree of the interpretations is a quarter
+        for _ in range(300):
+            interp = rand_interpretation(rng, rng.randint(1, 3))
+            c = rand_concept(rng, rng.randint(0, 3))
+            cells = {}
+            for (name, d), v in interp.concept_table.items():
+                cells[("c", name, d, "t")] = int(v.n * scale)
+                cells[("c", name, d, "f")] = int(v.m * scale)
+            for (role, d1, d2), v in interp.role_table.items():
+                cells[("r", role, d1, d2, "t")] = int(v.n * scale)
+                cells[("r", role, d1, d2, "f")] = int(v.m * scale)
+            truth_cells = {k: v for k, v in cells.items() if k[-1] == "t"}
+            fuzzy = FuzzyInterpretation(
+                interp.domain,
+                {},
+                {k: v.n for k, v in interp.concept_table.items()},
+                {k: v.n for k, v in interp.role_table.items()},
+            )
+            for d in interp.domain:
+                pair = eval_concept(interp, c, d)
+                single = fuzzy_eval(fuzzy, c, d)
+                for ch, two_valued, one_valued in (("t", pair.n, single), ("f", pair.m, 1 - single)):
+                    point = _interval(_term(c, ch, False), d, cells, interp.domain, scale)
+                    assert point == (two_valued * scale,) * 2, (c, ch)
+                    point = _interval(_term(c, ch, True), d, truth_cells, interp.domain, scale)
+                    assert point == (one_valued * scale,) * 2, (c, ch)
+
+
+class TestFuzzyExistsModel:
+    def test_returned_models_meet_every_bound_and_axiom(self):
+        rng = random.Random(1618)
+        found = refuted = 0
+        for _ in range(200):
+            fkb = rand_fuzzy_kb(rng, atoms=("A", "B", "X"))
+            bounded = []
+            for fa in fkb.assertions:
+                lower = fa.rel is FuzzyRel.GEQ
+                if rng.random() < 0.3:
+                    rel = Rel.GT if lower else Rel.LT
+                else:
+                    rel = Rel.GE if lower else Rel.LE
+                bounded.append((fa.assertion, Bound(rel, fa.degree)))
+            axioms = ()
+            if rng.random() < 0.5:
+                kind = rng.choice([AxiomKind.SPECIALIZATION, AxiomKind.DEFINITION])
+                axioms = (TerminologicalAxiom("X", kind, rand_concept(rng, 1, ["A", "B"], ["R"])),)
+            model = fuzzy_exists_model(bounded, axioms, 2, QUARTER_GRID)
+            if model is None:
+                refuted += 1
+                continue
+            found += 1
+            for a, bound in bounded:
+                subject = model.individual_map[a.subject.name]
+                if isinstance(a, RoleAssertion):
+                    value = model.role_value(a.role, subject, model.individual_map[a.target.name])
+                else:
+                    value = fuzzy_eval(model, a.concept, subject)
+                assert bound.holds(value), (a, bound)
+            for ax in axioms:
+                for d in model.domain:
+                    name, rhs = model.concept_value("X", d), fuzzy_eval(model, ax.rhs, d)
+                    assert name <= rhs if ax.kind is AxiomKind.SPECIALIZATION else name == rhs
+        assert found and refuted
