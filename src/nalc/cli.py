@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 the query holds / the KB is satisfiable, 1 it does not,
-2 usage or parse errors, 3 resource exhaustion.
+2 usage or parse errors (including input nested too deeply to
+process), 3 resource exhaustion.
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def run(argv: list[str]) -> int:
     except (ResourceExhausted, SearchExhausted) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXHAUSTED
+    except RecursionError:
+        print("input nested too deeply to process", file=sys.stderr)
+        return USAGE
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import ConceptExpr, Obj
+from .syntax import ConceptExpr, FrozenValue, Obj, frozen_value
 
 
 def _check_degree(value: Fraction, what: str) -> None:
@@ -69,8 +69,8 @@ class DegreePair:
         _check_degree(self.m, "second bound")
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
+@frozen_value
+class ConceptAssertion(FrozenValue):
     concept: ConceptExpr
     subject: Obj
 
@@ -80,8 +80,8 @@ class ConceptAssertion:
         return f"{format_concept(self.concept)}({self.subject})"
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+@frozen_value
+class RoleAssertion(FrozenValue):
     role: str
     subject: Obj
     target: Obj
@@ -108,13 +108,14 @@ class Rel(enum.Enum):
         return self in (Rel.GT, Rel.LT)
 
 
-@dataclass(frozen=True)
-class Bound:
+@frozen_value
+class Bound(FrozenValue):
     rel: Rel
     value: Fraction
 
     def __post_init__(self):
         _check_degree(self.value, "bound")
+        FrozenValue.__post_init__(self)
 
     def holds(self, v: Fraction) -> bool:
         if self.rel is Rel.GE:
@@ -174,8 +175,8 @@ class Form(enum.Enum):
         return self in (Form.GEQ_LEQ, Form.GT_LT)
 
 
-@dataclass(frozen=True)
-class Constraint:
+@frozen_value
+class Constraint(FrozenValue):
     """A signed degree constraint on an assertion.
 
     ``tbound`` restricts the truth value, ``fbound`` the falsity value;
@@ -189,6 +190,7 @@ class Constraint:
     def __post_init__(self):
         if self.tbound is None and self.fbound is None:
             raise ValueError("constraint must bound at least one component")
+        FrozenValue.__post_init__(self)
 
     @staticmethod
     def of_form(assertion: Assertion, form: Form, bounds: DegreePair) -> "Constraint":

@@ -184,6 +184,11 @@ def resolved_definitions(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
     problems = validate(kb)
     if problems:
         raise ValueError("cannot expand an invalid KB: " + problems[0].message)
+    return resolve_valid(kb)
+
+
+def resolve_valid(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
+    """``resolved_definitions`` of a KB that ``validate`` has accepted."""
     definitions: dict[str, ConceptExpr] = {}
     for axiom in kb.terminology:
         if axiom.kind is AxiomKind.SPECIALIZATION:

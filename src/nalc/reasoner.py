@@ -32,7 +32,7 @@ from .constraints import (
 from .kb import (
     KnowledgeBase,
     expand,
-    resolved_definitions,
+    resolve_valid,
     unfold_assertion,
     unfold_constraint,
     validate,
@@ -56,7 +56,7 @@ def _prepared(kb: KnowledgeBase):
     problems = validate(kb)
     if problems:
         raise ValueError("invalid KB: " + problems[0].message)
-    resolved = resolved_definitions(kb)
+    resolved = resolve_valid(kb)
     assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
     return assertions, resolved
 

@@ -9,58 +9,104 @@ term rewriting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 
-class ConceptExpr:
+class FrozenValue:
+    """Base of the frozen value types: concepts, objects, assertions,
+    bounds and constraints.
+
+    Each is a slotted frozen dataclass (see ``frozen_value``) whose hash
+    is the one ``dataclass(frozen=True)`` defines, the hash of its field
+    tuple.  It is computed once, at construction, and kept in a slot: a
+    tableau run hashes the same concepts, assertions and bounds millions
+    of times, and a recursive hash would walk the whole concept each time.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", self._field_hash())
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes are salted per process: a copy or an unpickled
+        # value is rebuilt through its constructor, which hashes afresh.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def frozen_value(cls):
+    """Make a ``FrozenValue`` subclass a slotted frozen dataclass."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = FrozenValue.__hash__
+    # Before Python 3.12 the generated guards of a slotted class refer to
+    # the class it replaced and raise TypeError for a non-field name.
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class ConceptExpr(FrozenValue):
     """Base class for concept expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Top(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Bottom(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Atomic(ConceptExpr):
     name: str
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("atomic concept name must be nonempty")
+        FrozenValue.__post_init__(self)
 
 
-@dataclass(frozen=True)
+@frozen_value
 class And(ConceptExpr):
     left: ConceptExpr
     right: ConceptExpr
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Or(ConceptExpr):
     left: ConceptExpr
     right: ConceptExpr
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Not(ConceptExpr):
     inner: ConceptExpr
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Forall(ConceptExpr):
     role: str
     filler: ConceptExpr
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Exists(ConceptExpr):
     role: str
     filler: ConceptExpr
@@ -70,8 +116,8 @@ TOP = Top()
 BOT = Bottom()
 
 
-@dataclass(frozen=True)
-class Individual:
+@frozen_value
+class Individual(FrozenValue):
     """A named individual."""
 
     name: str
@@ -80,8 +126,8 @@ class Individual:
         return self.name
 
 
-@dataclass(frozen=True)
-class Variable:
+@frozen_value
+class Variable(FrozenValue):
     """A variable introduced by a generating tableau rule.
 
     Variables live in a namespace disjoint from individuals; they are

@@ -24,12 +24,19 @@ Rule discipline per connective and bound shape:
   classic conditional propagation; otherwise the choice branches.
 
 Saturation order: deterministic rules to a fixpoint, then branching
-decompositions, then generating rules.
+decompositions, then generating rules.  Deterministic rules fire one at
+a time, always the rule of the earliest constraint in the branch that
+can fire, so the derivation is the one a full in-order rescan after
+every firing would give.  The rescan is not run: each branch keeps an
+agenda of the constraints that may fire and watch lists that put a
+successor-wide bound back on it when its successors or their bounds
+grow (``ConstraintSet``).
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,13 +130,27 @@ def _fixed_value(concept, ch: str):
 
 
 class ConstraintSet:
-    """One tableau branch: ordered constraints plus its derivation trace."""
+    """One tableau branch: ordered constraints plus its derivation trace.
+
+    Besides the constraints, a branch keeps what saturation reads
+    repeatedly: the constraints of each assertion, the role successors
+    of each (subject, role) in first-seen order, and the agenda, a
+    min-heap of the positions of constraints that may fire a
+    deterministic rule.  ``watchers`` maps a (subject, role) pair, and a
+    filler at one of its successors, to the existential and universal
+    constraints whose per-successor decisions read it; adding a
+    constraint there puts them back on the agenda.  The buckets and the
+    index entries are tuples, so a branch copy shares them.
+    """
 
     def __init__(self):
         self.constraints: list[Constraint] = []
         self.step_of: dict[Constraint, int] = {}
         self.steps: list[Step] = []
-        self.by_assertion: dict[Assertion, list[Constraint]] = {}
+        self.by_assertion: dict[Assertion, tuple[Constraint, ...]] = {}
+        self.successors: dict[tuple, tuple] = {}
+        self.watchers: dict[object, tuple[int, ...]] = {}
+        self.agenda: list[int] = []
         self.fresh_counter = 0
         self.processed: set = set()
         self.clash: ClashInfo | None = None
@@ -146,7 +167,10 @@ class ConstraintSet:
         s.constraints = list(self.constraints)
         s.step_of = dict(self.step_of)
         s.steps = list(self.steps)
-        s.by_assertion = {k: list(v) for k, v in self.by_assertion.items()}
+        s.by_assertion = dict(self.by_assertion)
+        s.successors = dict(self.successors)
+        s.watchers = dict(self.watchers)
+        s.agenda = list(self.agenda)
         s.fresh_counter = self.fresh_counter
         s.processed = set(self.processed)
         s.clash = self.clash
@@ -222,9 +246,10 @@ class ConstraintSet:
             return False
         number = len(self.steps) + 1
         for c in new:
+            self._index(c, len(self.constraints))
             self.constraints.append(c)
             self.step_of[c] = number
-            self.by_assertion.setdefault(c.assertion, []).append(c)
+            self.by_assertion[c.assertion] = self.by_assertion.get(c.assertion, ()) + (c,)
         self.steps.append(Step(number, tuple(new), rule, tuple(sorted(set(premises)))))
         if self.clash is None:
             for c in new:
@@ -233,6 +258,44 @@ class ConstraintSet:
                     self.clash = info
                     break
         return True
+
+    def _index(self, c: Constraint, pos: int) -> None:
+        """Update the successor index and the agenda for a new constraint.
+
+        Only an existential or universal constraint's successor-wide
+        decisions read state that grows (new successors, new bounds on
+        their edges and fillers); a negation or a deterministic
+        conjunction or disjunction fires on its own constraint alone,
+        and once it stops firing it never fires again.
+        """
+        a = c.assertion
+        if isinstance(a, RoleAssertion):
+            key = (a.subject, a.role)
+            targets = self.successors.get(key, ())
+            watching = self.watchers.get(key, ())
+            if a.target not in targets:
+                self.successors[key] = targets + (a.target,)
+                for p in watching:
+                    filler = self.constraints[p].assertion.concept.filler
+                    self._watch(ConceptAssertion(filler, a.target), p)
+        else:
+            watching = self.watchers.get(a, ())
+            concept = a.concept
+            if isinstance(concept, Not) or (
+                isinstance(concept, (And, Or)) and _halves(c, "det")
+            ):
+                heapq.heappush(self.agenda, pos)
+            elif isinstance(concept, (Exists, Forall)) and _halves(c, "univ"):
+                key = (a.subject, concept.role)
+                self._watch(key, pos)
+                for target in self.successors.get(key, ()):
+                    self._watch(ConceptAssertion(concept.filler, target), pos)
+                heapq.heappush(self.agenda, pos)
+        for p in watching:
+            heapq.heappush(self.agenda, p)
+
+    def _watch(self, key, pos: int) -> None:
+        self.watchers[key] = self.watchers.get(key, ()) + (pos,)
 
     def trace_lines(self) -> list[str]:
         lines = [step.render() for step in self.steps]
@@ -328,6 +391,16 @@ def _quant_kind(concept, ch: str, is_lower: bool) -> str | None:
     return "gen" if existential else "univ"
 
 
+def _halves(c: Constraint, kind: str) -> list[tuple[Bound, str]]:
+    """The active halves of a concept constraint that take rules of ``kind``."""
+    concept = c.assertion.concept
+    classify = _and_or_kind if isinstance(concept, (And, Or)) else _quant_kind
+    return [
+        (b, ch) for b, ch in _active_halves(c)
+        if classify(concept, ch, b.rel.is_lower) == kind
+    ]
+
+
 def _role_channel(concept, ch: str) -> str:
     """Which role component an evaluation channel reads."""
     if isinstance(concept, Forall):
@@ -348,67 +421,60 @@ class _Engine:
     # -- deterministic pass -------------------------------------------
 
     def apply_deterministic(self, s: ConstraintSet) -> bool:
-        for c in list(s.constraints):
-            if not isinstance(c.assertion, ConceptAssertion):
-                continue
-            concept = c.assertion.concept
-            subject = c.assertion.subject
-            if isinstance(concept, Not):
-                inner = ConceptAssertion(concept.inner, subject)
-                conclusion = Constraint(inner, c.fbound, c.tbound)
-                if conclusion not in s:
-                    self.tick()
-                    s.add([conclusion], _label(concept, c), [s.step_of[c]])
-                    return True
-                continue
-            halves = _active_halves(c)
-            if not halves:
-                continue
-            if isinstance(concept, (And, Or)):
-                det_halves = [
-                    (b, ch) for b, ch in halves
-                    if _and_or_kind(concept, ch, b.rel.is_lower) == "det"
-                ]
-                if det_halves:
-                    left = ConceptAssertion(concept.left, subject)
-                    right = ConceptAssertion(concept.right, subject)
-                    additions = [
-                        _pair_up(left, det_halves),
-                        _pair_up(right, det_halves),
-                    ]
-                    if any(a not in s for a in additions):
-                        self.tick()
-                        s.add(additions, _label(concept, c, det_halves), [s.step_of[c]])
-                        return True
-            if isinstance(concept, (Exists, Forall)):
-                if self._universal_det(s, c):
-                    return True
+        """Fire the first deterministic rule in constraint order, if any.
+
+        The agenda holds every position whose rule may fire, so popping
+        the lowest one that does fire finds the rule a full in-order
+        rescan would find.
+        """
+        agenda = s.agenda
+        while agenda:
+            pos = heapq.heappop(agenda)
+            while agenda and agenda[0] == pos:
+                heapq.heappop(agenda)
+            if self.fire(s, s.constraints[pos]):
+                return True
         return False
 
-    def _successors(self, s: ConstraintSet, subject, role: str):
-        """Objects reachable from ``subject`` through constraints on ``role``."""
-        out = []
-        for assertion in s.by_assertion:
-            if (
-                isinstance(assertion, RoleAssertion)
-                and assertion.role == role
-                and assertion.subject == subject
-                and assertion.target not in out
-            ):
-                out.append(assertion.target)
-        return out
+    def fire(self, s: ConstraintSet, c: Constraint) -> bool:
+        """Apply the deterministic rule of one constraint; False when idle."""
+        if not isinstance(c.assertion, ConceptAssertion):
+            return False
+        concept = c.assertion.concept
+        subject = c.assertion.subject
+        if isinstance(concept, Not):
+            inner = ConceptAssertion(concept.inner, subject)
+            conclusion = Constraint(inner, c.fbound, c.tbound)
+            if conclusion in s:
+                return False
+            self.tick()
+            s.add([conclusion], _label(concept, c), [s.step_of[c]])
+            return True
+        if isinstance(concept, (And, Or)):
+            det_halves = _halves(c, "det")
+            if not det_halves:
+                return False
+            left = ConceptAssertion(concept.left, subject)
+            right = ConceptAssertion(concept.right, subject)
+            additions = [_pair_up(left, det_halves), _pair_up(right, det_halves)]
+            if all(a in s for a in additions):
+                return False
+            self.tick()
+            s.add(additions, _label(concept, c, det_halves), [s.step_of[c]])
+            return True
+        if isinstance(concept, (Exists, Forall)):
+            return self._universal_det(s, c)
+        return False
 
     def _universal_actions(self, s: ConstraintSet, c: Constraint):
         """Pending per-successor decisions of successor-wide bounds.
 
-        Yields (half, target, edge, role_disjunct, filler_disjunct,
-        decided) where ``decided`` is the forced side or None.
+        Yields (bound, channel, target, edge, filler, decided) where
+        ``decided`` is the forced side or None; both sides take ``bound``.
         """
         concept = c.assertion.concept
         subject = c.assertion.subject
-        for bound, ch in _active_halves(c):
-            if _quant_kind(concept, ch, bound.rel.is_lower) != "univ":
-                continue
+        for bound, ch in _halves(c, "univ"):
             role_ch = _role_channel(concept, ch)
             # The bound passes through min/max against the role value:
             # the role-side escape bound has the opposite direction on
@@ -416,17 +482,13 @@ class _Engine:
             # Per successor the bound distributes over min/max as a
             # disjunction: the role side or the filler side must satisfy
             # the very same bound on its own channel.
-            for target in self._successors(s, subject, concept.role):
+            for target in s.successors.get((subject, concept.role), ()):
                 edge = RoleAssertion(concept.role, subject, target)
                 filler = ConceptAssertion(concept.filler, target)
-                role_disjunct = Bound(bound.rel, bound.value)
-                filler_disjunct = Bound(bound.rel, bound.value)
-                if s.implied(filler, ch, filler_disjunct) or s.implied(
-                    edge, role_ch, role_disjunct
-                ):
+                if s.implied(filler, ch, bound) or s.implied(edge, role_ch, bound):
                     continue
-                role_refuter = s.refuter(edge, role_ch, role_disjunct)
-                filler_refuter = s.refuter(filler, ch, filler_disjunct)
+                role_refuter = s.refuter(edge, role_ch, bound)
+                filler_refuter = s.refuter(filler, ch, bound)
                 decided = None
                 if role_refuter is not None and filler_refuter is None:
                     decided = ("filler", role_refuter)
@@ -436,13 +498,13 @@ class _Engine:
                     # Both sides are blocked: the branch is doomed; pick
                     # one side and let the clash surface.
                     decided = ("filler", role_refuter)
-                yield (bound, ch, target, edge, filler, role_disjunct, filler_disjunct, decided)
+                yield (bound, ch, target, edge, filler, decided)
 
     def _universal_det(self, s: ConstraintSet, c: Constraint) -> bool:
         concept = c.assertion.concept
         decided_by_target: dict = {}
         for action in self._universal_actions(s, c):
-            bound, ch, target, edge, filler, role_d, filler_d, decided = action
+            bound, ch, target, edge, filler, decided = action
             if decided is None:
                 continue
             decided_by_target.setdefault(target, []).append(action)
@@ -451,14 +513,14 @@ class _Engine:
             premises = [s.step_of[c]]
             halves = []
             filler_assertion = None
-            for bound, ch, _t, edge, filler, role_d, filler_d, decided in actions:
+            for bound, ch, _t, edge, filler, decided in actions:
                 side, refuter = decided
                 premises.append(s.step_of[refuter])
                 if side == "filler":
-                    halves.append((filler_d, ch))
+                    halves.append((bound, ch))
                     filler_assertion = filler
                 else:
-                    additions.append(_make(edge, {_role_channel(concept, ch): role_d}))
+                    additions.append(_make(edge, {_role_channel(concept, ch): bound}))
             if halves and filler_assertion is not None:
                 additions.append(_pair_up(filler_assertion, halves))
             additions = [a for a in additions if a not in s]
@@ -478,10 +540,7 @@ class _Engine:
             concept = c.assertion.concept
             subject = c.assertion.subject
             if isinstance(concept, (And, Or)):
-                halves = [
-                    (b, ch) for b, ch in _active_halves(c)
-                    if _and_or_kind(concept, ch, b.rel.is_lower) == "branch"
-                ]
+                halves = _halves(c, "branch")
                 if not halves:
                     continue
                 key = ("split", c)
@@ -512,7 +571,7 @@ class _Engine:
                 return c, _label(concept, c, halves), key, [s.step_of[c]], branches
             if isinstance(concept, (Exists, Forall)):
                 for action in self._universal_actions(s, c):
-                    bound, ch, target, edge, filler, role_d, filler_d, decided = action
+                    bound, ch, target, edge, filler, decided = action
                     if decided is not None:
                         continue
                     key = ("edge", c, ch, target)
@@ -520,8 +579,8 @@ class _Engine:
                         continue
                     role_ch = _role_channel(concept, ch)
                     branches = [
-                        [_make(edge, {role_ch: role_d})],
-                        [_make(filler, {ch: filler_d})],
+                        [_make(edge, {role_ch: bound})],
+                        [_make(filler, {ch: bound})],
                     ]
                     label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
                     return c, label, key, [s.step_of[c]], branches
@@ -537,17 +596,13 @@ class _Engine:
             if not isinstance(concept, (Exists, Forall)):
                 continue
             subject = c.assertion.subject
-            gen_halves = [
-                (b, ch) for b, ch in _active_halves(c)
-                if _quant_kind(concept, ch, b.rel.is_lower) == "gen"
-            ]
             pending = []
-            for bound, ch in gen_halves:
+            for bound, ch in _halves(c, "gen"):
                 role_ch = _role_channel(concept, ch)
                 witnessed = any(
                     s.implied(RoleAssertion(concept.role, subject, t), role_ch, bound)
                     and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
-                    for t in self._successors(s, subject, concept.role)
+                    for t in s.successors.get((subject, concept.role), ())
                 )
                 if not witnessed:
                     pending.append((bound, ch))
@@ -625,15 +680,16 @@ def complete(
 
     Depth-first, left branch first; each branch is saturated under the
     deterministic rules before any choice is made.  Returns the first
-    clash-free completion, or the clash evidence of every explored
-    branch when there is none.
+    clash-free completion, or, when there is none, the first clashed
+    branch with its clash (the one ``CompletionResult.trace`` renders);
+    ``branch_count`` counts every branch explored.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
     engine = _Engine(max_steps)
     root = ConstraintSet.from_constraints(constraints)
     stack = [root]
-    clashes: list[tuple[ConstraintSet, ClashInfo]] = []
+    clashes: tuple[tuple[ConstraintSet, ClashInfo], ...] = ()
     branch_count = 0
     while stack:
         s = stack.pop()
@@ -642,18 +698,17 @@ def complete(
             raise ResourceExhausted(f"branch ceiling {max_branches} exceeded")
         while True:
             if s.clash is not None:
-                clashes.append((s, s.clash))
+                if not clashes:
+                    clashes = ((s, s.clash),)
                 break
             if engine.apply_deterministic(s):
                 continue
             children = _children(s, engine)
             if children is None:
-                return CompletionResult(
-                    Status.SATISFIABLE, s, tuple(clashes), branch_count
-                )
+                return CompletionResult(Status.SATISFIABLE, s, clashes, branch_count)
             stack.extend(reversed(children))
             break
-    return CompletionResult(Status.UNSATISFIABLE, None, tuple(clashes), branch_count)
+    return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
 
 
 # --- model extraction ---------------------------------------------------

@@ -128,6 +128,21 @@ class TestOtherCommands:
         path.write_text("assert R(a,b) >= 0.5 <= 0.5\n", encoding="utf-8")
         assert run(["lub", str(path), "--assertion", "R(a,b)"]) == 2
 
+    def test_invalid_kb_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "cyclic.nalc"
+        path.write_text("define A = B\ndefine B = A\nassert A(a) >= 1 <= 0\n", encoding="utf-8")
+        assert run(["check", str(path)]) == 2
+        assert "cyclic definitions: A -> B -> A" in capsys.readouterr().err
+
+    def test_deep_nesting_exits_two(self, tmp_path, capsys):
+        deep = "(not " * 3000 + "A" + ")" * 3000
+        assert run(["nnf", deep]) == 2
+        assert capsys.readouterr().err == "input nested too deeply to process\n"
+        path = tmp_path / "deep.nalc"
+        path.write_text(f"assert {deep}(a) >= 0.5 <= 0.5\n", encoding="utf-8")
+        assert run(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "input nested too deeply to process\n"
+
     def test_usage_error(self, capsys):
         assert run(["entails"]) == 2
 

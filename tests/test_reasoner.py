@@ -48,6 +48,15 @@ def akb(*constraints):
 
 
 class TestEntails:
+    def test_invalid_kb_is_rejected(self):
+        cyclic = KnowledgeBase(
+            (Constraint.geq_leq(ConceptAssertion(A, a), 1, 0),),
+            (TerminologicalAxiom("A", AxiomKind.DEFINITION, B),
+             TerminologicalAxiom("B", AxiomKind.DEFINITION, A)),
+        )
+        with pytest.raises(ValueError, match="^invalid KB: cyclic definitions: A -> B -> A$"):
+            entails(cyclic, Constraint.geq_leq(ConceptAssertion(A, a), 1, 0))
+
     def test_poll_kb_supports_both_wars(self):
         assert entails(POLL_KB, parse_query("assert (some Support War)(p1) >= 0.6 <= 0.5"))
         assert entails(POLL_KB, parse_query("assert (some Support War)(p2) >= 0.8 <= 0.1"))

@@ -1,13 +1,24 @@
 """Concept AST utilities: negation normal form and subterm closure."""
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nalc import (
     And,
     Atomic,
     BOT,
+    Bound,
+    ConceptAssertion,
+    Constraint,
+    Individual,
+    Rel,
+    RoleAssertion,
+    Variable,
     Exists,
     Forall,
     Not,
@@ -135,3 +146,69 @@ class TestSubconcepts:
         assert c in closure
         for sub in closure:
             assert subconcepts(sub) <= closure
+
+
+def _values():
+    """Builders of one value of each frozen value type."""
+    a = Individual("a")
+    return [
+        lambda: TOP,
+        lambda: Atomic("A"),
+        lambda: And(Atomic("A"), Exists("R", Not(Atomic("B")))),
+        lambda: Or(BOT, Forall("S", Atomic("C"))),
+        lambda: Individual("a"),
+        lambda: Variable(3),
+        lambda: ConceptAssertion(Exists("R", Atomic("A")), a),
+        lambda: RoleAssertion("R", a, Variable(1)),
+        lambda: Bound(Rel.GT, Fraction(1, 3)),
+        lambda: Constraint.geq_leq(ConceptAssertion(Not(Atomic("A")), a), Fraction(1, 2), 0),
+        lambda: Constraint(RoleAssertion("R", a, a), None, Bound(Rel.LE, Fraction(3, 4))),
+    ]
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("build", _values())
+    def test_built_twice_equal_and_hash_equal(self, build):
+        x, y = build(), build()
+        assert x == y
+        assert hash(x) == hash(y) == hash(x)
+        # The dataclass hash: that of the field tuple.
+        assert hash(x) == hash(tuple(getattr(x, f.name) for f in fields(x)))
+
+    @pytest.mark.parametrize("build", _values())
+    def test_setattr_raises(self, build):
+        x = build()
+        for name in [f.name for f in fields(x)] + ["other"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(x, name)
+
+    @pytest.mark.parametrize("build", _values())
+    def test_pickle_round_trip(self, build):
+        x = build()
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x)
+
+    def test_repr_and_field_names(self):
+        a = Individual("a")
+        assert repr(And(Atomic("A"), TOP)) == "And(left=Atomic(name='A'), right=Top())"
+        assert repr(RoleAssertion("R", a, Variable(2))) == (
+            "RoleAssertion(role='R', subject=Individual(name='a'), target=Variable(index=2))"
+        )
+        assert repr(Bound(Rel.GE, Fraction(1, 2))) == (
+            "Bound(rel=<Rel.GE: '>='>, value=Fraction(1, 2))"
+        )
+        names = {
+            cls: [f.name for f in fields(cls)]
+            for cls in (Atomic, And, Or, Not, Forall, Exists, Individual, Variable,
+                        ConceptAssertion, RoleAssertion, Bound, Constraint)
+        }
+        assert names == {
+            Atomic: ["name"], And: ["left", "right"], Or: ["left", "right"],
+            Not: ["inner"], Forall: ["role", "filler"], Exists: ["role", "filler"],
+            Individual: ["name"], Variable: ["index"],
+            ConceptAssertion: ["concept", "subject"],
+            RoleAssertion: ["role", "subject", "target"],
+            Bound: ["rel", "value"], Constraint: ["assertion", "tbound", "fbound"],
+        }

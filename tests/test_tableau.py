@@ -36,7 +36,7 @@ from nalc import (
     variable_assignment,
 )
 from nalc.semantics import default_domain_size
-from nalc.tableau import ConstraintSet
+from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine
 from genutil import QUARTER_GRID, rand_assertional_kb, rand_interpretation, stable_seed
 
 F = Fraction
@@ -306,3 +306,91 @@ def test_completion_matches_enumeration_on_random_kbs():
             constraints, default_domain_size(constraints), QUARTER_GRID
         )
         assert (result.status is Status.SATISFIABLE) == (model is not None), constraints
+
+
+# --- incremental saturation ----------------------------------------------
+
+def test_agenda_leaves_no_deterministic_rule_unfired():
+    """At a clash-free completion an in-order pass over every constraint fires nothing."""
+    rng = random.Random(stable_seed("agenda completeness"))
+    checked = 0
+    for _ in range(300):
+        kb = rand_assertional_kb(rng)
+        result = complete(list(kb.assertions))
+        if result.status is not Status.SATISFIABLE:
+            continue
+        checked += 1
+        s = result.witness.copy()
+        engine = _Engine(DEFAULT_MAX_STEPS)
+        for c in list(s.constraints):
+            assert not engine.fire(s, c), (str(c), result.trace)
+    assert checked > 100
+
+
+def test_agenda_fires_what_a_full_rescan_fires():
+    """Each deterministic step is the first firing of an in-order pass."""
+    rng = random.Random(stable_seed("agenda order"))
+    engine = _Engine(DEFAULT_MAX_STEPS)
+    fired = 0
+    for _ in range(300):
+        kb = rand_assertional_kb(rng)
+        s = ConstraintSet.from_constraints(list(kb.assertions))
+        for step in range(60):
+            if s.clash is not None:
+                break
+            rescan = s.copy()
+            first = next((c for c in list(rescan.constraints) if engine.fire(rescan, c)), None)
+            children = apply_rules(s)
+            if first is not None:
+                fired += 1
+                assert len(children) == 1
+                assert children[0].trace_lines() == rescan.trace_lines()
+            elif children is None:
+                break
+            s = children[step % len(children)]
+    assert fired > 150
+
+
+def test_branch_copies_leave_the_parent_unchanged():
+    premises = [
+        Constraint.geq_leq(ca(Forall("R", C)), F(1, 2), F(1, 4)),
+        Constraint.geq_leq(RoleAssertion("R", a, b), F(1, 4), F(1, 2)),
+    ]
+    parent = ConstraintSet.from_constraints(premises)
+    constraints = list(parent.constraints)
+    buckets = {k: tuple(v) for k, v in parent.by_assertion.items()}
+    steps = list(parent.steps)
+    children = apply_rules(parent)
+    assert len(children) == 2
+    c = Individual("c")
+    for child in children:
+        child.add(
+            [Constraint.geq_leq(RoleAssertion("R", a, c), 1, 0),
+             Constraint.geq_leq(ca(C, b), 1, 0)],
+            "hypothesis", [],
+        )
+        assert child.successors[(a, "R")] == (b, c)
+    assert parent.constraints == constraints
+    assert parent.steps == steps
+    assert {k: tuple(v) for k, v in parent.by_assertion.items()} == buckets
+    assert parent.successors == {(a, "R"): (b,)}
+    assert ca(C, b) not in parent.by_assertion
+
+
+def test_only_the_first_clash_is_kept():
+    kb = parse_kb(
+        "assert (or A B)(a) >= 1 <= 0\n"
+        "assert A(a) <= 0.5 >= 0.5\n"
+        "assert B(a) <= 0.5 >= 0.5\n"
+    )
+    result = complete(list(kb.assertions))
+    assert result.status is Status.UNSATISFIABLE
+    assert result.branch_count == 5
+    assert len(result.clashes) == 1
+    assert result.trace == result.clashes[0][0].trace_lines() == [
+        "(1) (or A B)(a) >= 1 <= 0   [hypothesis]",
+        "(2) A(a) <= 0.5 >= 0.5   [hypothesis]",
+        "(3) B(a) <= 0.5 >= 0.5   [hypothesis]",
+        "(4) A(a) >= 1 <= 0   (or>=<=) : (1)",
+        "clash : (2), (4) : conjugated pair on A(a)",
+    ]
