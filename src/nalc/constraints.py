@@ -107,6 +107,14 @@ class Rel(enum.Enum):
     def is_strict(self) -> bool:
         return self in (Rel.GT, Rel.LT)
 
+    @property
+    def complement(self) -> "Rel":
+        """The relation that holds at a degree exactly where this one fails."""
+        return _COMPLEMENT[self]
+
+
+_COMPLEMENT = {Rel.GE: Rel.LT, Rel.GT: Rel.LE, Rel.LE: Rel.GT, Rel.LT: Rel.GE}
+
 
 @frozen_value
 class Bound(FrozenValue):
@@ -128,6 +136,17 @@ class Bound(FrozenValue):
 
     def __str__(self):
         return f"{self.rel.value} {degree_str(self.value)}"
+
+
+def vacuous(bound: Bound, ch: str) -> bool:
+    """Is ``bound`` the half that ``>= 0 <= 1`` puts on channel ``ch``?
+
+    Truth ``>= 0`` and falsity ``<= 1`` hold of every degree: no rule
+    fires on them and a query for them needs no refutation.
+    """
+    if ch == "t":
+        return bound.rel is Rel.GE and bound.value == 0
+    return bound.rel is Rel.LE and bound.value == 1
 
 
 def bound_implies(given: Bound, wanted: Bound) -> bool:
@@ -236,12 +255,12 @@ class Constraint(FrozenValue):
         ``>= n <= m`` is refuted by adding ``< n > m`` and
         ``<= n >= m`` by adding ``> n < m``.
         """
-        form = self.form
-        if form is Form.GEQ_LEQ:
-            return Constraint.of_form(self.assertion, Form.LT_GT, self.bounds)
-        if form is Form.LEQ_GEQ:
-            return Constraint.of_form(self.assertion, Form.GT_LT, self.bounds)
-        raise ValueError("only nonstrict constraints can be queried")
+        if self.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+            raise ValueError("only nonstrict constraints can be queried")
+        t, f = self.tbound, self.fbound
+        return Constraint(
+            self.assertion, Bound(t.rel.complement, t.value), Bound(f.rel.complement, f.value)
+        )
 
     def __str__(self):
         parts = [str(self.assertion)]

@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .constraints import (
     Assertion,
-    Bound,
     ConceptAssertion,
     Constraint,
+    DegreePair,
     Form,
     Rel,
     RoleAssertion,
@@ -281,36 +281,27 @@ def embed_fuzzy(fkb: FuzzyKb) -> KnowledgeBase:
     ``<alpha <= n>`` becomes ``<alpha: <= n, >= 1-n>``; axioms carry
     over unchanged.
     """
-    assertions = []
-    for fa in fkb.assertions:
-        if fa.rel is FuzzyRel.GEQ:
-            assertions.append(
-                Constraint(fa.assertion, Bound(Rel.GE, fa.degree), Bound(Rel.LE, 1 - fa.degree))
+    return KnowledgeBase(
+        tuple(
+            Constraint.of_form(
+                fa.assertion,
+                Form.GEQ_LEQ if fa.rel is FuzzyRel.GEQ else Form.LEQ_GEQ,
+                DegreePair(fa.degree, 1 - fa.degree),
             )
-        else:
-            assertions.append(
-                Constraint(fa.assertion, Bound(Rel.LE, fa.degree), Bound(Rel.GE, 1 - fa.degree))
-            )
-    return KnowledgeBase(tuple(assertions), fkb.terminology)
+            for fa in fkb.assertions
+        ),
+        fkb.terminology,
+    )
 
 
 def _project(kb: KnowledgeBase, truth_side: bool) -> FuzzyKb:
     assertions = []
     for constraint in kb.assertions:
-        form = constraint.form
-        if form is Form.GEQ_LEQ:
-            if truth_side:
-                fa = FuzzyAssertion(constraint.assertion, FuzzyRel.GEQ, constraint.tbound.value)
-            else:
-                fa = FuzzyAssertion(constraint.assertion, FuzzyRel.LEQ, constraint.fbound.value)
-        elif form is Form.LEQ_GEQ:
-            if truth_side:
-                fa = FuzzyAssertion(constraint.assertion, FuzzyRel.LEQ, constraint.tbound.value)
-            else:
-                fa = FuzzyAssertion(constraint.assertion, FuzzyRel.GEQ, constraint.fbound.value)
-        else:
+        if constraint.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
             raise ValueError(f"projections are defined on nonstrict assertions: {constraint}")
-        assertions.append(fa)
+        bound = constraint.tbound if truth_side else constraint.fbound
+        rel = FuzzyRel.GEQ if bound.rel is Rel.GE else FuzzyRel.LEQ
+        assertions.append(FuzzyAssertion(constraint.assertion, rel, bound.value))
     return FuzzyKb(tuple(assertions), kb.terminology)
 
 

@@ -30,7 +30,6 @@ from .constraints import (
     Constraint,
     Rel,
     RoleAssertion,
-    degree_str,
 )
 from .kb import KnowledgeBase, AxiomKind, TerminologicalAxiom, validate
 from .syntax import (
@@ -348,14 +347,10 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     if errors:
         return None, errors
     kb = KnowledgeBase(tuple(assertions), tuple(axioms))
+    # Duplicates were reported above, so validate finds none of them.
     for violation in validate(kb):
         span = axiom_spans.get(violation.axiom_index, SourceSpan(1, 1, 1))
-        kind = (
-            "duplicate-definition"
-            if violation.kind == "duplicate-lhs"
-            else "syntax"
-        )
-        errors.append(ParseError(span, violation.message, kind))
+        errors.append(ParseError(span, violation.message, "syntax"))
     if errors:
         return None, errors
     return kb, []
@@ -390,17 +385,6 @@ def format_concept(c: ConceptExpr) -> str:
     raise TypeError(f"not a concept expression: {c!r}")
 
 
-def format_assertion(assertion) -> str:
-    if isinstance(assertion, RoleAssertion):
-        return f"{assertion.role}({assertion.subject},{assertion.target})"
-    return f"{format_concept(assertion.concept)}({assertion.subject})"
-
-
 def format_statement(constraint: Constraint) -> str:
     """Render a nonstrict constraint as an ``assert`` line."""
-    tb, fb = constraint.tbound, constraint.fbound
-    return (
-        f"assert {format_assertion(constraint.assertion)}"
-        f" {tb.rel.value} {degree_str(tb.value)}"
-        f" {fb.rel.value} {degree_str(fb.value)}"
-    )
+    return f"assert {constraint}"

@@ -28,6 +28,7 @@ from .constraints import (
     DegreePair,
     Rel,
     RoleAssertion,
+    vacuous,
 )
 from .kb import (
     KnowledgeBase,
@@ -39,7 +40,7 @@ from .kb import (
 )
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not, nnf
-from .tableau import CompletionResult, Status, complete
+from .tableau import CompletionResult, Status, _make, complete
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,20 +91,11 @@ def _half_entailed(
     max_branches: int | None = None,
 ) -> bool:
     """Is the single-component bound forced in every model?"""
-    if ch == "t":
-        if bound.rel is Rel.GE and bound.value == 0:
-            return True
-        refuted = Constraint(assertion, Bound(_flip(bound.rel), bound.value), None)
-    else:
-        if bound.rel is Rel.LE and bound.value == 1:
-            return True
-        refuted = Constraint(assertion, None, Bound(_flip(bound.rel), bound.value))
+    if vacuous(bound, ch):
+        return True
+    refuted = _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
     result = complete(assertions + [refuted], max_branches=max_branches)
     return result.status is Status.UNSATISFIABLE
-
-
-def _flip(rel: Rel) -> Rel:
-    return {Rel.GE: Rel.LT, Rel.GT: Rel.LE, Rel.LE: Rel.GT, Rel.LT: Rel.GE}[rel]
 
 
 class BoundKind(enum.Enum):

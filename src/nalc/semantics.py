@@ -33,6 +33,7 @@ from .constraints import (
     DegreePair,
     Rel,
     RoleAssertion,
+    vacuous,
 )
 from .kb import AxiomKind, FuzzyAssertion, FuzzyRel, TerminologicalAxiom
 from .syntax import (
@@ -263,36 +264,46 @@ def _literal(ch: str, single: bool) -> tuple[str, bool]:
     return ("t", True) if single and ch == "f" else (ch, False)
 
 
+def takes_min(c: ConceptExpr, ch: str) -> bool:
+    """Does channel ``ch`` of a binary or quantified concept take a minimum?
+
+    True for ``and`` and ``all`` in the truth channel and for ``or`` and
+    ``some`` in the falsity channel; the other four take a maximum.  A
+    quantifier that takes a minimum is an infimum over the successors
+    and reads the role in the falsity channel; one that takes a maximum
+    is a supremum and reads the role in the truth channel.
+    """
+    return isinstance(c, (And, Forall)) == (ch == "t")
+
+
 def _term(c: ConceptExpr, ch: str, single: bool) -> tuple:
     """Translate one channel of a concept into a negation-free term.
 
-    Negation swaps the channel; an existential reads the role in the same
-    channel and a universal in the other one.  Subterms that are
-    constant whatever the cells hold fold to constants, so they read no
-    cells and the search never enumerates degrees that prune nothing.
+    Negation swaps the channel; ``takes_min`` picks every other operator.
+    Subterms that are constant whatever the cells hold fold to
+    constants, so they read no cells and the search never enumerates
+    degrees that prune nothing.
     """
     if isinstance(c, Atomic):
         return ("c", c.name) + _literal(ch, single)
     if isinstance(c, Not):
         return _term(c.inner, "f" if ch == "t" else "t", single)
     if isinstance(c, (And, Or)):
-        op = "min" if isinstance(c, And) == (ch == "t") else "max"
+        low = takes_min(c, ch)
         left = _term(c.left, ch, single)
         right = _term(c.right, ch, single)
         for const, other in ((left, right), (right, left)):
             if const[0] == "k":
                 # 0 absorbs min and 1 absorbs max; the other constant is neutral
-                return const if const[1] == (op == "max") else other
-        return (op, left, right)
+                return const if const[1] != low else other
+        return ("min" if low else "max", left, right)
     if isinstance(c, (Exists, Forall)):
+        low = takes_min(c, ch)
         filler = _term(c.filler, ch, single)
-        if isinstance(c, Exists) == (ch == "t"):
-            if filler == ("k", False):
-                return filler
-            return ("sup", c.role) + _literal("t", single) + (filler,)
-        if filler == ("k", True):
+        if filler == ("k", low):
+            # inf over max(role, 1) is 1 and sup over min(role, 0) is 0
             return filler
-        return ("inf", c.role) + _literal("f", single) + (filler,)
+        return ("inf" if low else "sup", c.role) + _literal("f" if low else "t", single) + (filler,)
     if isinstance(c, (Top, Bottom)):
         return ("k", isinstance(c, Top) == (ch == "t"))
     raise TypeError(f"not a concept expression: {c!r}")
@@ -713,18 +724,17 @@ def fuzzy_entails(
     max_nodes: int = 5_000_000,
 ) -> bool:
     """Single-valued entailment by refuted-query model search."""
-    bounded = []
-    degrees = {query.degree}
-    for fa in fkb.assertions:
-        degrees.add(fa.degree)
-        rel = Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE
-        bounded.append((fa.assertion, Bound(rel, fa.degree)))
-    neg_rel = Rel.LT if query.rel is FuzzyRel.GEQ else Rel.GT
-    if (neg_rel is Rel.LT and query.degree == 0) or (neg_rel is Rel.GT and query.degree == 1):
-        return True  # the refutation bound is unsatisfiable outright
-    bounded.append((query.assertion, Bound(neg_rel, query.degree)))
+
+    def bound(fa: FuzzyAssertion) -> Bound:
+        return Bound(Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE, fa.degree)
+
+    wanted = bound(query)
+    if vacuous(wanted, "t") or vacuous(wanted, "f"):
+        return True  # every degree meets the query: its refutation is empty
+    bounded = [(fa.assertion, bound(fa)) for fa in fkb.assertions]
+    bounded.append((query.assertion, Bound(wanted.rel.complement, wanted.value)))
     if grid is None:
-        grid = DegreeGrid.containing(degrees).with_midpoints()
+        grid = DegreeGrid.containing(b.value for _, b in bounded).with_midpoints()
     if domain_size is None:
         query_like = [Constraint(a, Bound(Rel.GE, ZERO), None) for a, _ in bounded]
         domain_size = default_domain_size(query_like)

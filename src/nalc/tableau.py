@@ -6,22 +6,25 @@ admits several ways to be realised, until every branch either exposes a
 clash or completes clash-free.  A clash-free completion yields an
 explicit finite model (``extract_model``).
 
-Rule discipline per connective and bound shape:
+Rule discipline.  Each channel of a concept reads as a negation-free
+fuzzy term in which a conjunction, disjunction or quantifier takes a
+minimum or a maximum (``semantics.takes_min``), so one rule serves every
+connective, channel and bound direction:
 
-* negation flips the component a bound talks about;
-* a lower bound on a conjunction (dually, an upper bound on a
-  disjunction) decomposes to both parts deterministically;
-* an upper bound on a conjunction (lower on a disjunction) picks which
-  part realises each component: a four-way branch for paired bounds;
-* a lower bound on an existential (upper on a universal) generates a
-  fresh witness.  For a paired bound the truth and falsity components
-  may need different witnesses, so generation branches between the
-  shared-witness reading and a two-witness split;
-* an upper bound on an existential (lower on a universal) constrains
-  every role successor: per successor either the role bound or the
-  filler bound must give way.  When existing bounds already refute one
-  side the other follows deterministically, which is exactly the
-  classic conditional propagation; otherwise the choice branches.
+* negation swaps the channels of its bounds;
+* a half (bound, channel) goes to *every* part when its channel takes a
+  minimum and it bounds from below, or a maximum and it bounds from
+  above; otherwise it goes to *some* part;
+* on ``and``/``or``, "every" decomposes deterministically and "some"
+  branches on the part that realises the half;
+* on a quantifier, "every" constrains each role successor: the role side
+  or the filler side must meet the bound, and when existing bounds refute
+  one side the other follows (the classic conditional propagation),
+  otherwise the choice branches.  "Some" generates a witness; a paired
+  bound branches between one shared witness and one witness per half.
+  The role is read in the falsity channel when the quantifier takes a
+  minimum and in the truth channel otherwise;
+* the halves ``>= 0`` on truth and ``<= 1`` on falsity take no rule.
 
 Saturation order: deterministic rules to a fixpoint, then branching
 decompositions, then generating rules.  Deterministic rules fire one at
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,14 +51,14 @@ from .constraints import (
     ConceptAssertion,
     Constraint,
     DegreePair,
-    Form,
     Rel,
     RoleAssertion,
     bound_implies,
     bounds_incompatible,
     conjugated,
+    vacuous,
 )
-from .semantics import FiniteInterpretation
+from .semantics import FiniteInterpretation, _term, takes_min
 from .syntax import (
     And,
     Atomic,
@@ -112,21 +116,6 @@ class ClashInfo:
     def render(self) -> str:
         refs = ", ".join(f"({p})" for p in self.steps)
         return f"clash : {refs} : {self.message}"
-
-
-def _vacuous(bound: Bound, ch: str) -> bool:
-    if ch == "t":
-        return bound.rel is Rel.GE and bound.value == 0
-    return bound.rel is Rel.LE and bound.value == 1
-
-
-def _fixed_value(concept, ch: str):
-    """The pinned component value of the top/bottom concepts."""
-    if isinstance(concept, Top):
-        return 1 if ch == "t" else 0
-    if isinstance(concept, Bottom):
-        return 0 if ch == "t" else 1
-    return None
 
 
 class ConstraintSet:
@@ -202,7 +191,7 @@ class ConstraintSet:
         return out
 
     def implied(self, assertion: Assertion, ch: str, wanted: Bound) -> bool:
-        if _vacuous(wanted, ch):
+        if vacuous(wanted, ch):
             return True
         return any(bound_implies(b, wanted) for _, b in self.channel_bounds(assertion, ch))
 
@@ -222,10 +211,11 @@ class ConstraintSet:
                 bound.rel is Rel.LT and bound.value == 0
             ):
                 return ClashInfo(f"strict bound {bound} is unsatisfiable", (step,))
-            if isinstance(c.assertion, ConceptAssertion):
-                fixed = _fixed_value(c.assertion.concept, ch)
-                if fixed is not None and not bound.holds(fixed):
-                    name = "top" if fixed in (1, 0) and isinstance(c.assertion.concept, Top) else "bottom"
+            concept = c.assertion.concept if isinstance(c.assertion, ConceptAssertion) else None
+            if isinstance(concept, (Top, Bottom)):
+                fixed = int(_term(concept, ch, single=False)[1])
+                if not bound.holds(fixed):
+                    name = "top" if isinstance(concept, Top) else "bottom"
                     return ClashInfo(
                         f"{name} concept has {ch}-value {fixed}, violating {bound}", (step,)
                     )
@@ -282,10 +272,10 @@ class ConstraintSet:
             watching = self.watchers.get(a, ())
             concept = a.concept
             if isinstance(concept, Not) or (
-                isinstance(concept, (And, Or)) and _halves(c, "det")
+                isinstance(concept, (And, Or)) and _halves(c, every=True)
             ):
                 heapq.heappush(self.agenda, pos)
-            elif isinstance(concept, (Exists, Forall)) and _halves(c, "univ"):
+            elif isinstance(concept, (Exists, Forall)) and _halves(c, every=True):
                 key = (a.subject, concept.role)
                 self._watch(key, pos)
                 for target in self.successors.get(key, ()):
@@ -327,85 +317,42 @@ def find_clash(constraints) -> ClashInfo | None:
 
 
 _WORD = {And: "and", Or: "or", Not: "not", Exists: "some", Forall: "all"}
-_FORM_CODE = {
-    Form.GEQ_LEQ: ">=<=",
-    Form.GT_LT: "><",
-    Form.LEQ_GEQ: "<=>=",
-    Form.LT_GT: "<>",
-}
 
 
 def _label(concept, c: Constraint, halves=None) -> str:
     word = _WORD[type(concept)]
     form = c.form
     if form is not None and (halves is None or len(halves) == 2):
-        return f"({word}{_FORM_CODE[form]})"
+        return f"({word}{''.join(rel.value for rel in form.value)})"
     (bound, ch) = halves[0] if halves else (c.tbound or c.fbound, "t" if c.tbound else "f")
     return f"({word} {ch}{bound.rel.value})"
 
 
-def _active_halves(c: Constraint) -> list[tuple[Bound, str]]:
-    out = []
-    if c.tbound is not None and not _vacuous(c.tbound, "t"):
-        out.append((c.tbound, "t"))
-    if c.fbound is not None and not _vacuous(c.fbound, "f"):
-        out.append((c.fbound, "f"))
-    return out
-
-
-def _make(assertion: Assertion, parts: dict[str, Bound]) -> Constraint:
+def _make(assertion: Assertion, halves) -> Constraint:
+    """The constraint putting each (bound, channel) half on its channel."""
+    parts = {ch: bound for bound, ch in halves}
     return Constraint(assertion, parts.get("t"), parts.get("f"))
 
 
-def _pair_up(assertion: Assertion, halves) -> Constraint:
-    """Combine per-channel conclusions on one assertion into a constraint."""
-    parts: dict[str, Bound] = {}
-    for bound, ch in halves:
-        parts[ch] = bound
-    return _make(assertion, parts)
+def _halves(c: Constraint, every: bool) -> list[tuple[Bound, str]]:
+    """The (bound, channel) halves of a binary or quantified concept
+    constraint that go to every part (``every``) or to some part.
 
-
-# --- rule classification ------------------------------------------------
-
-def _and_or_kind(concept, ch: str, is_lower: bool) -> str | None:
-    """'det' when the bound passes to both parts, 'branch' otherwise."""
-    if isinstance(concept, And):
-        takes_min = ch == "t"
-    elif isinstance(concept, Or):
-        takes_min = ch == "f"
-    else:
-        return None
-    if takes_min:
-        return "det" if is_lower else "branch"
-    return "branch" if is_lower else "det"
-
-
-def _quant_kind(concept, ch: str, is_lower: bool) -> str | None:
-    """'gen' for witness-demanding bounds, 'univ' for successor-wide ones."""
-    if isinstance(concept, Exists):
-        existential = (ch == "t") == is_lower
-    elif isinstance(concept, Forall):
-        existential = (ch == "t") != is_lower
-    else:
-        return None
-    return "gen" if existential else "univ"
-
-
-def _halves(c: Constraint, kind: str) -> list[tuple[Bound, str]]:
-    """The active halves of a concept constraint that take rules of ``kind``."""
+    A half goes to every part exactly when its channel takes a minimum
+    and it bounds from below, or takes a maximum and bounds from above
+    (``takes_min``).  Vacuous halves take no rule.
+    """
     concept = c.assertion.concept
-    classify = _and_or_kind if isinstance(concept, (And, Or)) else _quant_kind
     return [
-        (b, ch) for b, ch in _active_halves(c)
-        if classify(concept, ch, b.rel.is_lower) == kind
+        (bound, ch) for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
+        if bound is not None and not vacuous(bound, ch)
+        and (takes_min(concept, ch) == bound.rel.is_lower) == every
     ]
 
 
 def _role_channel(concept, ch: str) -> str:
-    """Which role component an evaluation channel reads."""
-    if isinstance(concept, Forall):
-        return "f" if ch == "t" else "t"
-    return ch
+    """The channel in which channel ``ch`` of a quantifier reads the role."""
+    return "f" if takes_min(concept, ch) else "t"
 
 
 class _Engine:
@@ -451,16 +398,17 @@ class _Engine:
             s.add([conclusion], _label(concept, c), [s.step_of[c]])
             return True
         if isinstance(concept, (And, Or)):
-            det_halves = _halves(c, "det")
-            if not det_halves:
+            halves = _halves(c, every=True)
+            if not halves:
                 return False
-            left = ConceptAssertion(concept.left, subject)
-            right = ConceptAssertion(concept.right, subject)
-            additions = [_pair_up(left, det_halves), _pair_up(right, det_halves)]
+            additions = [
+                _make(ConceptAssertion(part, subject), halves)
+                for part in (concept.left, concept.right)
+            ]
             if all(a in s for a in additions):
                 return False
             self.tick()
-            s.add(additions, _label(concept, c, det_halves), [s.step_of[c]])
+            s.add(additions, _label(concept, c, halves), [s.step_of[c]])
             return True
         if isinstance(concept, (Exists, Forall)):
             return self._universal_det(s, c)
@@ -469,60 +417,51 @@ class _Engine:
     def _universal_actions(self, s: ConstraintSet, c: Constraint):
         """Pending per-successor decisions of successor-wide bounds.
 
-        Yields (bound, channel, target, edge, filler, decided) where
-        ``decided`` is the forced side or None; both sides take ``bound``.
+        Per successor a successor-wide half holds when the role side or
+        the filler side meets the very same bound, each in its own
+        channel.  Yields (bound, ch, role_ch, target, edge, filler,
+        decided) where ``decided`` is the forced (side, refuter) or None:
+        a refuted role side forces the filler side, and otherwise a
+        refuted filler side forces the role side.  When both are refuted
+        the branch is doomed and the filler side lets the clash surface.
         """
         concept = c.assertion.concept
         subject = c.assertion.subject
-        for bound, ch in _halves(c, "univ"):
+        for bound, ch in _halves(c, every=True):
             role_ch = _role_channel(concept, ch)
-            # The bound passes through min/max against the role value:
-            # the role-side escape bound has the opposite direction on
-            # a universal's truth channel (max) and the same on min.
-            # Per successor the bound distributes over min/max as a
-            # disjunction: the role side or the filler side must satisfy
-            # the very same bound on its own channel.
             for target in s.successors.get((subject, concept.role), ()):
                 edge = RoleAssertion(concept.role, subject, target)
                 filler = ConceptAssertion(concept.filler, target)
                 if s.implied(filler, ch, bound) or s.implied(edge, role_ch, bound):
                     continue
-                role_refuter = s.refuter(edge, role_ch, bound)
-                filler_refuter = s.refuter(filler, ch, bound)
                 decided = None
-                if role_refuter is not None and filler_refuter is None:
-                    decided = ("filler", role_refuter)
-                elif filler_refuter is not None and role_refuter is None:
-                    decided = ("role", filler_refuter)
-                elif role_refuter is not None and filler_refuter is not None:
-                    # Both sides are blocked: the branch is doomed; pick
-                    # one side and let the clash surface.
-                    decided = ("filler", role_refuter)
-                yield (bound, ch, target, edge, filler, decided)
+                refuter = s.refuter(edge, role_ch, bound)
+                if refuter is not None:
+                    decided = ("filler", refuter)
+                else:
+                    refuter = s.refuter(filler, ch, bound)
+                    if refuter is not None:
+                        decided = ("role", refuter)
+                yield (bound, ch, role_ch, target, edge, filler, decided)
 
     def _universal_det(self, s: ConstraintSet, c: Constraint) -> bool:
         concept = c.assertion.concept
         decided_by_target: dict = {}
         for action in self._universal_actions(s, c):
-            bound, ch, target, edge, filler, decided = action
-            if decided is None:
-                continue
-            decided_by_target.setdefault(target, []).append(action)
-        for target, actions in decided_by_target.items():
+            if action[-1] is not None:
+                decided_by_target.setdefault(action[3], []).append(action)
+        for actions in decided_by_target.values():
             additions = []
             premises = [s.step_of[c]]
             halves = []
-            filler_assertion = None
-            for bound, ch, _t, edge, filler, decided in actions:
-                side, refuter = decided
+            for bound, ch, role_ch, _, edge, filler, (side, refuter) in actions:
                 premises.append(s.step_of[refuter])
                 if side == "filler":
                     halves.append((bound, ch))
-                    filler_assertion = filler
                 else:
-                    additions.append(_make(edge, {_role_channel(concept, ch): bound}))
-            if halves and filler_assertion is not None:
-                additions.append(_pair_up(filler_assertion, halves))
+                    additions.append(_make(edge, [(bound, role_ch)]))
+            if halves:
+                additions.append(_make(filler, halves))
             additions = [a for a in additions if a not in s]
             if not additions:
                 continue
@@ -540,48 +479,34 @@ class _Engine:
             concept = c.assertion.concept
             subject = c.assertion.subject
             if isinstance(concept, (And, Or)):
-                halves = _halves(c, "branch")
+                halves = _halves(c, every=False)
                 if not halves:
                     continue
                 key = ("split", c)
                 if key in s.processed:
                     continue
-                left = ConceptAssertion(concept.left, subject)
-                right = ConceptAssertion(concept.right, subject)
-                options_per_half = []
-                for bound, ch in halves:
-                    options_per_half.append([(left, bound, ch), (right, bound, ch)])
+                # Each half picks the part that realises it.
+                parts = (ConceptAssertion(concept.left, subject),
+                         ConceptAssertion(concept.right, subject))
                 branches = []
-                if len(options_per_half) == 1:
-                    for target, bound, ch in options_per_half[0]:
-                        branches.append([_make(target, {ch: bound})])
-                else:
-                    for t_opt in options_per_half[0]:
-                        for f_opt in options_per_half[1]:
-                            picks = [t_opt, f_opt]
-                            by_target: dict = {}
-                            for target, bound, ch in picks:
-                                by_target.setdefault(target, []).append((bound, ch))
-                            branches.append(
-                                [_pair_up(t, hs) for t, hs in by_target.items()]
-                            )
+                for picks in itertools.product(parts, repeat=len(halves)):
+                    by_part: dict = {}
+                    for part, half in zip(picks, halves):
+                        by_part.setdefault(part, []).append(half)
+                    branches.append([_make(part, hs) for part, hs in by_part.items()])
                 if any(all(a in s for a in branch) for branch in branches):
                     s.processed.add(key)
                     continue
                 return c, _label(concept, c, halves), key, [s.step_of[c]], branches
             if isinstance(concept, (Exists, Forall)):
                 for action in self._universal_actions(s, c):
-                    bound, ch, target, edge, filler, decided = action
+                    bound, ch, role_ch, target, edge, filler, decided = action
                     if decided is not None:
                         continue
                     key = ("edge", c, ch, target)
                     if key in s.processed:
                         continue
-                    role_ch = _role_channel(concept, ch)
-                    branches = [
-                        [_make(edge, {role_ch: bound})],
-                        [_make(filler, {ch: bound})],
-                    ]
+                    branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
                     label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
                     return c, label, key, [s.step_of[c]], branches
         return None
@@ -589,6 +514,8 @@ class _Engine:
     # -- generating pass ------------------------------------------------
 
     def find_generation(self, s: ConstraintSet):
+        """The first witness-demanding constraint with halves no successor
+        witnesses yet, as (constraint, label, premises, pending halves)."""
         for c in list(s.constraints):
             if not isinstance(c.assertion, ConceptAssertion):
                 continue
@@ -596,39 +523,36 @@ class _Engine:
             if not isinstance(concept, (Exists, Forall)):
                 continue
             subject = c.assertion.subject
-            pending = []
-            for bound, ch in _halves(c, "gen"):
-                role_ch = _role_channel(concept, ch)
-                witnessed = any(
-                    s.implied(RoleAssertion(concept.role, subject, t), role_ch, bound)
+            pending = [
+                (bound, ch) for bound, ch in _halves(c, every=False)
+                if not any(
+                    s.implied(RoleAssertion(concept.role, subject, t),
+                              _role_channel(concept, ch), bound)
                     and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
                     for t in s.successors.get((subject, concept.role), ())
                 )
-                if not witnessed:
-                    pending.append((bound, ch))
-            if not pending:
-                continue
-
-            def conclusions(var, halves):
-                edge_parts: dict[str, Bound] = {}
-                filler_parts: dict[str, Bound] = {}
-                for bound, ch in halves:
-                    edge_parts[_role_channel(concept, ch)] = bound
-                    filler_parts[ch] = bound
-                return [
-                    _make(RoleAssertion(concept.role, subject, var), edge_parts),
-                    _make(ConceptAssertion(concept.filler, var), filler_parts),
-                ]
-
-            return c, _label(concept, c, pending), [s.step_of[c]], pending, conclusions
+            ]
+            if pending:
+                return c, _label(concept, c, pending), [s.step_of[c]], pending
         return None
+
+
+def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
+    """The edge and filler constraints that make ``var`` witness the halves."""
+    concept = c.assertion.concept
+    return [
+        _make(RoleAssertion(concept.role, c.assertion.subject, var),
+              [(bound, _role_channel(concept, ch)) for bound, ch in halves]),
+        _make(ConceptAssertion(concept.filler, var), halves),
+    ]
 
 
 def _children(s: ConstraintSet, engine: _Engine):
     """Branches of a set at its deterministic fixpoint, or None when complete.
 
     Decomposition choices come before witness generation; the input set
-    is not modified.
+    is not modified.  Paired witness halves branch between one shared
+    witness and a witness per half.
     """
     found = engine.find_branches(s)
     if found is not None:
@@ -642,16 +566,15 @@ def _children(s: ConstraintSet, engine: _Engine):
         return out
     found = engine.find_generation(s)
     if found is not None:
-        c, label, premises, pending, conclusions = found
+        c, label, premises, pending = found
         shared = s.copy()
-        x = shared.fresh_variable()
-        shared.add(conclusions(x, pending), label, premises)
+        shared.add(_witness(c, shared.fresh_variable(), pending), label, premises)
         out = [shared]
         if len(pending) == 2:
             split = s.copy()
             x1 = split.fresh_variable()
             x2 = split.fresh_variable()
-            additions = conclusions(x1, pending[:1]) + conclusions(x2, pending[1:])
+            additions = _witness(c, x1, pending[:1]) + _witness(c, x2, pending[1:])
             split.add(additions, label + " split", premises)
             out.append(split)
         return out
@@ -713,50 +636,32 @@ def complete(
 
 # --- model extraction ---------------------------------------------------
 
-def _strongest_lower(bounds):
-    best = None
-    for b in bounds:
-        if not b.rel.is_lower:
-            continue
-        key = (b.value, b.rel.is_strict)
-        if best is None or key > (best.value, best.rel.is_strict):
-            best = b
-    return best
+def _pick(bounds, low: bool) -> Fraction:
+    """The value nearest one end of [0, 1] that the bounds allow.
 
-
-def _strongest_upper(bounds):
-    best = None
+    It sits on the strongest bound facing that end (the lower bounds
+    for ``low``, else the upper ones); a strict one moves it to the
+    midpoint between that bound and the strongest opposite bound (or
+    the far end).  The high pick is one minus the low pick of the
+    mirrored bounds.
+    """
+    lower = upper = None
     for b in bounds:
         if b.rel.is_lower:
-            continue
-        key = (b.value, not b.rel.is_strict)
-        if best is None or key < (best.value, not best.rel.is_strict):
-            best = b
-    return best
-
-
-def _pick_low(bounds) -> Fraction:
-    """Smallest convenient value: sits on the strongest lower bound."""
-    lo = _strongest_lower(bounds)
-    up = _strongest_upper(bounds)
-    if lo is None:
-        return Fraction(0)
-    if not lo.rel.is_strict:
-        return lo.value
-    top = up.value if up is not None else Fraction(1)
-    return (lo.value + top) / 2
-
-
-def _pick_high(bounds) -> Fraction:
-    """Largest convenient value: sits on the strongest upper bound."""
-    lo = _strongest_lower(bounds)
-    up = _strongest_upper(bounds)
-    if up is None:
-        return Fraction(1)
-    if not up.rel.is_strict:
-        return up.value
-    bottom = lo.value if lo is not None else Fraction(0)
-    return (bottom + up.value) / 2
+            if lower is None or b.value > lower.value or (
+                b.value == lower.value and b.rel.is_strict
+            ):
+                lower = b
+        elif upper is None or b.value < upper.value or (
+            b.value == upper.value and b.rel.is_strict
+        ):
+            upper = b
+    near, far = (lower, upper) if low else (upper, lower)
+    if near is None:
+        return Fraction(0 if low else 1)
+    if not near.rel.is_strict:
+        return near.value
+    return (near.value + (far.value if far is not None else (1 if low else 0))) / 2
 
 
 def extract_model(s: ConstraintSet) -> FiniteInterpretation:
@@ -803,8 +708,8 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
             f_bounds.setdefault(key, []).append(c.fbound)
 
     for key in sorted(set(t_bounds) | set(f_bounds), key=str):
-        t = _pick_low(t_bounds.get(key, ()))
-        f = _pick_high(f_bounds.get(key, ()))
+        t = _pick(t_bounds.get(key, ()), low=True)
+        f = _pick(f_bounds.get(key, ()), low=False)
         if key[0] == "c":
             interp.concept_table[(key[1], key[2])] = DegreePair(t, f)
         else:

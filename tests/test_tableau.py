@@ -9,6 +9,7 @@ from nalc import (
     And,
     Atomic,
     BOT,
+    Bound,
     ConceptAssertion,
     Constraint,
     DegreeGrid,
@@ -18,6 +19,7 @@ from nalc import (
     Individual,
     Not,
     Or,
+    Rel,
     ResourceExhausted,
     RoleAssertion,
     Status,
@@ -143,6 +145,30 @@ class TestConjugationTable:
                        Constraint.leq_geq(ca(B), F(0), F(1)))
 
 
+class TestComplements:
+    """Refutation bounds: each complement holds exactly where its bound fails."""
+
+    @pytest.mark.parametrize("rel", list(Rel))
+    def test_complement_holds_exactly_where_the_bound_fails(self, rel):
+        grid = QUARTER_GRID.with_midpoints().values
+        for v in grid:
+            for x in grid:
+                assert Bound(rel.complement, v).holds(x) != Bound(rel, v).holds(x), (rel, v, x)
+
+    def test_nonstrict_constraints_negate_to_strict_ones(self):
+        assert Constraint.geq_leq(ca(A), F(1, 2), F(1, 4)).negated() == Constraint.lt_gt(
+            ca(A), F(1, 2), F(1, 4)
+        )
+        assert Constraint.leq_geq(ca(A), F(1, 2), F(1, 4)).negated() == Constraint.gt_lt(
+            ca(A), F(1, 2), F(1, 4)
+        )
+
+    @pytest.mark.parametrize("strict", [Constraint.gt_lt, Constraint.lt_gt])
+    def test_strict_constraints_cannot_be_negated(self, strict):
+        with pytest.raises(ValueError):
+            strict(ca(A), F(1, 2), F(1, 4)).negated()
+
+
 POLL_KB = (
     "assert (some Support war_x)(p1) >= 0.6 <= 0.5\n"
     "assert (some Support war_y)(p2) >= 0.8 <= 0.1\n"
@@ -205,6 +231,38 @@ class TestExtractModel:
         )
         interp = extract_model(s)
         assert interp.concept_table[("A", "a")] == DegreePair(F(4, 5), F(1, 4))
+
+    @pytest.mark.parametrize(
+        "bounds, falsity",
+        [
+            ([(Rel.GT, F(1, 4)), (Rel.LT, F(3, 4))], F(1, 2)),
+            ([(Rel.GE, F(1, 4)), (Rel.LT, F(1, 2))], F(3, 8)),
+            ([(Rel.GT, F(1, 4)), (Rel.LE, F(3, 4))], F(3, 4)),
+            ([(Rel.GT, F(1, 4))], F(1)),
+            ([(Rel.LT, F(1, 2))], F(1, 4)),
+        ],
+    )
+    def test_falsity_sits_on_the_strongest_upper_bound(self, bounds, falsity):
+        constraints = [Constraint(ca(A), None, Bound(rel, v)) for rel, v in bounds]
+        interp = extract_model(ConstraintSet.from_constraints(constraints))
+        assert interp.concept_table[("A", "a")] == DegreePair(F(0), falsity)
+        assert all(satisfies(interp, c) for c in constraints)
+
+    @pytest.mark.parametrize(
+        "bounds, truth",
+        [
+            ([(Rel.GT, F(1, 4)), (Rel.LT, F(3, 4))], F(1, 2)),
+            ([(Rel.GT, F(1, 4)), (Rel.LE, F(1, 2))], F(3, 8)),
+            ([(Rel.GE, F(1, 4)), (Rel.LT, F(3, 4))], F(1, 4)),
+            ([(Rel.LT, F(1, 2))], F(0)),
+            ([(Rel.GT, F(1, 2))], F(3, 4)),
+        ],
+    )
+    def test_truth_sits_on_the_strongest_lower_bound(self, bounds, truth):
+        constraints = [Constraint(ca(A), Bound(rel, v), None) for rel, v in bounds]
+        interp = extract_model(ConstraintSet.from_constraints(constraints))
+        assert interp.concept_table[("A", "a")] == DegreePair(truth, F(1))
+        assert all(satisfies(interp, c) for c in constraints)
 
     def test_empty_completion_defaults(self):
         interp = extract_model(ConstraintSet.from_constraints([]))
