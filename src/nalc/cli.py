@@ -152,11 +152,8 @@ def _cmd_entails(args) -> int:
 
 def _cmd_subsumes(args) -> int:
     kb = _load_kb(args.kb) if args.kb else KnowledgeBase((), ())
-    try:
-        sub = parse_concept(args.sub)
-        super_ = parse_concept(args.super)
-    except ConceptSyntaxError as exc:
-        raise _CliError(str(exc.error))
+    sub = parse_concept(args.sub)
+    super_ = parse_concept(args.super)
     grid = _parse_grid(args.grid) if args.grid else None
     kwargs = {"grid": grid} if grid else {}
     answer = subsumes(kb.terminology, sub, super_, **kwargs)
@@ -167,10 +164,7 @@ def _cmd_subsumes(args) -> int:
 
 def _cmd_bound(args, kind: str) -> int:
     kb = _load_kb(args.kb)
-    try:
-        assertion = parse_assertion(args.assertion)
-    except ConceptSyntaxError as exc:
-        raise _CliError(str(exc.error))
+    assertion = parse_assertion(args.assertion)
     result = glb(kb, assertion) if kind == "glb" else lub(kb, assertion)
     n, m = result.bound.n, result.bound.m
     payload = {
@@ -184,11 +178,7 @@ def _cmd_bound(args, kind: str) -> int:
 
 
 def _cmd_nnf(args) -> int:
-    try:
-        concept = parse_concept(args.concept)
-    except ConceptSyntaxError as exc:
-        raise _CliError(str(exc.error))
-    rewritten = format_concept(nnf(concept))
+    rewritten = format_concept(nnf(parse_concept(args.concept)))
     _emit(args, {"query": args.concept, "answer": rewritten}, [rewritten])
     return OK
 
@@ -265,9 +255,7 @@ def run(argv: list[str]) -> int:
             return _cmd_bound(args, args.command)
         if args.command == "nnf":
             return _cmd_nnf(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        raise _CliError(f"unknown command {args.command!r}")
+        return _cmd_expand(args)  # argparse admits no other command
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

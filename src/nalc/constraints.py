@@ -50,13 +50,6 @@ def degree_str(value: Fraction) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def parse_degree(text: str) -> Fraction:
-    """Parse a decimal or ``p/q`` degree literal exactly."""
-    value = Fraction(text)
-    _check_degree(value, "degree")
-    return value
-
-
 @dataclass(frozen=True)
 class DegreePair:
     """Exact rational bound pair ``(n, m)``, both in ``[0, 1]``."""
@@ -138,15 +131,15 @@ class Bound(FrozenValue):
         return f"{self.rel.value} {degree_str(self.value)}"
 
 
-def vacuous(bound: Bound, ch: str) -> bool:
-    """Is ``bound`` the half that ``>= 0 <= 1`` puts on channel ``ch``?
+def vacuous(bound: Bound) -> bool:
+    """Does ``bound`` hold of every degree, as ``>= 0`` and ``<= 1`` do?
 
-    Truth ``>= 0`` and falsity ``<= 1`` hold of every degree: no rule
-    fires on them and a query for them needs no refutation.
+    On either channel such a half takes no rule, and a query for it
+    needs no refutation.
     """
-    if ch == "t":
-        return bound.rel is Rel.GE and bound.value == 0
-    return bound.rel is Rel.LE and bound.value == 1
+    return (bound.rel is Rel.GE and bound.value == 0) or (
+        bound.rel is Rel.LE and bound.value == 1
+    )
 
 
 def bound_implies(given: Bound, wanted: Bound) -> bool:
@@ -187,11 +180,6 @@ class Form(enum.Enum):
     GT_LT = (Rel.GT, Rel.LT)
     LEQ_GEQ = (Rel.LE, Rel.GE)
     LT_GT = (Rel.LT, Rel.GT)
-
-    @property
-    def is_lower(self) -> bool:
-        """Lower forms bound truth from below and falsity from above."""
-        return self in (Form.GEQ_LEQ, Form.GT_LT)
 
 
 @frozen_value
@@ -242,12 +230,6 @@ class Constraint(FrozenValue):
             if self.tbound.rel is trel and self.fbound.rel is frel:
                 return form
         return None
-
-    @property
-    def bounds(self) -> DegreePair | None:
-        if self.form is None:
-            return None
-        return DegreePair(self.tbound.value, self.fbound.value)
 
     def negated(self) -> "Constraint":
         """The refutation constraint used for entailment queries.

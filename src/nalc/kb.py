@@ -179,16 +179,13 @@ def resolved_definitions(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
     """Fully unfolded right-hand side for every defined name.
 
     Specializations ``A < C`` contribute the definition ``A = C and A*``
-    with a fresh starred atomic concept.
+    with a fresh starred atomic concept.  This is the one validity gate
+    of the reasoner: an invalid KB raises ``ValueError`` naming its first
+    violation.
     """
     problems = validate(kb)
     if problems:
-        raise ValueError("cannot expand an invalid KB: " + problems[0].message)
-    return resolve_valid(kb)
-
-
-def resolve_valid(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
-    """``resolved_definitions`` of a KB that ``validate`` has accepted."""
+        raise ValueError("invalid KB: " + problems[0].message)
     definitions: dict[str, ConceptExpr] = {}
     for axiom in kb.terminology:
         if axiom.kind is AxiomKind.SPECIALIZATION:

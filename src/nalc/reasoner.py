@@ -1,17 +1,23 @@
 """Top-level decision procedures over knowledge bases.
 
-Entailment is decided by refutation: the KB is expanded to a purely
-assertional form, the query's refutation constraint is added, and the
-tableau must close every completion.  Subsumption reduces to a family
-of entailment checks over a fixed degree grid; the best truth-value
-bound procedures scan the candidate degrees mentioned in the KB.
+Every procedure reaches one expanded KB the same way: the KB passes
+``kb.resolved_definitions``, the one validity gate, and its assertions
+are unfolded through the resolved map.  Each task is then decided by
+refutation runs of ``tableau.complete`` over that expansion:
 
-The candidate scans in ``glb``/``lub`` test the two components
-separately (adding the half that refutes only the truth bound, then
-only the falsity bound).  Refuting both at once would accept a
-candidate as soon as every model violates one side or the other,
-which inflates the bounds past the closed form they must reproduce
-for role assertions.
+* entailment adds the query's refutation constraint, and the query
+  holds iff no completion is clash-free;
+* subsumption unfolds both concepts through the terminology once and
+  refutes the bound transfer from one to the other at every degree
+  pair of a fixed grid, over a fresh individual;
+* the best truth-value bounds scan the degrees mentioned in the KB,
+  refuting one component at a time.
+
+The bound scans test the two components separately (adding the half
+that refutes only the truth bound, then only the falsity bound).
+Refuting both at once would accept a candidate as soon as every model
+violates one side or the other, which inflates the bounds past the
+closed form they must reproduce for role assertions.
 """
 
 from __future__ import annotations
@@ -26,18 +32,11 @@ from .constraints import (
     ConceptAssertion,
     Constraint,
     DegreePair,
-    Rel,
+    Form,
     RoleAssertion,
     vacuous,
 )
-from .kb import (
-    KnowledgeBase,
-    expand,
-    resolve_valid,
-    unfold_assertion,
-    unfold_constraint,
-    validate,
-)
+from .kb import KnowledgeBase, resolved_definitions, unfold_assertion, unfold_constraint
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not, nnf
 from .tableau import CompletionResult, Status, _make, complete
@@ -54,10 +53,7 @@ def _prepared(kb: KnowledgeBase):
     Queries are posed against the same terminology as the KB, so any
     defined name they mention unfolds the same way.
     """
-    problems = validate(kb)
-    if problems:
-        raise ValueError("invalid KB: " + problems[0].message)
-    resolved = resolve_valid(kb)
+    resolved = resolved_definitions(kb)
     assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
     return assertions, resolved
 
@@ -91,7 +87,7 @@ def _half_entailed(
     max_branches: int | None = None,
 ) -> bool:
     """Is the single-component bound forced in every model?"""
-    if vacuous(bound, ch):
+    if vacuous(bound):
         return True
     refuted = _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
     result = complete(assertions + [refuted], max_branches=max_branches)
@@ -114,17 +110,30 @@ def _candidate_degrees(assertions: list[Constraint]) -> list[Fraction]:
     return sorted(constraint_degrees(assertions) | {ZERO, ONE})
 
 
-def _first_entailed(assertions, assertion, ch: str, rel: Rel, candidates, default,
-                    max_branches):
-    """The first candidate whose one-component bound is entailed.
+_FORM = {BoundKind.GLB: Form.GEQ_LEQ, BoundKind.LUB: Form.LEQ_GEQ}
 
-    Returns it (``default`` when there is none) with the number of
-    candidates examined.
+
+def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
+                max_branches: int | None) -> BtvbResult:
+    """The tightest entailed bound of each component, in the relations of
+    the kind's form.
+
+    A lower bound scans the candidate degrees from the top, an upper one
+    from the bottom, and takes the first entailed one.  The last
+    candidate (0 or 1) is vacuous and so always entailed: the scan
+    always stops.
     """
-    for examined, value in enumerate(candidates, 1):
-        if _half_entailed(assertions, assertion, ch, Bound(rel, value), max_branches):
-            return value, examined
-    return default, len(candidates)
+    assertions, resolved = _prepared(kb)
+    assertion = unfold_assertion(assertion, resolved)
+    degrees = _candidate_degrees(assertions)
+    best, examined = [], 0
+    for rel, ch in zip(_FORM[kind].value, "tf"):
+        for value in degrees[::-1] if rel.is_lower else degrees:
+            examined += 1
+            if _half_entailed(assertions, assertion, ch, Bound(rel, value), max_branches):
+                best.append(value)
+                break
+    return BtvbResult(DegreePair(*best), kind, examined)
 
 
 def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
@@ -136,14 +145,7 @@ def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
     sup {} = 0 and inf {} = 1 fall out: the vacuous bounds >= 0 and
     <= 1 are always entailed.
     """
-    assertions, resolved = _prepared(kb)
-    assertion = unfold_assertion(assertion, resolved)
-    degrees = _candidate_degrees(assertions)
-    n, n_seen = _first_entailed(
-        assertions, assertion, "t", Rel.GE, degrees[::-1], ZERO, max_branches
-    )
-    m, m_seen = _first_entailed(assertions, assertion, "f", Rel.LE, degrees, ONE, max_branches)
-    return BtvbResult(DegreePair(n, m), BoundKind.GLB, n_seen + m_seen)
+    return _best_bound(kb, assertion, BoundKind.GLB, max_branches)
 
 
 def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
@@ -155,14 +157,7 @@ def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
     """
     if isinstance(assertion, RoleAssertion):
         raise ValueError("least upper bounds are only defined for concept assertions")
-    assertions, resolved = _prepared(kb)
-    assertion = unfold_assertion(assertion, resolved)
-    degrees = _candidate_degrees(assertions)
-    n, n_seen = _first_entailed(assertions, assertion, "t", Rel.LE, degrees, ONE, max_branches)
-    m, m_seen = _first_entailed(
-        assertions, assertion, "f", Rel.GE, degrees[::-1], ZERO, max_branches
-    )
-    return BtvbResult(DegreePair(n, m), BoundKind.LUB, n_seen + m_seen)
+    return _best_bound(kb, assertion, BoundKind.LUB, max_branches)
 
 
 def lub_via_negation(kb: KnowledgeBase, assertion: ConceptAssertion,
@@ -177,17 +172,6 @@ def lub_via_negation(kb: KnowledgeBase, assertion: ConceptAssertion,
     )
 
 
-def _unfold_concept(c: ConceptExpr, terminology) -> ConceptExpr:
-    """Rewrite a concept through the expanded terminology."""
-    probe = Individual("_probe")
-    helper = KnowledgeBase(
-        (Constraint.geq_leq(ConceptAssertion(c, probe), 0, 1),),
-        tuple(terminology),
-    )
-    expanded = expand(helper)
-    return expanded.assertions[0].assertion.concept
-
-
 def subsumes(
     terminology,
     sub: ConceptExpr,
@@ -200,17 +184,26 @@ def subsumes(
     Both concepts are first rewritten through the (acyclic) terminology,
     reducing to the empty-terminology case; then the bound-transfer
     test runs for every degree pair of the grid over a fresh individual.
+    The concepts ride along as assertions of the one KB that is
+    validated, so the starred names that specializations reserve stay
+    out of them too.
     """
-    sub = nnf(_unfold_concept(sub, terminology))
-    super_ = nnf(_unfold_concept(super_, terminology))
     probe = Individual("_probe")
+    sub_a, super_a = ConceptAssertion(sub, probe), ConceptAssertion(super_, probe)
+    resolved = resolved_definitions(KnowledgeBase(
+        (Constraint.geq_leq(sub_a, 0, 1), Constraint.geq_leq(super_a, 0, 1)),
+        tuple(terminology),
+    ))
+    sub_a, super_a = (
+        ConceptAssertion(nnf(unfold_assertion(a, resolved).concept), probe)
+        for a in (sub_a, super_a)
+    )
     for n in grid:
         for m in grid:
-            premise = KnowledgeBase(
-                (Constraint.geq_leq(ConceptAssertion(sub, probe), n, m),), ()
-            )
-            query = Constraint.geq_leq(ConceptAssertion(super_, probe), n, m)
-            if not entails(premise, query, max_branches=max_branches):
+            refuted = Constraint.geq_leq(super_a, n, m).negated()
+            result = complete([Constraint.geq_leq(sub_a, n, m), refuted],
+                              max_branches=max_branches)
+            if result.status is not Status.UNSATISFIABLE:
                 return False
     return True
 

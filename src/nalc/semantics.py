@@ -729,7 +729,7 @@ def fuzzy_entails(
         return Bound(Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE, fa.degree)
 
     wanted = bound(query)
-    if vacuous(wanted, "t") or vacuous(wanted, "f"):
+    if vacuous(wanted):
         return True  # every degree meets the query: its refutation is empty
     bounded = [(fa.assertion, bound(fa)) for fa in fkb.assertions]
     bounded.append((query.assertion, Bound(wanted.rel.complement, wanted.value)))

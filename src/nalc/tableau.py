@@ -191,7 +191,7 @@ class ConstraintSet:
         return out
 
     def implied(self, assertion: Assertion, ch: str, wanted: Bound) -> bool:
-        if vacuous(wanted, ch):
+        if vacuous(wanted):
             return True
         return any(bound_implies(b, wanted) for _, b in self.channel_bounds(assertion, ch))
 
@@ -345,7 +345,7 @@ def _halves(c: Constraint, every: bool) -> list[tuple[Bound, str]]:
     concept = c.assertion.concept
     return [
         (bound, ch) for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
-        if bound is not None and not vacuous(bound, ch)
+        if bound is not None and not vacuous(bound)
         and (takes_min(concept, ch) == bound.rel.is_lower) == every
     ]
 

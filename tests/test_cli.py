@@ -146,6 +146,21 @@ class TestOtherCommands:
     def test_usage_error(self, capsys):
         assert run(["entails"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["subsumes", "--sub", "(and A", "--super", "A"],
+         "1:7: syntax: expected a concept, found 'end of line'"),
+        (["subsumes", "--sub", "A", "--super", "(some R)"],
+         "1:8: syntax: expected a concept, found ')'"),
+        (["glb", "KB", "--assertion", "A(a"], "1:4: syntax: expected ')', found 'end of line'"),
+        (["lub", "KB", "--assertion", "(or A B(a)"], "1:8: syntax: expected ')', found '('"),
+        (["nnf", "(or A B"], "1:8: syntax: expected ')', found 'end of line'"),
+        (["nnf", "A &"], "1:3: lex: unexpected character '&'"),
+    ])
+    def test_malformed_concept_argument_exits_two(self, poll_kb, capsys, argv, message):
+        argv = [poll_kb if arg == "KB" else arg for arg in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5", ""])
     def test_malformed_branch_ceiling_is_a_usage_error(self, poll_kb, monkeypatch, capsys, value):
         monkeypatch.setenv("NALC_MAX_BRANCHES", value)

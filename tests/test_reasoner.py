@@ -21,13 +21,17 @@ from nalc import (
     Or,
     RoleAssertion,
     TerminologicalAxiom,
+    check_satisfiable,
     entails,
+    expand,
+    extract_model,
     glb,
     lub,
     lub_via_negation,
     oracle_entails,
     parse_kb,
     parse_query,
+    satisfies,
     subsumes,
 )
 from genutil import QUARTERS, rand_assertional_kb, rand_concept, rand_query
@@ -45,6 +49,46 @@ POLL_KB = parse_kb(
 
 def akb(*constraints):
     return KnowledgeBase(tuple(constraints), ())
+
+
+CYCLIC_KB = KnowledgeBase(
+    (Constraint.geq_leq(ConceptAssertion(A, a), 1, 0),),
+    (TerminologicalAxiom("A", AxiomKind.DEFINITION, B),
+     TerminologicalAxiom("B", AxiomKind.DEFINITION, A)),
+)
+
+# One call of each public procedure on the poll KB.
+PUBLIC_CALLS = {
+    "check_satisfiable": lambda kb: check_satisfiable(kb),
+    "entails": lambda kb: entails(kb, parse_query("assert (some Support War)(p1) >= 0.6 <= 0.5")),
+    "glb": lambda kb: glb(kb, ConceptAssertion(Atomic("war_x"), Individual("p1"))),
+    "lub": lambda kb: lub(kb, ConceptAssertion(Atomic("war_x"), Individual("p1"))),
+    "subsumes": lambda kb: subsumes(kb.terminology, Atomic("war_x"), Atomic("War")),
+    "expand": lambda kb: expand(kb),
+}
+
+
+class TestValidityGate:
+    @pytest.mark.parametrize("name", ["check_satisfiable", "expand", "glb", "lub", "subsumes"])
+    def test_an_invalid_kb_is_rejected_with_its_first_violation(self, name):
+        with pytest.raises(ValueError, match="^invalid KB: cyclic definitions: A -> B -> A$"):
+            PUBLIC_CALLS[name](CYCLIC_KB)
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_CALLS))
+    def test_each_call_validates_once(self, name, monkeypatch):
+        import nalc.kb
+
+        calls = []
+        validate = nalc.kb.validate
+        monkeypatch.setattr(nalc.kb, "validate", lambda kb: calls.append(kb) or validate(kb))
+        PUBLIC_CALLS[name](POLL_KB)
+        assert len(calls) == 1
+
+    def test_subsumes_keeps_reserved_names_out_of_its_concepts(self):
+        terminology = (TerminologicalAxiom("A", AxiomKind.SPECIALIZATION, B),)
+        for sub, super_ in ((Atomic("A*"), B), (A, Atomic("A*"))):
+            with pytest.raises(ValueError, match=r"^invalid KB: 'A\*' is reserved"):
+                subsumes(terminology, sub, super_)
 
 
 class TestEntails:
@@ -93,6 +137,21 @@ class TestEntails:
             assert entails(bigger, query)
         assert checked >= 20
 
+    def test_every_refuted_query_has_a_confirmed_countermodel(self):
+        rng = random.Random(2024)
+        refuted = 0
+        for _ in range(300):
+            kb = rand_assertional_kb(rng)
+            query = rand_query(rng)
+            answer, result = entails(kb, query, with_result=True)
+            if answer:
+                continue
+            refuted += 1
+            model = extract_model(result.witness)
+            assert all(satisfies(model, c) for c in kb.assertions), (kb, query)
+            assert not satisfies(model, query), (kb, query)
+        assert refuted >= 100
+
     def test_negation_duality(self):
         rng = random.Random(47)
         for _ in range(60):
@@ -121,6 +180,17 @@ class TestGlb:
     def test_conjunct_inherits_both_bounds(self):
         kb = akb(Constraint.geq_leq(ConceptAssertion(And(A, B), a), F(3, 5), F(1, 5)))
         assert glb(kb, ConceptAssertion(A, a)).bound == DegreePair(F(3, 5), F(1, 5))
+
+    def test_each_scan_stops_at_the_first_entailed_candidate(self):
+        # Truth >= 1 fails, >= 7/10 holds; falsity <= 0 fails, <= 3/10 holds.
+        kb = akb(
+            Constraint.geq_leq(RoleAssertion("R", a, b), F(3, 5), F(3, 10)),
+            Constraint.geq_leq(RoleAssertion("R", a, b), F(7, 10), F(2, 5)),
+        )
+        assert glb(kb, RoleAssertion("R", a, b)).candidates_examined == 4
+        # With no assertions each scan ends on its vacuous last candidate.
+        assert glb(akb(), ConceptAssertion(C, a)).candidates_examined == 4
+        assert lub(akb(), ConceptAssertion(C, a)).candidates_examined == 4
 
     def test_glb_is_entailed_and_maximal(self):
         from nalc.reasoner import _half_entailed

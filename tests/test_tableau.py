@@ -37,9 +37,10 @@ from nalc import (
     expand,
     variable_assignment,
 )
+from nalc.constraints import vacuous
 from nalc.semantics import default_domain_size
 from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine
-from genutil import QUARTER_GRID, rand_assertional_kb, rand_interpretation, stable_seed
+from genutil import QUARTER_GRID, QUARTERS, rand_assertional_kb, rand_interpretation, stable_seed
 
 F = Fraction
 A, B, C, D = Atomic("A"), Atomic("B"), Atomic("C"), Atomic("D")
@@ -155,6 +156,12 @@ class TestComplements:
             for x in grid:
                 assert Bound(rel.complement, v).holds(x) != Bound(rel, v).holds(x), (rel, v, x)
 
+    @pytest.mark.parametrize("rel", list(Rel))
+    def test_vacuous_exactly_when_every_degree_holds(self, rel):
+        for value in QUARTERS:
+            bound = Bound(rel, value)
+            assert vacuous(bound) == all(bound.holds(x) for x in QUARTERS)
+
     def test_nonstrict_constraints_negate_to_strict_ones(self):
         assert Constraint.geq_leq(ca(A), F(1, 2), F(1, 4)).negated() == Constraint.lt_gt(
             ca(A), F(1, 2), F(1, 4)
@@ -210,6 +217,22 @@ class TestCompletion:
     def test_fixpoint_returns_none_from_apply_rules(self):
         s = ConstraintSet.from_constraints([Constraint.geq_leq(ca(A), F(1, 2), F(1, 2))])
         assert apply_rules(s) is None
+
+    @pytest.mark.parametrize("concept", [And(A, B), Forall("R", B)])
+    def test_the_upper_form_of_the_vacuous_pair_takes_no_rule(self, concept):
+        # Truth <= 1 and falsity >= 0 hold of every degree, as >= 0 and <= 1 do.
+        constraint = Constraint.leq_geq(ca(concept), 1, 0)
+        result = complete([constraint])
+        assert result.status is Status.SATISFIABLE
+        assert result.branch_count == 1
+        assert list(result.witness.constraints) == [constraint]
+        assert result.witness.objects() == [a]
+
+    def test_a_vacuous_half_takes_no_rule(self):
+        constraint = Constraint.leq_geq(ca(And(A, B)), 1, F(1, 2))
+        result = complete([constraint])
+        assert result.branch_count == 2
+        assert result.trace[1:] == ["(2) A(a) f>= 0.5   (and f>=) : (1)"]
 
     def test_branch_ceiling_raises(self):
         constraint = Constraint.leq_geq(ca(And(A, B)), F(1, 2), F(1, 2))
