@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .constraints import Constraint, degree_str
-from .kb import KnowledgeBase, expand
+from .kb import KnowledgeBase, expand, resolved_definitions, unfold_constraint
 from .parser import (
     ConceptSyntaxError,
     KbSyntaxError,
@@ -85,8 +85,9 @@ def _emit(args, payload: dict, human: list[str]) -> None:
             print(line)
 
 
-def _oracle_check(kb: KnowledgeBase, query: Constraint, answer: bool, args) -> bool:
-    constraints = list(expand(kb).assertions)
+def _oracle_check(constraints: list[Constraint], query: Constraint, answer: bool, args) -> bool:
+    """Does the enumerator agree with ``answer``?  ``constraints`` and
+    ``query`` are unfolded through the KB's terminology."""
     grid = None
     if args.grid:
         grid = DegreeGrid.containing(
@@ -128,6 +129,9 @@ def _cmd_entails(args) -> int:
             raise _CliError(f"cannot read {args.queries}: {exc}")
     if not queries:
         raise _CliError("entails needs --query or --queries")
+    if args.oracle:
+        resolved = resolved_definitions(kb)
+        expanded = [unfold_constraint(c, resolved) for c in kb.assertions]
     exit_code = OK
     for text in queries:
         try:
@@ -141,7 +145,9 @@ def _cmd_entails(args) -> int:
             payload["trace"] = result.trace
             human += result.trace
         if args.oracle:
-            agreement = _oracle_check(kb, query, answer, args)
+            agreement = _oracle_check(
+                expanded, unfold_constraint(query, resolved), answer, args
+            )
             payload["oracle_agreement"] = agreement
             human.append(f"oracle agreement: {str(agreement).lower()}")
         _emit(args, payload, human)

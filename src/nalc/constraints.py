@@ -182,6 +182,9 @@ class Form(enum.Enum):
     LT_GT = (Rel.LT, Rel.GT)
 
 
+_FORM_OF = {form.value: form for form in Form}
+
+
 @frozen_value
 class Constraint(FrozenValue):
     """A signed degree constraint on an assertion.
@@ -225,11 +228,7 @@ class Constraint(FrozenValue):
         """The classic four-way shape, or ``None`` for half constraints."""
         if self.tbound is None or self.fbound is None:
             return None
-        for form in Form:
-            trel, frel = form.value
-            if self.tbound.rel is trel and self.fbound.rel is frel:
-                return form
-        return None
+        return _FORM_OF.get((self.tbound.rel, self.fbound.rel))
 
     def negated(self) -> "Constraint":
         """The refutation constraint used for entailment queries.

@@ -53,6 +53,12 @@ class KnowledgeBase:
     assertions: tuple[Constraint, ...]
     terminology: tuple[TerminologicalAxiom, ...]
 
+    def __post_init__(self):
+        # Tuples also when built from lists: the reasoner keys the KB's
+        # prepared form on the KB, so a KB must hash.
+        object.__setattr__(self, "assertions", tuple(self.assertions))
+        object.__setattr__(self, "terminology", tuple(self.terminology))
+
     @property
     def purely_assertional(self) -> bool:
         return not self.terminology
@@ -66,15 +72,21 @@ class Violation:
 
 
 def _assertion_names(kb: KnowledgeBase) -> tuple[set[str], set[str]]:
+    """Concept and role names of the assertions.  A wide ABox repeats a
+    few concepts over many individuals, so each distinct concept is read
+    once."""
     concepts: set[str] = set()
     roles: set[str] = set()
+    distinct = set()
     for constraint in kb.assertions:
         a = constraint.assertion
         if isinstance(a, RoleAssertion):
             roles.add(a.role)
         else:
-            concepts |= atomic_names(a.concept)
-            roles |= role_names(a.concept)
+            distinct.add(a.concept)
+    for concept in distinct:
+        concepts |= atomic_names(concept)
+        roles |= role_names(concept)
     return concepts, roles
 
 

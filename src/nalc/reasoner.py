@@ -1,17 +1,21 @@
 """Top-level decision procedures over knowledge bases.
 
-Every procedure reaches one expanded KB the same way: the KB passes
-``kb.resolved_definitions``, the one validity gate, and its assertions
-are unfolded through the resolved map.  Each task is then decided by
-refutation runs of ``tableau.complete`` over that expansion:
+Every procedure reaches one expanded KB the same way: each call passes
+the KB through ``kb.resolved_definitions``, the one validity gate.  The
+KB is prepared once, on its first call: its assertions are unfolded
+through the resolved map and added, unsaturated, to one hypothesis set
+that is kept for as long as the KB object lives.  Each task is then
+decided by refutation runs of ``tableau.complete`` that start from a
+copy of that set:
 
 * entailment adds the query's refutation constraint, and the query
   holds iff no completion is clash-free;
 * subsumption unfolds both concepts through the terminology once and
   refutes the bound transfer from one to the other at every degree
   pair of a fixed grid, over a fresh individual;
-* the best truth-value bounds scan the degrees mentioned in the KB,
-  refuting one component at a time.
+* the best truth-value bounds search the degrees mentioned in the KB,
+  refuting one component at a time; entailment of a bound is monotone
+  in its degree, so the search gallops and then bisects.
 
 The bound scans test the two components separately (adding the half
 that refutes only the truth bound, then only the falsity bound).
@@ -23,6 +27,7 @@ closed form they must reproduce for role assertions.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +44,7 @@ from .constraints import (
 from .kb import KnowledgeBase, resolved_definitions, unfold_assertion, unfold_constraint
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not, nnf
-from .tableau import CompletionResult, Status, _make, complete
+from .tableau import CompletionResult, ConstraintSet, Status, _make, complete
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,15 +52,27 @@ ONE = Fraction(1)
 SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 
-def _prepared(kb: KnowledgeBase):
-    """Expanded assertions plus the name-unfolding map for queries.
+# KB -> (unfolded assertions, their unsaturated hypothesis set); an
+# entry lives as long as its KB.
+_PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+
+def _prepared(kb: KnowledgeBase):
+    """Expanded assertions, their hypothesis set, and the name-unfolding
+    map for queries.
+
+    The KB is validated on every call; the rest is built on its first
+    call and shared by every later one.  Runs start from a copy of the
+    hypothesis set (``complete(..., base=root)``), which stays as built.
     Queries are posed against the same terminology as the KB, so any
     defined name they mention unfolds the same way.
     """
     resolved = resolved_definitions(kb)
-    assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
-    return assertions, resolved
+    prepared = _PREPARED.get(kb)
+    if prepared is None:
+        assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
+        prepared = _PREPARED[kb] = (assertions, ConstraintSet.from_constraints(assertions))
+    return (*prepared, resolved)
 
 
 def entails(
@@ -70,9 +87,9 @@ def entails(
     ``<= n >= m`` queries add ``> n < m``; the query holds iff the
     extended constraint set has no clash-free completion.
     """
-    assertions, resolved = _prepared(kb)
+    _, root, resolved = _prepared(kb)
     query = unfold_constraint(query, resolved)
-    result = complete(assertions + [query.negated()], max_branches=max_branches)
+    result = complete([query.negated()], max_branches=max_branches, base=root)
     answer = result.status is Status.UNSATISFIABLE
     if with_result:
         return answer, result
@@ -80,17 +97,20 @@ def entails(
 
 
 def _half_entailed(
-    assertions: list[Constraint],
+    base: ConstraintSet | list[Constraint],
     assertion: Assertion,
     ch: str,
     bound: Bound,
     max_branches: int | None = None,
 ) -> bool:
-    """Is the single-component bound forced in every model?"""
+    """Is the single-component bound forced in every model of ``base``,
+    a prepared hypothesis set or a list of constraints?"""
     if vacuous(bound):
         return True
+    if not isinstance(base, ConstraintSet):
+        base = ConstraintSet.from_constraints(base)
     refuted = _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
-    result = complete(assertions + [refuted], max_branches=max_branches)
+    result = complete([refuted], max_branches=max_branches, base=base)
     return result.status is Status.UNSATISFIABLE
 
 
@@ -118,21 +138,35 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     """The tightest entailed bound of each component, in the relations of
     the kind's form.
 
-    A lower bound scans the candidate degrees from the top, an upper one
-    from the bottom, and takes the first entailed one.  The last
-    candidate (0 or 1) is vacuous and so always entailed: the scan
-    always stops.
+    A lower bound orders the candidate degrees from the top, an upper one
+    from the bottom, and takes the first entailed one.  Entailment is
+    monotone along that order (a bound implies every weaker one), so the
+    entailed candidates form a tail.  It ends in the last candidate (0 or
+    1), which is vacuous and needs no run.  The search probes offsets 0,
+    1, 2, 4, 8, ... from the start, the last candidate standing in for
+    any offset past it, then bisects the gap between the last refuted
+    probe and the first entailed one.  It finds the answer a linear scan
+    finds, with the same runs when the answer is among the first three
+    candidates, and with O(log k) runs over k candidates.
     """
-    assertions, resolved = _prepared(kb)
+    assertions, root, resolved = _prepared(kb)
     assertion = unfold_assertion(assertion, resolved)
     degrees = _candidate_degrees(assertions)
     best, examined = [], 0
     for rel, ch in zip(_FORM[kind].value, "tf"):
-        for value in degrees[::-1] if rel.is_lower else degrees:
+        order = degrees[::-1] if rel.is_lower else degrees
+        refuted, entailed, offset = -1, None, 0
+        while entailed is None or entailed - refuted > 1:
+            if entailed is None:
+                index = min(offset, len(order) - 1)
+            else:
+                index = (refuted + entailed) // 2
             examined += 1
-            if _half_entailed(assertions, assertion, ch, Bound(rel, value), max_branches):
-                best.append(value)
-                break
+            if _half_entailed(root, assertion, ch, Bound(rel, order[index]), max_branches):
+                entailed = index
+            else:
+                refuted, offset = index, 2 * index or 1
+        best.append(order[entailed])
     return BtvbResult(DegreePair(*best), kind, examined)
 
 
@@ -210,5 +244,5 @@ def subsumes(
 
 def check_satisfiable(kb: KnowledgeBase, max_branches: int | None = None) -> CompletionResult:
     """Tableau satisfiability of the expanded assertional part."""
-    assertions, _ = _prepared(kb)
-    return complete(assertions, max_branches=max_branches)
+    _, root, _ = _prepared(kb)
+    return complete([], max_branches=max_branches, base=root)

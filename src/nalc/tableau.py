@@ -598,6 +598,7 @@ def complete(
     constraints,
     max_branches: int | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
+    base: ConstraintSet | None = None,
 ) -> CompletionResult:
     """Search the completions of a constraint set.
 
@@ -606,11 +607,20 @@ def complete(
     clash-free completion, or, when there is none, the first clashed
     branch with its clash (the one ``CompletionResult.trace`` renders);
     ``branch_count`` counts every branch explored.
+
+    ``base`` is a constraint set built once and shared by many runs, such
+    as a KB's hypotheses: the search starts from a copy of it with each
+    of ``constraints`` added as one more hypothesis, and ``base`` itself
+    is never modified.  For ``base = ConstraintSet.from_constraints(h)``
+    that start is ``from_constraints(h + constraints)``, so every step,
+    branch and model is the one the longer list gives.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
     engine = _Engine(max_steps)
-    root = ConstraintSet.from_constraints(constraints)
+    root = ConstraintSet() if base is None else base.copy()
+    for c in constraints:
+        root.add([c], "hypothesis", [])
     stack = [root]
     clashes: tuple[tuple[ConstraintSet, ClashInfo], ...] = ()
     branch_count = 0

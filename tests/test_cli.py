@@ -50,6 +50,36 @@ class TestEntailsCommand:
         assert code == 0
         assert "oracle agreement: true" in capsys.readouterr().out
 
+    def test_oracle_unfolds_defined_names_in_the_query(self, poll_kb, capsys):
+        # war_x is specialized, so the query holds only through the KB's
+        # terminology; the enumerator must read it unfolded as well.
+        code = run(["entails", poll_kb, "--oracle", "--domain-size", "2", "--query",
+                    "assert (some Support war_x)(p1) >= 0.6 <= 0.5"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "assert (some Support war_x)(p1) >= 0.6 <= 0.5: true",
+            "oracle agreement: true",
+        ]
+
+    def test_oracle_batch_expands_the_kb_once(self, poll_kb, tmp_path, monkeypatch, capsys):
+        import nalc.kb
+
+        calls = []
+        validate = nalc.kb.validate
+        monkeypatch.setattr(nalc.kb, "validate", lambda kb: calls.append(kb) or validate(kb))
+        queries = tmp_path / "queries.txt"
+        queries.write_text(
+            "assert (some Support War)(p2) >= 0.8 <= 0.1\n"
+            "assert (some Support War)(p2) >= 0.7 <= 0.2\n",
+            encoding="utf-8",
+        )
+        code = run(["entails", poll_kb, "--oracle", "--domain-size", "2",
+                    "--queries", str(queries)])
+        assert code == 0
+        assert capsys.readouterr().out.count("oracle agreement: true") == 2
+        # The reasoner's gate once per query, the oracle's expansion once.
+        assert len(calls) == 3
+
     def test_malformed_kb_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.nalc"
         path.write_text("assert C(a) >= 1.2 <= 0\n", encoding="utf-8")

@@ -91,6 +91,95 @@ class TestValidityGate:
                 subsumes(terminology, sub, super_)
 
 
+class TestPreparedKb:
+    """A KB is prepared once and every run starts from a copy of it."""
+
+    @staticmethod
+    def _root(kb):
+        from nalc.reasoner import _PREPARED
+
+        return _PREPARED[kb][1]
+
+    @staticmethod
+    def _state(s):
+        return (list(s.constraints), dict(s.step_of), list(s.steps), sorted(s.agenda),
+                dict(s.by_assertion), dict(s.successors), dict(s.watchers),
+                set(s.processed), s.fresh_counter, s.clash)
+
+    def test_runs_leave_the_prepared_set_unchanged(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            kb = rand_assertional_kb(rng, depth=2)
+            check_satisfiable(kb)
+            root = self._root(kb)
+            before = self._state(root)
+            entails(kb, rand_query(rng), with_result=True)
+            target = ConceptAssertion(rand_concept(rng, 1), a)
+            glb(kb, target)
+            lub(kb, target)
+            assert self._root(kb) is root
+            assert self._state(root) == before
+
+    def test_repeated_and_equal_kbs_give_the_same_answers(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            kb = rand_assertional_kb(rng, depth=2)
+            twin = KnowledgeBase(tuple(kb.assertions), ())
+            query = rand_query(rng)
+            target = ConceptAssertion(rand_concept(rng, 1), a)
+            seen = []
+            for each in (kb, kb, twin):
+                checked = check_satisfiable(each)
+                answer, result = entails(each, query, with_result=True)
+                seen.append((checked.status, checked.branch_count, checked.trace,
+                             answer, result.branch_count, result.trace,
+                             glb(each, target), lub(each, target)))
+            assert seen[0] == seen[1] == seen[2]
+
+    def test_the_entry_goes_with_its_kb(self):
+        import gc
+
+        from nalc.reasoner import _PREPARED
+
+        statement = Constraint.geq_leq(ConceptAssertion(Atomic("Dropped"), a), 1, 0)
+        kb = akb(statement)
+        check_satisfiable(kb)
+        # An equal KB finds the entry while the first one lives.
+        assert akb(statement) in _PREPARED
+        del kb
+        gc.collect()
+        assert akb(statement) not in _PREPARED
+
+    def test_a_kb_built_from_lists_is_prepared_too(self):
+        kb = KnowledgeBase([Constraint.geq_leq(ConceptAssertion(A, a), F(1, 2), F(1, 2))], [])
+        assert entails(kb, Constraint.geq_leq(ConceptAssertion(A, a), F(1, 4), F(3, 4)))
+        assert kb == akb(*kb.assertions)
+
+    @pytest.mark.parametrize("kind", ["glb", "lub"])
+    def test_the_bound_search_finds_what_a_linear_scan_finds(self, kind):
+        from nalc import Bound, Rel
+        from nalc.reasoner import _half_entailed
+
+        tenths = [F(k, 10) for k in range(11)]
+        rng = random.Random(71)
+        for _ in range(40):
+            kb = rand_assertional_kb(rng, size=rng.randint(2, 4), depth=1,
+                                     individuals=["a"], degrees=tenths)
+            target = ConceptAssertion(rand_concept(rng, 1), a)
+            assertions = list(kb.assertions)
+            degrees = sorted({d for c in assertions for d in (c.tbound.value, c.fbound.value)}
+                             | {F(0), F(1)})
+            rels = (Rel.GE, Rel.LE) if kind == "glb" else (Rel.LE, Rel.GE)
+            expected = []
+            for rel, ch in zip(rels, "tf"):
+                scan = degrees[::-1] if rel.is_lower else degrees
+                expected.append(next(
+                    v for v in scan if _half_entailed(assertions, target, ch, Bound(rel, v))
+                ))
+            result = (glb if kind == "glb" else lub)(kb, target)
+            assert result.bound == DegreePair(*expected)
+
+
 class TestEntails:
     def test_invalid_kb_is_rejected(self):
         cyclic = KnowledgeBase(

@@ -475,3 +475,26 @@ def test_only_the_first_clash_is_kept():
         "(4) A(a) >= 1 <= 0   (or>=<=) : (1)",
         "clash : (2), (4) : conjugated pair on A(a)",
     ]
+
+
+def _state(s: ConstraintSet):
+    return (list(s.constraints), dict(s.step_of), list(s.steps), sorted(s.agenda),
+            dict(s.by_assertion), dict(s.successors), dict(s.watchers),
+            set(s.processed), s.fresh_counter, s.clash)
+
+
+def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
+    rng = random.Random(stable_seed("complete-from-base"))
+    for _ in range(200):
+        hypotheses = list(rand_assertional_kb(rng).assertions)
+        extra = list(rand_assertional_kb(rng, size=rng.randint(0, 2)).assertions)
+        base = ConstraintSet.from_constraints(hypotheses)
+        before = _state(base)
+        shared = complete(extra, base=base)
+        whole = complete(hypotheses + extra)
+        assert _state(base) == before
+        assert shared.status is whole.status
+        assert shared.branch_count == whole.branch_count
+        assert shared.trace == whole.trace
+        if whole.witness is not None:
+            assert extract_model(shared.witness) == extract_model(whole.witness)
