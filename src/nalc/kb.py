@@ -59,10 +59,6 @@ class KnowledgeBase:
         object.__setattr__(self, "assertions", tuple(self.assertions))
         object.__setattr__(self, "terminology", tuple(self.terminology))
 
-    @property
-    def purely_assertional(self) -> bool:
-        return not self.terminology
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -89,141 +89,122 @@ class KbSyntaxError(ValueError):
         self.errors = errors
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # lparen rparen comma ident number op eof
-    text: str
-    span: SourceSpan
+# One named alternative per token kind, after skipping blanks.  ``end``
+# stops at a comment or at the end of the text; ``bad`` is the first
+# character no token starts with.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<op>[<>]=|[<>=])"
+    rf"|(?P<number>{NUMBER_RE.pattern})|(?P<ident>{IDENT_RE.pattern})"
+    r"|(?P<end>#|\Z)|(?P<bad>.))",
+    re.DOTALL,
+)
 
 
-def _tokenize(text: str, line_no: int) -> tuple[list[_Token], ParseError | None]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
+_Tok = tuple[str, str, int]  # kind, text, column
+
+
+def _tokenize(text: str, line_no: int) -> list[_Tok]:
+    """(kind, text, column) tokens of one line, ending in an ``eof`` token."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "end":
             break
-        span1 = SourceSpan(line_no, i + 1, 1)
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, span1))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, span1))
-            i += 1
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, span1))
-            i += 1
-        elif text.startswith(">=", i) or text.startswith("<=", i):
-            tokens.append(_Token("op", text[i:i + 2], SourceSpan(line_no, i + 1, 2)))
-            i += 2
-        elif ch in "<>=":
-            tokens.append(_Token("op", ch, span1))
-            i += 1
-        elif ch.isdigit():
-            m = NUMBER_RE.match(text, i)
-            tokens.append(
-                _Token("number", m.group(), SourceSpan(line_no, i + 1, len(m.group())))
-            )
-            i = m.end()
-        else:
-            m = IDENT_RE.match(text, i)
-            if not m:
-                return tokens, ParseError(span1, f"unexpected character {ch!r}", "lex")
-            tokens.append(
-                _Token("ident", m.group(), SourceSpan(line_no, i + 1, len(m.group())))
-            )
-            i = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(line_no, max(1, len(text.rstrip()) + 1), 1)))
-    return tokens, None
+        if kind == "bad":
+            span = SourceSpan(line_no, m.start(kind) + 1, 1)
+            raise ConceptSyntaxError(ParseError(span, f"unexpected character {m[kind]!r}", "lex"))
+        tokens.append((kind, m[kind], m.start(kind) + 1))
+    tokens.append(("eof", "", max(1, len(text.rstrip()) + 1)))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Tok], line_no: int):
         self.tokens = tokens
+        self.line_no = line_no
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> _Tok:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> _Tok:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, message: str, kind: str = "syntax") -> ParseError:
-        raise ConceptSyntaxError(ParseError(self.peek().span, message, kind))
+    def fail(self, message: str, kind: str = "syntax", tok=None):
+        _, text, column = tok or self.peek()
+        span = SourceSpan(self.line_no, column, len(text) or 1)
+        raise ConceptSyntaxError(ParseError(span, message, kind))
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text or 'end of line'!r}")
+        if tok[0] != kind:
+            self.fail(f"expected {what}, found {tok[1] or 'end of line'!r}")
         return self.next()
 
-    def ident(self, what: str) -> _Token:
+    def ident(self, what: str) -> _Tok:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text in _KEYWORDS:
-            self.fail(f"expected {what}, found {tok.text or 'end of line'!r}")
+        if tok[0] != "ident" or tok[1] in _KEYWORDS:
+            self.fail(f"expected {what}, found {tok[1] or 'end of line'!r}")
         return self.next()
 
     def concept(self) -> ConceptExpr:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "top":
+        kind, text, _ = self.peek()
+        if kind == "ident":
+            if text == "top":
                 self.next()
                 return TOP
-            if tok.text == "bot":
+            if text == "bot":
                 self.next()
                 return BOT
-            if tok.text in _KEYWORDS:
-                self.fail(f"keyword {tok.text!r} is not a concept")
+            if text in _KEYWORDS:
+                self.fail(f"keyword {text!r} is not a concept")
             self.next()
-            return Atomic(tok.text)
-        if tok.kind != "lparen":
-            self.fail(f"expected a concept, found {tok.text or 'end of line'!r}")
+            return Atomic(text)
+        if kind != "lparen":
+            self.fail(f"expected a concept, found {text or 'end of line'!r}")
         self.next()
-        head = self.peek()
-        if head.kind != "ident" or head.text not in ("and", "or", "not", "all", "some"):
+        kind, head, _ = self.peek()
+        if kind != "ident" or head not in ("and", "or", "not", "all", "some"):
             self.fail("expected one of and/or/not/all/some after '('")
         self.next()
-        if head.text in ("and", "or"):
+        if head in ("and", "or"):
             left = self.concept()
             right = self.concept()
-            result: ConceptExpr = (And if head.text == "and" else Or)(left, right)
-        elif head.text == "not":
+            result: ConceptExpr = (And if head == "and" else Or)(left, right)
+        elif head == "not":
             result = Not(self.concept())
         else:
-            role = self.ident("a role name")
+            role = self.ident("a role name")[1]
             filler = self.concept()
-            result = (Forall if head.text == "all" else Exists)(role.text, filler)
+            result = (Forall if head == "all" else Exists)(role, filler)
         self.expect("rparen", "')'")
         return result
 
     def degree(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind != "number":
+        kind, text, _ = self.peek()
+        if kind != "number":
             self.fail("expected a degree literal")
-        value = Fraction(tok.text)
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"bad degree literal {text!r}")
         if not 0 <= value <= 1:
-            raise ConceptSyntaxError(
-                ParseError(tok.span, f"degree {tok.text} outside [0, 1]", "degree-range")
-            )
+            self.fail(f"degree {text} outside [0, 1]", "degree-range")
         self.next()
         return value
 
     def bounds(self) -> tuple[Bound, Bound]:
         """Parse ``>= n <= m`` or ``<= n >= m`` into (tbound, fbound)."""
-        tok = self.peek()
-        if tok.kind != "op" or tok.text not in (">=", "<="):
+        kind, first, _ = self.peek()
+        if kind != "op" or first not in (">=", "<="):
             self.fail("expected '>=' or '<='")
-        first = self.next().text
+        self.next()
         n = self.degree()
-        second_tok = self.peek()
         wanted = "<=" if first == ">=" else ">="
-        if second_tok.kind != "op" or second_tok.text != wanted:
+        if self.peek()[:2] != ("op", wanted):
             self.fail(f"expected {wanted!r} after the first bound")
         self.next()
         m = self.degree()
@@ -236,63 +217,54 @@ class _Parser:
         first = self.peek()
         expr = self.concept()
         self.expect("lparen", "'('")
-        subject = self.ident("an individual name")
-        if self.peek().kind == "comma":
+        subject = Individual(self.ident("an individual name")[1])
+        if self.peek()[0] == "comma":
             if not isinstance(expr, Atomic):
-                raise ConceptSyntaxError(
-                    ParseError(first.span, "role assertions need a plain role name", "syntax")
-                )
+                self.fail("role assertions need a plain role name", tok=first)
             self.next()
-            target = self.ident("an individual name")
+            target = Individual(self.ident("an individual name")[1])
             self.expect("rparen", "')'")
-            return RoleAssertion(expr.name, Individual(subject.text), Individual(target.text))
+            return RoleAssertion(expr.name, subject, target)
         self.expect("rparen", "')'")
-        return ConceptAssertion(expr, Individual(subject.text))
+        return ConceptAssertion(expr, subject)
 
     def statement(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "assert":
+        """A constraint, or an axiom with the (line, column, length) of its name."""
+        kind, text, _ = self.peek()
+        if kind == "ident" and text == "assert":
             self.next()
             assertion = self.bare_assertion()
             tb, fb = self.bounds()
-            self.expect("eof", "end of line")
             return Constraint(assertion, tb, fb)
-        if tok.kind == "ident" and tok.text in ("spec", "define"):
+        if kind == "ident" and text in ("spec", "define"):
             self.next()
-            lhs = self.ident("an atomic concept name")
-            op = "<" if tok.text == "spec" else "="
-            op_tok = self.peek()
-            if op_tok.kind != "op" or op_tok.text != op:
-                self.fail(f"expected {op!r} after {lhs.text!r}")
+            _, lhs, column = self.ident("an atomic concept name")
+            op = "<" if text == "spec" else "="
+            if self.peek()[:2] != ("op", op):
+                self.fail(f"expected {op!r} after {lhs!r}")
             self.next()
             rhs = self.concept()
-            self.expect("eof", "end of line")
-            kind = AxiomKind.SPECIALIZATION if tok.text == "spec" else AxiomKind.DEFINITION
-            return TerminologicalAxiom(lhs.text, kind, rhs), lhs.span
+            kind = AxiomKind.SPECIALIZATION if text == "spec" else AxiomKind.DEFINITION
+            return TerminologicalAxiom(lhs, kind, rhs), (self.line_no, column, len(lhs))
         self.fail("expected 'assert', 'spec' or 'define'")
 
 
-def _parse_line(text: str, line_no: int):
-    tokens, err = _tokenize(text, line_no)
-    if err is not None:
-        raise ConceptSyntaxError(err)
-    return _Parser(tokens).statement()
+def _parse(text: str, line_no: int, rule, end: str):
+    """Tokenize ``text``, run one ``_Parser`` rule on it and expect the end."""
+    parser = _Parser(_tokenize(text, line_no), line_no)
+    result = rule(parser)
+    parser.expect("eof", end)
+    return result
 
 
 def parse_concept(text: str) -> ConceptExpr:
     """Parse a single concept expression; raises ConceptSyntaxError."""
-    tokens, err = _tokenize(text, 1)
-    if err is not None:
-        raise ConceptSyntaxError(err)
-    parser = _Parser(tokens)
-    result = parser.concept()
-    parser.expect("eof", "end of input")
-    return result
+    return _parse(text, 1, _Parser.concept, "end of input")
 
 
 def parse_query(text: str) -> Constraint:
     """Parse a single ``assert ...`` line into a nonstrict constraint."""
-    statement = _parse_line(text, 1)
+    statement = _parse(text, 1, _Parser.statement, "end of line")
     if not isinstance(statement, Constraint):
         raise ConceptSyntaxError(
             ParseError(SourceSpan(1, 1, 1), "expected an 'assert' statement", "syntax")
@@ -302,27 +274,23 @@ def parse_query(text: str) -> Constraint:
 
 def parse_assertion(text: str):
     """Parse a bare assertion ``C(a)`` / ``R(a,b)`` without bounds."""
-    tokens, err = _tokenize(text, 1)
-    if err is not None:
-        raise ConceptSyntaxError(err)
-    parser = _Parser(tokens)
-    result = parser.bare_assertion()
-    parser.expect("eof", "end of input")
-    return result
+    return _parse(text, 1, _Parser.bare_assertion, "end of input")
 
 
 def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     """Parse a KB, collecting every error instead of stopping at the first."""
     assertions: list[Constraint] = []
     axioms: list[TerminologicalAxiom] = []
-    axiom_spans: dict[int, SourceSpan] = {}
+    # (line, column, length) of each axiom's name; a span is built only
+    # for an error.
+    axiom_spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            statement = _parse_line(line, line_no)
+            statement = _parse(line, line_no, _Parser.statement, "end of line")
         except ConceptSyntaxError as exc:
             errors.append(exc.error)
             continue
@@ -337,7 +305,7 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
         if axiom.lhs in seen:
             errors.append(
                 ParseError(
-                    axiom_spans[idx],
+                    SourceSpan(*axiom_spans[idx]),
                     f"{axiom.lhs!r} already defined on an earlier axiom",
                     "duplicate-definition",
                 )
@@ -349,7 +317,7 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     kb = KnowledgeBase(tuple(assertions), tuple(axioms))
     # Duplicates were reported above, so validate finds none of them.
     for violation in validate(kb):
-        span = axiom_spans.get(violation.axiom_index, SourceSpan(1, 1, 1))
+        span = SourceSpan(*axiom_spans.get(violation.axiom_index, (1, 1, 1)))
         errors.append(ParseError(span, violation.message, "syntax"))
     if errors:
         return None, errors

@@ -460,21 +460,30 @@ def _checks(bounded, axioms, element, domain, scale: int, single: bool):
 
 
 def _backtrack(order, grid_ints, cells, watchers, run_check, budget) -> bool:
-    """DFS over cell assignments; only checks watching a cell re-run."""
+    """DFS over cell assignments; only checks watching a cell re-run.
 
-    def go(i: int) -> bool:
-        budget.tick()
-        if i == len(order):
-            return True
+    A loop keeping the next grid index per depth, so no recursion limit
+    bounds a component; the budget ticks once per node entered.
+    """
+    budget.tick()
+    nxt = [0] * len(order)
+    i = 0
+    while i < len(order):
         key = order[i]
-        for value in grid_ints:
-            cells[key] = value
-            if all(run_check(w) for w in watchers[key]) and go(i + 1):
-                return True
-        cells[key] = None
-        return False
-
-    return go(0)
+        j = nxt[i]
+        if j == len(grid_ints):
+            cells[key] = None
+            nxt[i] = 0
+            if i == 0:
+                return False
+            i -= 1
+            continue
+        nxt[i] = j + 1
+        cells[key] = grid_ints[j]
+        if all(run_check(w) for w in watchers[key]):
+            budget.tick()
+            i += 1
+    return True
 
 
 def _solve(checks, grid_ints, budget) -> dict | None:

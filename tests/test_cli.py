@@ -202,3 +202,33 @@ class TestOtherCommands:
         assert run(["entails", poll_kb, "--query",
                     "assert (some Support War)(p1) >= 0.6 <= 0.5"]) == 3
         assert "branch ceiling 1" in capsys.readouterr().err
+
+
+class TestNoTracebackExits:
+    def test_bad_degree_literal_in_a_query_exits_two(self, poll_kb, capsys):
+        query = "assert War(p1) >= 1/0 <= 0"
+        assert run(["entails", poll_kb, "--query", query]) == 2
+        assert capsys.readouterr().err == (
+            f"bad query {query!r}: 1:19: syntax: bad degree literal '1/0'\n"
+        )
+
+    def test_superscript_digit_is_a_lex_error(self, capsys):
+        # str.isdigit accepts '²', but no token starts with it.
+        assert run(["nnf", "A²"]) == 2
+        assert capsys.readouterr().err == "1:2: lex: unexpected character '²'\n"
+
+    def test_oracle_on_a_ring_of_forty_individuals(self, tmp_path, capsys):
+        # One component of about 1 640 cells: the enumerator's depth-first
+        # search must not be bounded by the interpreter's recursion limit.
+        lines = []
+        for k in range(40):
+            lines.append(f"assert R(i{k},i{(k + 1) % 40}) >= 0.5 <= 0.5")
+            lines.append(f"assert (all R A)(i{k}) >= 0.5 <= 0.5")
+        path = tmp_path / "ring.nalc"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        query = "assert A(i0) >= 0.5 <= 0.5"
+        assert run(["entails", str(path), "--oracle", "--query", query]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{query}: false",
+            "oracle agreement: true",
+        ]

@@ -149,3 +149,33 @@ class TestBareAssertions:
     def test_complex_role_head_is_rejected(self):
         with pytest.raises(ConceptSyntaxError):
             parse_assertion("(and A B)(a,b)")
+
+
+class TestBadInputIsAnError:
+    def test_bad_degree_literals_are_collected_with_later_errors(self):
+        kb, errors = try_parse_kb("assert A(a) >= 0.5/2 <= 0\nassert B(b) >= 2 <= 0\n")
+        assert kb is None
+        assert [str(e) for e in errors] == [
+            "1:16: syntax: bad degree literal '0.5/2'",
+            "2:16: degree-range: degree 2 outside [0, 1]",
+        ]
+
+    def test_arabic_indic_digit_reads_as_a_degree(self):
+        assert parse_query("assert A(a) >= ١ <= 0").tbound.value == 1
+
+    PIECES = [
+        "0", "1", "2", "5", ".", "/", "²", "١", "#", "\t", "\xa0", " ", "\n",
+        "(", ")", ",", ">=", "<=", "<", ">", "=", "A", "R", "a", "b",
+        "assert", "spec", "define", "and", "or", "not", "all", "some", "top", "bot",
+    ]
+
+    @given(st.lists(st.sampled_from(PIECES), max_size=24).map(lambda parts: "".join(parts)[:60]))
+    @settings(max_examples=400)
+    def test_any_text_parses_or_reports_errors(self, text):
+        kb, errors = try_parse_kb(text)
+        assert (kb is not None and errors == []) or (kb is None and errors)
+        for parse in (parse_concept, parse_query, parse_assertion):
+            try:
+                parse(text)
+            except ConceptSyntaxError:
+                pass
