@@ -47,6 +47,9 @@ from .syntax import (
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
 NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
+# A KB's lines end at \r\n, \r or \n only; str.splitlines would also
+# break at form feeds, \x85, \u2028 and the like.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 _KEYWORDS = {"and", "or", "not", "all", "some", "top", "bot",
              "assert", "spec", "define"}
@@ -285,7 +288,7 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     # for an error.
     axiom_spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -52,16 +52,17 @@ ONE = Fraction(1)
 SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 
-# KB -> (unfolded assertions, their unsaturated hypothesis set); an
+# KB -> [unfolded assertions, their unsaturated hypothesis set, the
+# glb/lub candidate degrees or None before the first bound search]; an
 # entry lives as long as its KB.
 _PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _prepared(kb: KnowledgeBase):
-    """Expanded assertions, their hypothesis set, and the name-unfolding
-    map for queries.
+    """The KB's entry in ``_PREPARED`` and the name-unfolding map for
+    queries.
 
-    The KB is validated on every call; the rest is built on its first
+    The KB is validated on every call; the entry is built on its first
     call and shared by every later one.  Runs start from a copy of the
     hypothesis set (``complete(..., base=root)``), which stays as built.
     Queries are posed against the same terminology as the KB, so any
@@ -71,8 +72,8 @@ def _prepared(kb: KnowledgeBase):
     prepared = _PREPARED.get(kb)
     if prepared is None:
         assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
-        prepared = _PREPARED[kb] = (assertions, ConstraintSet.from_constraints(assertions))
-    return (*prepared, resolved)
+        prepared = _PREPARED[kb] = [assertions, ConstraintSet.from_constraints(assertions), None]
+    return prepared, resolved
 
 
 def entails(
@@ -87,7 +88,7 @@ def entails(
     ``<= n >= m`` queries add ``> n < m``; the query holds iff the
     extended constraint set has no clash-free completion.
     """
-    _, root, resolved = _prepared(kb)
+    (_, root, _), resolved = _prepared(kb)
     query = unfold_constraint(query, resolved)
     result = complete([query.negated()], max_branches=max_branches, base=root)
     answer = result.status is Status.UNSATISFIABLE
@@ -126,8 +127,15 @@ class BtvbResult:
     candidates_examined: int
 
 
-def _candidate_degrees(assertions: list[Constraint]) -> list[Fraction]:
-    return sorted(constraint_degrees(assertions) | {ZERO, ONE})
+def _candidate_degrees(prepared: list) -> list[Fraction]:
+    """The degrees a bound search scans: the KB's own, with 0 and 1.
+
+    They are gathered on the KB's first search and kept in its entry; a
+    check or an entailment never reads them, so it does not pay for them.
+    """
+    if prepared[2] is None:
+        prepared[2] = sorted(constraint_degrees(prepared[0]) | {ZERO, ONE})
+    return prepared[2]
 
 
 _FORM = {BoundKind.GLB: Form.GEQ_LEQ, BoundKind.LUB: Form.LEQ_GEQ}
@@ -149,9 +157,9 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     finds, with the same runs when the answer is among the first three
     candidates, and with O(log k) runs over k candidates.
     """
-    assertions, root, resolved = _prepared(kb)
+    prepared, resolved = _prepared(kb)
     assertion = unfold_assertion(assertion, resolved)
-    degrees = _candidate_degrees(assertions)
+    root, degrees = prepared[1], _candidate_degrees(prepared)
     best, examined = [], 0
     for rel, ch in zip(_FORM[kind].value, "tf"):
         order = degrees[::-1] if rel.is_lower else degrees
@@ -244,5 +252,5 @@ def subsumes(
 
 def check_satisfiable(kb: KnowledgeBase, max_branches: int | None = None) -> CompletionResult:
     """Tableau satisfiability of the expanded assertional part."""
-    _, root, _ = _prepared(kb)
+    (_, root, _), _ = _prepared(kb)
     return complete([], max_branches=max_branches, base=root)

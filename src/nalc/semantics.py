@@ -82,8 +82,9 @@ class FiniteInterpretation:
         targets = list(self.individual_map.values())
         if len(set(targets)) != len(targets):
             raise ValueError("individuals must map to distinct elements")
+        elements = set(self.domain)
         for e in targets:
-            if e not in self.domain:
+            if e not in elements:
                 raise ValueError(f"unknown element {e!r} in individual map")
 
     def concept_value(self, name: str, element: str) -> DegreePair:
@@ -612,13 +613,18 @@ def exists_model(
 
 
 def constraint_degrees(constraints) -> set[Fraction]:
-    out = set()
+    """The degrees the constraints' bounds mention.
+
+    Equal degrees are found by their (numerator, denominator) pair, which
+    hashes several times faster than a ``Fraction`` does.
+    """
+    seen: dict[tuple[int, int], Fraction] = {}
     for c in constraints:
-        if c.tbound is not None:
-            out.add(c.tbound.value)
-        if c.fbound is not None:
-            out.add(c.fbound.value)
-    return out
+        for bound in (c.tbound, c.fbound):
+            if bound is not None:
+                v = bound.value
+                seen.setdefault((v.numerator, v.denominator), v)
+    return set(seen.values())
 
 
 def default_domain_size(constraints) -> int:

@@ -33,7 +33,14 @@ can fire, so the derivation is the one a full in-order rescan after
 every firing would give.  The rescan is not run: each branch keeps an
 agenda of the constraints that may fire and watch lists that put a
 successor-wide bound back on it when its successors or their bounds
-grow (``ConstraintSet``).
+grow (``ConstraintSet``).  The branching and generating passes work the
+same way, each from its own heap of the constraints that may still
+choose or generate: the first one that does is the one an in-order
+rescan would return.  There a constraint needs no wake-up but a new
+successor, because a branch only grows: a split is closed for good once
+one of its branches is present, an edge choice once either side is
+implied or refuted, and a witness demand once a successor meets it; only
+a new successor opens new edge choices.
 """
 
 from __future__ import annotations
@@ -123,13 +130,20 @@ class ConstraintSet:
 
     Besides the constraints, a branch keeps what saturation reads
     repeatedly: the constraints of each assertion, the role successors
-    of each (subject, role) in first-seen order, and the agenda, a
-    min-heap of the positions of constraints that may fire a
-    deterministic rule.  ``watchers`` maps a (subject, role) pair, and a
-    filler at one of its successors, to the existential and universal
-    constraints whose per-successor decisions read it; adding a
-    constraint there puts them back on the agenda.  The buckets and the
-    index entries are tuples, so a branch copy shares them.
+    of each (subject, role) in first-seen order, and three min-heaps of
+    constraint positions.  The agenda holds the constraints that may
+    fire a deterministic rule, ``splits`` those that may branch (every
+    ``and``/``or``, and each quantifier with a half for every successor)
+    and ``gens`` those that may demand a witness (every quantifier); a
+    pass drops a position the first time it finds nothing to do there,
+    which is cheaper than sorting out, on adding, the positions that
+    never will.  ``watchers`` maps a
+    (subject, role) pair, and a filler at one of its successors, to the
+    existential and universal constraints whose per-successor decisions
+    read it; adding a constraint there puts them back on the agenda, and
+    a new successor of the pair also puts them back on ``splits``, the
+    only event that gives a settled constraint new choices.  The buckets
+    and the index entries are tuples, so a branch copy shares them.
     """
 
     def __init__(self):
@@ -140,6 +154,8 @@ class ConstraintSet:
         self.successors: dict[tuple, tuple] = {}
         self.watchers: dict[object, tuple[int, ...]] = {}
         self.agenda: list[int] = []
+        self.splits: list[int] = []
+        self.gens: list[int] = []
         self.fresh_counter = 0
         self.processed: set = set()
         self.clash: ClashInfo | None = None
@@ -160,6 +176,8 @@ class ConstraintSet:
         s.successors = dict(self.successors)
         s.watchers = dict(self.watchers)
         s.agenda = list(self.agenda)
+        s.splits = list(self.splits)
+        s.gens = list(self.gens)
         s.fresh_counter = self.fresh_counter
         s.processed = set(self.processed)
         s.clash = self.clash
@@ -250,7 +268,7 @@ class ConstraintSet:
         return True
 
     def _index(self, c: Constraint, pos: int) -> None:
-        """Update the successor index and the agenda for a new constraint.
+        """Update the successor index and the heaps for a new constraint.
 
         Only an existential or universal constraint's successor-wide
         decisions read state that grows (new successors, new bounds on
@@ -268,19 +286,25 @@ class ConstraintSet:
                 for p in watching:
                     filler = self.constraints[p].assertion.concept.filler
                     self._watch(ConceptAssertion(filler, a.target), p)
+                    heapq.heappush(self.splits, p)
         else:
             watching = self.watchers.get(a, ())
             concept = a.concept
-            if isinstance(concept, Not) or (
-                isinstance(concept, (And, Or)) and _halves(c, every=True)
-            ):
+            if isinstance(concept, Not):
                 heapq.heappush(self.agenda, pos)
-            elif isinstance(concept, (Exists, Forall)) and _halves(c, every=True):
-                key = (a.subject, concept.role)
-                self._watch(key, pos)
-                for target in self.successors.get(key, ()):
-                    self._watch(ConceptAssertion(concept.filler, target), pos)
-                heapq.heappush(self.agenda, pos)
+            elif isinstance(concept, (And, Or)):
+                if _halves(c, every=True):
+                    heapq.heappush(self.agenda, pos)
+                heapq.heappush(self.splits, pos)
+            elif isinstance(concept, (Exists, Forall)):
+                if _halves(c, every=True):
+                    key = (a.subject, concept.role)
+                    self._watch(key, pos)
+                    for target in self.successors.get(key, ()):
+                        self._watch(ConceptAssertion(concept.filler, target), pos)
+                    heapq.heappush(self.agenda, pos)
+                    heapq.heappush(self.splits, pos)
+                heapq.heappush(self.gens, pos)
         for p in watching:
             heapq.heappush(self.agenda, p)
 
@@ -470,70 +494,95 @@ class _Engine:
             return True
         return False
 
-    # -- branching pass -------------------------------------------------
+    # -- branching and generating passes --------------------------------
 
-    def find_branches(self, s: ConstraintSet):
-        for c in list(s.constraints):
-            if not isinstance(c.assertion, ConceptAssertion):
-                continue
-            concept = c.assertion.concept
-            subject = c.assertion.subject
-            if isinstance(concept, (And, Or)):
-                halves = _halves(c, every=False)
-                if not halves:
-                    continue
-                key = ("split", c)
-                if key in s.processed:
-                    continue
-                # Each half picks the part that realises it.
-                parts = (ConceptAssertion(concept.left, subject),
-                         ConceptAssertion(concept.right, subject))
-                branches = []
-                for picks in itertools.product(parts, repeat=len(halves)):
-                    by_part: dict = {}
-                    for part, half in zip(picks, halves):
-                        by_part.setdefault(part, []).append(half)
-                    branches.append([_make(part, hs) for part, hs in by_part.items()])
-                if any(all(a in s for a in branch) for branch in branches):
-                    s.processed.add(key)
-                    continue
-                return c, _label(concept, c, halves), key, [s.step_of[c]], branches
-            if isinstance(concept, (Exists, Forall)):
-                for action in self._universal_actions(s, c):
-                    bound, ch, role_ch, target, edge, filler, decided = action
-                    if decided is not None:
-                        continue
-                    key = ("edge", c, ch, target)
-                    if key in s.processed:
-                        continue
-                    branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
-                    label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
-                    return c, label, key, [s.step_of[c]], branches
+    @staticmethod
+    def _first(s: ConstraintSet, heap: list[int], check):
+        """The first hit of ``check`` over the positions on ``heap``.
+
+        The heap holds every position whose check may hit, so the lowest
+        one that hits is the first hit of an in-order rescan.  A position
+        that misses leaves the heap, with its duplicates: it can only hit
+        again after ``ConstraintSet._index`` pushes it back.
+        """
+        while heap:
+            pos = heap[0]
+            found = check(s, s.constraints[pos])
+            if found is not None:
+                return found
+            while heap and heap[0] == pos:
+                heapq.heappop(heap)
         return None
 
-    # -- generating pass ------------------------------------------------
+    def find_branches(self, s: ConstraintSet):
+        """The first constraint with an open choice, lowest on ``s.splits``."""
+        return self._first(s, s.splits, self.choice)
+
+    def choice(self, s: ConstraintSet, c: Constraint):
+        """The open choice of one constraint, as (constraint, label, key,
+        premises, branches), or None."""
+        if not isinstance(c.assertion, ConceptAssertion):
+            return None
+        concept = c.assertion.concept
+        subject = c.assertion.subject
+        if isinstance(concept, (And, Or)):
+            halves = _halves(c, every=False)
+            if not halves:
+                return None
+            key = ("split", c)
+            if key in s.processed:
+                return None
+            # Each half picks the part that realises it.
+            parts = (ConceptAssertion(concept.left, subject),
+                     ConceptAssertion(concept.right, subject))
+            branches = []
+            for picks in itertools.product(parts, repeat=len(halves)):
+                by_part: dict = {}
+                for part, half in zip(picks, halves):
+                    by_part.setdefault(part, []).append(half)
+                branches.append([_make(part, hs) for part, hs in by_part.items()])
+            if any(all(a in s for a in branch) for branch in branches):
+                s.processed.add(key)
+                return None
+            return c, _label(concept, c, halves), key, [s.step_of[c]], branches
+        if isinstance(concept, (Exists, Forall)):
+            for action in self._universal_actions(s, c):
+                bound, ch, role_ch, target, edge, filler, decided = action
+                if decided is not None:
+                    continue
+                key = ("edge", c, ch, target)
+                if key in s.processed:
+                    continue
+                branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
+                label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
+                return c, label, key, [s.step_of[c]], branches
+        return None
 
     def find_generation(self, s: ConstraintSet):
-        """The first witness-demanding constraint with halves no successor
-        witnesses yet, as (constraint, label, premises, pending halves)."""
-        for c in list(s.constraints):
-            if not isinstance(c.assertion, ConceptAssertion):
-                continue
-            concept = c.assertion.concept
-            if not isinstance(concept, (Exists, Forall)):
-                continue
-            subject = c.assertion.subject
-            pending = [
-                (bound, ch) for bound, ch in _halves(c, every=False)
-                if not any(
-                    s.implied(RoleAssertion(concept.role, subject, t),
-                              _role_channel(concept, ch), bound)
-                    and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
-                    for t in s.successors.get((subject, concept.role), ())
-                )
-            ]
-            if pending:
-                return c, _label(concept, c, pending), [s.step_of[c]], pending
+        """The first constraint with a witness demand, lowest on ``s.gens``."""
+        return self._first(s, s.gens, self.demand)
+
+    def demand(self, s: ConstraintSet, c: Constraint):
+        """A witness-demanding constraint with halves no successor
+        witnesses yet, as (constraint, label, premises, pending halves),
+        or None."""
+        if not isinstance(c.assertion, ConceptAssertion):
+            return None
+        concept = c.assertion.concept
+        if not isinstance(concept, (Exists, Forall)):
+            return None
+        subject = c.assertion.subject
+        pending = [
+            (bound, ch) for bound, ch in _halves(c, every=False)
+            if not any(
+                s.implied(RoleAssertion(concept.role, subject, t),
+                          _role_channel(concept, ch), bound)
+                and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
+                for t in s.successors.get((subject, concept.role), ())
+            )
+        ]
+        if pending:
+            return c, _label(concept, c, pending), [s.step_of[c]], pending
         return None
 
 

@@ -160,6 +160,14 @@ class TestBadInputIsAnError:
             "2:16: degree-range: degree 2 outside [0, 1]",
         ]
 
+    def test_lines_break_only_at_newlines(self):
+        kb, errors = try_parse_kb("assert A(a) >= 1 <= 0 # caf\x85\nassert B(b) >= 2 <= 0\n")
+        assert kb is None
+        assert [str(e) for e in errors] == ["2:16: degree-range: degree 2 outside [0, 1]"]
+        kb, errors = try_parse_kb("assert A(a) >= 1 <= 0\r\nassert B(b) >= 1\x0c<= 0\r")
+        assert kb is None
+        assert [str(e) for e in errors] == ["2:17: lex: unexpected character '\\x0c'"]
+
     def test_arabic_indic_digit_reads_as_a_degree(self):
         assert parse_query("assert A(a) >= ١ <= 0").tbound.value == 1
 

@@ -179,6 +179,19 @@ class TestPreparedKb:
             result = (glb if kind == "glb" else lub)(kb, target)
             assert result.bound == DegreePair(*expected)
 
+    def test_the_candidate_degrees_are_gathered_once(self, monkeypatch):
+        import nalc.reasoner
+
+        calls = []
+        degrees = nalc.reasoner.constraint_degrees
+        monkeypatch.setattr(nalc.reasoner, "constraint_degrees",
+                            lambda cs: calls.append(cs) or degrees(cs))
+        kb = akb(Constraint.geq_leq(ConceptAssertion(A, a), F(1, 2), F(1, 4)),
+                 Constraint.leq_geq(ConceptAssertion(A, a), F(3, 4), F(1, 8)))
+        assert glb(kb, ConceptAssertion(A, a)).bound == DegreePair(F(1, 2), F(1, 4))
+        assert lub(kb, ConceptAssertion(A, a)).bound == DegreePair(F(3, 4), F(1, 8))
+        assert len(calls) == 1
+
 
 class TestEntails:
     def test_invalid_kb_is_rejected(self):

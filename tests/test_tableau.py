@@ -25,6 +25,7 @@ from nalc import (
     Status,
     TOP,
     apply_rules,
+    check_satisfiable,
     complete,
     conjugated,
     exists_model,
@@ -430,6 +431,57 @@ def test_agenda_fires_what_a_full_rescan_fires():
                 break
             s = children[step % len(children)]
     assert fired > 150
+
+
+def _first_hit(check, s: ConstraintSet):
+    """The first hit of a per-constraint check in an in-order pass."""
+    return next((found for c in list(s.constraints) if (found := check(s, c)) is not None), None)
+
+
+def test_choices_and_witnesses_are_what_a_full_rescan_finds():
+    """At each deterministic fixpoint the branching candidate, and else the
+    generating one, is the first hit of an in-order pass."""
+    rng = random.Random(stable_seed("choice order"))
+    engine = _Engine(DEFAULT_MAX_STEPS)
+    chosen = generated = 0
+    for _ in range(300):
+        kb = rand_assertional_kb(rng)
+        s = ConstraintSet.from_constraints(list(kb.assertions))
+        for step in range(60):
+            if s.clash is not None:
+                break
+            if not engine.apply_deterministic(s.copy()):
+                found = engine.find_branches(s.copy())
+                assert found == _first_hit(engine.choice, s.copy())
+                if found is not None:
+                    chosen += 1
+                else:
+                    found = engine.find_generation(s.copy())
+                    assert found == _first_hit(engine.demand, s.copy())
+                    generated += found is not None
+            children = apply_rules(s)
+            if children is None:
+                break
+            s = children[step % len(children)]
+    assert chosen > 80 and generated > 60
+
+
+def test_a_chain_decides_each_link_a_bounded_number_of_times(monkeypatch):
+    """Successor-wide bounds are not re-examined at every choice."""
+    n = 160
+    kb = parse_kb("".join(
+        f"assert R(a{i}, a{i + 1}) >= 1 <= 0\n"
+        f"assert (all R (and A (some S B)))(a{i}) >= 0.5 <= 0.5\n"
+        for i in range(n)
+    ))
+    calls = []
+    actions = _Engine._universal_actions
+    monkeypatch.setattr(_Engine, "_universal_actions",
+                        lambda self, s, c: calls.append(c) or actions(self, s, c))
+    result = check_satisfiable(kb)
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == n + 1
+    assert len(calls) <= 4 * n
 
 
 def test_branch_copies_leave_the_parent_unchanged():
