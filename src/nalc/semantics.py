@@ -9,8 +9,11 @@ Truth and falsity never meet in a cell, so each channel of a concept
 reads alone as a negation-free fuzzy-ALC term over a doubled signature
 (min, max, and sup/inf over role and filler degrees): negation swaps
 the channel and a universal reads the role in the other channel.  One
-exhaustive search over those terms (backtracking with interval pruning
-and connected-component splitting) serves both oracles.
+exhaustive search over those terms serves both oracles: it compiles
+every check into one hash-consed DAG with an integer interval per
+node, propagates bounds through min/max/sup/inf in both directions at
+the root and after each assignment, and backtracks over the cells one
+connected component at a time.
 ``exists_model`` gives every (name, channel) its own cell; the
 single-valued ``fuzzy_exists_model`` keeps the truth cells and reads
 falsity as one minus truth.  The search is the ground-truth check for
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -244,6 +248,11 @@ QUARTER_GRID = DegreeGrid.containing([Fraction(1, 4), Fraction(1, 2), Fraction(3
 #   ("inf", role, ch, neg, filler)  inf over d of max(role cell to d, filler at d)
 #
 # A literal reads the cell of channel ``ch``, or one minus it when ``neg``.
+# The search compiles the terms at their elements into one ``_Dag``: a
+# node per distinct (term, element), where a sup is the max of its
+# per-successor min parts and an inf the min of its max parts, so every
+# node is a cell, one minus a cell, a constant, a min or a max.  A bound
+# narrows its term's node and an axiom becomes node inequalities.
 
 class _Budget:
     def __init__(self, ceiling: int):
@@ -310,6 +319,253 @@ def _term(c: ConceptExpr, ch: str, single: bool) -> tuple:
     raise TypeError(f"not a concept expression: {c!r}")
 
 
+# Node kinds of a _Dag.  A cell node holds the cell's degree; a flip node
+# is one minus its one child (a falsity literal of the single-valued
+# search).
+_CELL, _FLIP, _MIN, _MAX, _CONST = range(5)
+
+
+class _Dag:
+    """Hash-consed terms over one domain, with an interval per node.
+
+    There is one node per distinct (term, element): equal subterms share
+    a node, ``min(x, x)`` and ``max(x, x)`` fold to ``x`` and constants
+    fold into their parents.  ``lo``/``hi`` hold each node's integer-scaled
+    interval, and ``pairs`` the node inequalities (below, above).
+
+    In the search the intervals narrow by bounds propagation: a node is
+    narrowed from its children (up) and its children from it (down), and
+    a cell node's interval always ends on degrees of the grid, so it is
+    the cell's domain.  ``trail`` records every narrowing so that
+    backtracking restores the intervals.
+    """
+
+    def __init__(self, domain, scale: int, grid):
+        self.domain = domain
+        self.scale = scale
+        self.grid = grid  # the ascending integer degrees a cell may take
+        self.kind: list[int] = []
+        self.kids: list[tuple] = []
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.pairs: list[tuple[int, int]] = []
+        # what to re-run when a node narrows: its parents, itself (to push
+        # down to its children) and its inequalities, pair i as ~i
+        self.watch: list[list[int]] = []
+        self.trail: list[tuple[int, int, int]] = []
+        self.cells: dict = {}  # cell key -> its node
+        self.key: dict = {}  # cell node -> its key
+        self._nodes: dict = {}  # structural key -> node
+        self._built: dict = {}  # (id(term), element) -> (term, node)
+
+    def _new(self, kind: int, kids: tuple, lo: int, hi: int) -> int:
+        n = len(self.kind)
+        self.kind.append(kind)
+        self.kids.append(kids)
+        self.lo.append(lo)
+        self.hi.append(hi)
+        self.watch.append([n] if kids else [])
+        for c in kids:
+            self.watch[c].append(n)
+        return n
+
+    def _add(self, key, kind: int, kids: tuple, lo: int, hi: int) -> int:
+        n = self._nodes.get(key)
+        if n is None:
+            n = self._nodes[key] = self._new(kind, kids, lo, hi)
+        return n
+
+    def _leaf(self, key: tuple, neg: bool) -> int:
+        """The node of cell ``key``, or of one minus it when ``neg``."""
+        n = self.cells.get(key)
+        if n is None:
+            n = self.cells[key] = self._new(_CELL, (), 0, self.scale)
+            self.key[n] = key
+        return self._add(("flip", n), _FLIP, (n,), 0, self.scale) if neg else n
+
+    def _const(self, top: bool) -> int:
+        v = self.scale if top else 0
+        return self._add(("k", v), _CONST, (), v, v)
+
+    def _op(self, low: bool, kids) -> int:
+        """The min (``low``) or max of ``kids``: an absorbing constant
+        (0 for min, 1 for max) is the result, a neutral one drops out."""
+        absorbing = 0 if low else self.scale
+        distinct = set()
+        for k in kids:
+            if self.kind[k] != _CONST:
+                distinct.add(k)
+            elif self.lo[k] == absorbing:
+                return k
+        if len(distinct) < 2:
+            return distinct.pop() if distinct else self._const(low)
+        kids = tuple(sorted(distinct))
+        return self._add((low, kids), _MIN if low else _MAX, kids, 0, self.scale)
+
+    def node(self, t: tuple, e: str) -> int:
+        """The node of term ``t`` at element ``e``."""
+        tag = t[0]
+        if tag == "c":
+            return self._leaf(("c", t[1], e, t[2]), t[3])
+        if tag == "r":
+            return self._leaf(("r", t[1], e, t[2], t[3]), t[4])
+        if tag == "k":
+            return self._const(t[1])
+        hit = self._built.get((id(t), e))
+        if hit is not None:
+            return hit[1]
+        if tag == "min" or tag == "max":
+            n = self._op(tag == "min", (self.node(t[1], e), self.node(t[2], e)))
+        else:
+            _, role, ch, neg, filler = t
+            low = tag == "inf"
+            n = self._op(low, [
+                self._op(not low, (self._leaf(("r", role, e, d, ch), neg), self.node(filler, d)))
+                for d in self.domain
+            ])
+        # the entry keeps the term alive, so its id is not reused
+        self._built[(id(t), e)] = (t, n)
+        return n
+
+    def reads(self, roots) -> set:
+        """Cell nodes under ``roots``."""
+        kind, kids = self.kind, self.kids
+        if len(roots) == 1 and kind[roots[0]] == _CELL:
+            return {roots[0]}
+        seen: set = set()
+        stack = list(roots)
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(kids[n])
+        return {n for n in seen if kind[n] == _CELL}
+
+    def below(self, low: int, high: int) -> None:
+        """Add the inequality ``low <= high``."""
+        p = ~len(self.pairs)
+        self.pairs.append((low, high))
+        self.watch[low].append(p)
+        self.watch[high].append(p)
+
+    def undo(self, mark: int) -> None:
+        lo, hi, trail = self.lo, self.hi, self.trail
+        while len(trail) > mark:
+            n, a, b = trail.pop()
+            lo[n] = a
+            hi[n] = b
+
+    def propagate(self, narrowings, queue=None) -> bool:
+        """Narrow each (node, lo, hi) of ``narrowings``, then propagate
+        bounds to a fixpoint, running first the propagators of ``queue``.
+        False when some interval empties; the trail then holds what to
+        undo.
+        """
+        kind, kids, lo, hi = self.kind, self.kids, self.lo, self.hi
+        watch, trail, grid = self.watch, self.trail, self.grid
+        scale, pairs = self.scale, self.pairs
+        queue = [] if queue is None else queue
+        queued = set(queue)
+
+        def narrow(n, a, b) -> bool:
+            if kind[n] == _CELL:
+                # a cell's interval is its domain: it ends on grid degrees
+                j = bisect_left(grid, a)
+                a = grid[j] if j < len(grid) else scale + 1
+                j = bisect_right(grid, b)
+                b = grid[j - 1] if j else -1
+            if a > b:
+                return False
+            trail.append((n, lo[n], hi[n]))
+            lo[n] = a
+            hi[n] = b
+            for w in watch[n]:
+                if w not in queued:
+                    queued.add(w)
+                    queue.append(w)
+            return True
+
+        ok = True
+        for n, a, b in narrowings:
+            a = a if a > lo[n] else lo[n]
+            b = b if b < hi[n] else hi[n]
+            if (a != lo[n] or b != hi[n]) and not narrow(n, a, b):
+                ok = False
+                break
+        while ok and queue:
+            p = queue.pop()
+            queued.discard(p)
+            if p < 0:
+                below, above = pairs[~p]
+                if hi[below] > hi[above]:
+                    ok = narrow(below, lo[below], hi[above])
+                if ok and lo[above] < lo[below]:
+                    ok = narrow(above, lo[below], hi[above])
+                continue
+            k = kind[p]
+            if k == _FLIP:
+                c = kids[p][0]
+                a = scale - hi[c]
+                b = scale - lo[c]
+                if a < lo[p]:
+                    a = lo[p]
+                if b > hi[p]:
+                    b = hi[p]
+                if (a != lo[p] or b != hi[p]) and not narrow(p, a, b):
+                    ok = False
+                elif scale - b > lo[c] or scale - a < hi[c]:
+                    ok = narrow(c, scale - b, scale - a)
+                continue
+            ks = kids[p]
+            if k == _MIN:
+                a = b = scale
+                for c in ks:
+                    if lo[c] < a:
+                        a = lo[c]
+                    if hi[c] < b:
+                        b = hi[c]
+            else:
+                a = b = 0
+                for c in ks:
+                    if lo[c] > a:
+                        a = lo[c]
+                    if hi[c] > b:
+                        b = hi[c]
+            if a < lo[p]:
+                a = lo[p]
+            if b > hi[p]:
+                b = hi[p]
+            if (a != lo[p] or b != hi[p]) and not narrow(p, a, b):
+                ok = False
+                continue
+            # Down: every child of a min is at least its lower end, and
+            # the upper end needs one child that reaches it; dually for max.
+            reach = last = -1
+            if k == _MIN:
+                for c in ks:
+                    if lo[c] < a and not narrow(c, a, hi[c]):
+                        ok = False
+                        break
+                    if lo[c] <= b:
+                        reach += 1
+                        last = c
+                if ok and reach == 0 and hi[last] > b:
+                    ok = narrow(last, lo[last], b)
+            else:
+                for c in ks:
+                    if hi[c] > b and not narrow(c, lo[c], b):
+                        ok = False
+                        break
+                    if hi[c] >= a:
+                        reach += 1
+                        last = c
+                if ok and reach == 0 and lo[last] < a:
+                    ok = narrow(last, a, hi[last])
+            if ok and last < 0:
+                ok = False
+        return ok
+
+
 def _interval(t: tuple, e: str, cells, domain, scale: int):
     """Reachable [lo, hi] of a term at element ``e``, integer scaled.
 
@@ -317,90 +573,29 @@ def _interval(t: tuple, e: str, cells, domain, scale: int):
     whole [0, scale] range).  When every cell occurs with one sign, as
     in the two-channel search, the all-low / all-high corners are
     attained and the interval is exact; a cell read both ways makes it
-    a sound over-approximation.
+    a sound over-approximation.  It is the search's propagation on the
+    term's DAG with no bound: from the assigned cells it only narrows
+    upward, so it reaches the intervals evaluated from the leaves.
     """
-    tag = t[0]
-    if tag == "c":
-        v = cells.get(("c", t[1], e, t[2]))
-        if v is None:
-            return 0, scale
-        if t[3]:
-            v = scale - v
-        return v, v
-    if tag == "min":
-        llo, lhi = _interval(t[1], e, cells, domain, scale)
-        rlo, rhi = _interval(t[2], e, cells, domain, scale)
-        return (llo if llo < rlo else rlo), (lhi if lhi < rhi else rhi)
-    if tag == "max":
-        llo, lhi = _interval(t[1], e, cells, domain, scale)
-        rlo, rhi = _interval(t[2], e, cells, domain, scale)
-        return (llo if llo > rlo else rlo), (lhi if lhi > rhi else rhi)
-    if tag == "k":
-        return (scale, scale) if t[1] else (0, 0)
-    if tag == "r":
-        v = cells.get(("r", t[1], e, t[2], t[3]))
-        if v is None:
-            return 0, scale
-        if t[4]:
-            v = scale - v
-        return v, v
-    _, role, ch, neg, filler = t
-    if tag == "sup":
-        lo = hi = 0
-        for d in domain:
-            v = cells.get(("r", role, e, d, ch))
-            if v is None:
-                rlo, rhi = 0, scale
-            else:
-                rlo = rhi = scale - v if neg else v
-            flo, fhi = _interval(filler, d, cells, domain, scale)
-            plo = rlo if rlo < flo else flo
-            phi = rhi if rhi < fhi else fhi
-            lo = lo if lo > plo else plo
-            hi = hi if hi > phi else phi
-        return lo, hi
-    lo = hi = scale
-    for d in domain:
-        v = cells.get(("r", role, e, d, ch))
-        if v is None:
-            rlo, rhi = 0, scale
-        else:
-            rlo = rhi = scale - v if neg else v
-        flo, fhi = _interval(filler, d, cells, domain, scale)
-        plo = rlo if rlo > flo else flo
-        phi = rhi if rhi > fhi else fhi
-        lo = lo if lo < plo else plo
-        hi = hi if hi < phi else phi
-    return lo, hi
+    values = {v for v in cells.values() if v is not None}
+    dag = _Dag(domain, scale, sorted(values | {0, scale}))
+    root = dag.node(t, e)
+    dag.propagate([(n, cells[k], cells[k]) for k, n in dag.cells.items()
+                   if cells.get(k) is not None])
+    return dag.lo[root], dag.hi[root]
 
 
-def _reads(t: tuple, e: str, domain, acc: set) -> None:
-    """Cells a term at element ``e`` reads."""
-    tag = t[0]
-    if tag == "c":
-        acc.add(("c", t[1], e, t[2]))
-    elif tag == "r":
-        acc.add(("r", t[1], e, t[2], t[3]))
-    elif tag in ("min", "max"):
-        _reads(t[1], e, domain, acc)
-        _reads(t[2], e, domain, acc)
-    elif tag in ("sup", "inf"):
-        for d in domain:
-            acc.add(("r", t[1], e, d, t[2]))
-            _reads(t[4], d, domain, acc)
-
-
-def _int_check(bound: Bound, scale: int):
-    """Compile a bound into a predicate over integer intervals."""
-    v = int(bound.value * scale)
+def _scaled(bound: Bound, scale: int) -> tuple[int, int]:
+    """The integer interval a bound allows."""
+    v = bound.value.numerator * (scale // bound.value.denominator)
     rel = bound.rel
     if rel is Rel.GE:
-        return lambda lo, hi: hi >= v
+        return v, scale
     if rel is Rel.GT:
-        return lambda lo, hi: hi > v
+        return v + 1, scale
     if rel is Rel.LE:
-        return lambda lo, hi: lo <= v
-    return lambda lo, hi: lo < v
+        return 0, v
+    return 0, v - 1
 
 
 def _common_scale(fractions) -> int:
@@ -410,85 +605,92 @@ def _common_scale(fractions) -> int:
     return scale
 
 
-def _checks(bounded, axioms, element, domain, scale: int, single: bool):
-    """Feasibility checks over the cells, each paired with the cells it reads.
+def _compile(bounded, axioms, element, domain, scale: int, grid, single: bool):
+    """Compile the checks into one DAG.
 
-    ``bounded`` holds (assertion, bound, channel) triples.  Each axiom
-    gives one check per element, comparing the name with its right-hand
-    side in every channel the search keeps.
+    ``bounded`` holds (assertion, bound, channel) triples; each narrows
+    its term's node.  Each axiom gives one check per element, an
+    inequality per channel the search keeps: the name's truth may not
+    exceed the right-hand side's and its falsity may not fall below it;
+    a definition needs both directions.  Returns the DAG, the node
+    narrowings and, per check, the nodes it reads from.
     """
+    dag = _Dag(domain, scale, grid)
+    narrowings = []
     checks = []
     for assertion, bound, ch in bounded:
         if isinstance(assertion, RoleAssertion):
             term = ("r", assertion.role, element(assertion.target)) + _literal(ch, single)
         else:
             term = _term(assertion.concept, ch, single)
-        e = element(assertion.subject)
-        reads: set = set()
-        _reads(term, e, domain, reads)
-
-        def run(cells, term=term, e=e, check=_int_check(bound, scale)):
-            return check(*_interval(term, e, cells, domain, scale))
-
-        checks.append((run, reads))
+        n = dag.node(term, element(assertion.subject))
+        narrowings.append((n,) + _scaled(bound, scale))
+        checks.append((n,))
 
     for ax in axioms:
-        # (below, above) per channel: the name's truth may not exceed the
-        # right-hand side's and its falsity may not fall below it; a
-        # definition needs both directions.
-        pairs = []
+        terms = []
         for ch in ("t",) if single else ("t", "f"):
             name = ("c", ax.lhs) + _literal(ch, single)
             rhs = _term(ax.rhs, ch, single)
-            pairs.append((name, rhs) if ch == "t" else (rhs, name))
+            terms.append((name, rhs) if ch == "t" else (rhs, name))
         both = ax.kind is not AxiomKind.SPECIALIZATION
         for d in domain:
-            reads = set()
-            for pair in pairs:
-                for term in pair:
-                    _reads(term, d, domain, reads)
-
-            def run(cells, pairs=pairs, d=d, both=both):
-                for below, above in pairs:
-                    blo, bhi = _interval(below, d, cells, domain, scale)
-                    alo, ahi = _interval(above, d, cells, domain, scale)
-                    if blo > ahi or (both and alo > bhi):
-                        return False
-                return True
-
-            checks.append((run, reads))
-    return checks
+            nodes = []
+            for below, above in terms:
+                below, above = dag.node(below, d), dag.node(above, d)
+                dag.below(below, above)
+                if both:
+                    dag.below(above, below)
+                nodes += (below, above)
+            checks.append(nodes)
+    return dag, narrowings, checks
 
 
-def _backtrack(order, grid_ints, cells, watchers, run_check, budget) -> bool:
-    """DFS over cell assignments; only checks watching a cell re-run.
+def _backtrack(dag: _Dag, order, budget) -> bool:
+    """DFS over the cells of ``order``, propagating after each assignment.
 
-    A loop keeping the next grid index per depth, so no recursion limit
-    bounds a component; the budget ticks once per node entered.
+    A cell tries the grid degrees left in its domain, in ascending
+    order.  A loop keeping the next grid index per depth (-1 before the
+    depth is entered), so no recursion limit bounds a component; the
+    budget ticks once per node entered.
     """
     budget.tick()
-    nxt = [0] * len(order)
+    lo, hi, grid, trail = dag.lo, dag.hi, dag.grid, dag.trail
+    depth = len(order)
+    nxt = [-1] * depth
+    last = [0] * depth
+    mark = [0] * depth
     i = 0
-    while i < len(order):
-        key = order[i]
+    while i < depth:
+        c = order[i]
         j = nxt[i]
-        if j == len(grid_ints):
-            cells[key] = None
-            nxt[i] = 0
+        if j < 0:
+            mark[i] = len(trail)
+            j = bisect_left(grid, lo[c])
+            last[i] = bisect_left(grid, hi[c])
+        elif len(trail) > mark[i]:
+            dag.undo(mark[i])
+        if j > last[i]:
+            nxt[i] = -1
             if i == 0:
                 return False
             i -= 1
             continue
         nxt[i] = j + 1
-        cells[key] = grid_ints[j]
-        if all(run_check(w) for w in watchers[key]):
+        v = grid[j]
+        # a cell left with one degree is assigned already
+        if lo[c] == hi[c] or dag.propagate(((c, v, v),)):
             budget.tick()
             i += 1
     return True
 
 
-def _solve(checks, grid_ints, budget) -> dict | None:
-    """Assign the cells the checks read, one independent component at a time."""
+def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
+    """Assign the cells the checks read, one independent component at a
+    time, after propagating the bounds and inequalities at the root."""
+    if not dag.propagate(narrowings, [~i for i in range(len(dag.pairs))]):
+        return None
+    reads = [dag.reads(roots) for roots in checks]
     parent: dict = {}
 
     def find(x):
@@ -497,37 +699,25 @@ def _solve(checks, grid_ints, budget) -> dict | None:
             x = parent[x]
         return x
 
-    for _, reads in checks:
-        ordered = sorted(reads)
+    for cells in reads:
+        ordered = sorted(cells)
         for a, b in zip(ordered, ordered[1:]):
             parent[find(a)] = find(b)
 
-    cells = dict.fromkeys(key for _, reads in checks for key in reads)
     groups: dict = {}
-    for idx, (_, reads) in enumerate(checks):
-        groups.setdefault(find(min(reads)) if reads else None, []).append(idx)
-
-    def run_check(i):
-        return checks[i][0](cells)
-
-    for root, idxs in groups.items():
-        if not all(run_check(i) for i in idxs):
-            return None
-        if root is None:
-            continue
-        watchers: dict = {}
-        for i in idxs:
-            for k in checks[i][1]:
-                watchers.setdefault(k, []).append(i)
+    for idx, cells in enumerate(reads):
+        if cells:
+            groups.setdefault(find(min(cells)), []).append(idx)
+    for idxs in groups.values():
         # Tight checks first: cells of small-scope checks get assigned
         # consecutively, so each check can prune as soon as possible.
         order = list(dict.fromkeys(
-            k for i in sorted(idxs, key=lambda i: len(checks[i][1]))
-            for k in sorted(checks[i][1])
+            n for i in sorted(idxs, key=lambda i: len(reads[i]))
+            for n in sorted(reads[i], key=dag.key.__getitem__)
         ))
-        if not _backtrack(order, grid_ints, cells, watchers, run_check, budget):
+        if not _backtrack(dag, order, budget):
             return None
-    return cells
+    return {k: dag.lo[n] for k, n in dag.cells.items()}
 
 
 def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
@@ -537,8 +727,8 @@ def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
     Individuals map injectively onto the first elements; variables are
     taken existentially over the whole domain.  Returns ``(domain,
     individual map, assignment, degrees)`` for the first assignment with
-    a model, where ``degrees`` maps every cell read to its degree (a free
-    cell reads as fully false), or None when there is no model.
+    a model, where ``degrees`` maps every cell read to its degree, or
+    None when there is no model.
     """
     objects = [o for a, _, _ in bounded for o in _objects(a)]
     individuals = sorted({o.name for o in objects if isinstance(o, Individual)})
@@ -548,7 +738,8 @@ def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
     ind_map = {name: domain[i] for i, name in enumerate(individuals)}
     variables = sorted({o for o in objects if isinstance(o, Variable)}, key=lambda v: v.index)
     scale = _common_scale(list(grid.values) + [b.value for _, b, _ in bounded])
-    grid_ints = [int(v * scale) for v in grid.values]
+    grid_ints = [v.numerator * (scale // v.denominator) for v in grid.values]
+    degree = dict(zip(grid_ints, grid.values))
     budget = _Budget(max_nodes)
     for combo in itertools.product(domain, repeat=len(variables)):
         assignment = dict(zip(variables, combo))
@@ -556,13 +747,10 @@ def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
         def element(obj) -> str:
             return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
 
-        cells = _solve(_checks(bounded, axioms, element, domain, scale, single),
-                       grid_ints, budget)
+        cells = _solve(*_compile(bounded, axioms, element, domain, scale, grid_ints, single),
+                       budget)
         if cells is not None:
-            degrees = {
-                k: (ZERO if k[-1] == "t" else ONE) if v is None else Fraction(v, scale)
-                for k, v in cells.items()
-            }
+            degrees = {k: degree[v] for k, v in cells.items()}
             return domain, ind_map, assignment, degrees
     return None
 
@@ -715,20 +903,39 @@ def fuzzy_exists_model(
     ``bounded_assertions`` is an iterable of ``(assertion, Bound)``
     pairs (strict bounds welcome); ``axioms`` are checked pointwise.
     This is the two-valued search with one truth cell per name, the
-    falsity channel read as one minus truth.
+    falsity channel read as one minus truth.  A returned model is
+    checked against every bound and axiom under ``fuzzy_eval``.
     """
     bounded = [(a, bound, "t") for a, bound in bounded_assertions]
-    found = _search(bounded, list(axioms), domain_size, grid, max_nodes, single=True)
+    axioms = list(axioms)
+    found = _search(bounded, axioms, domain_size, grid, max_nodes, single=True)
     if found is None:
         return None
-    domain, ind_map, _, degrees = found
+    domain, ind_map, assignment, degrees = found
     interp = FuzzyInterpretation(domain, ind_map)
     for key, value in degrees.items():
         if key[0] == "c":
             interp.concept_table[key[1:3]] = value
         else:
             interp.role_table[key[1:4]] = value
-    return interp
+
+    def element(obj) -> str:
+        return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
+
+    def value(a: Assertion) -> Fraction:
+        if isinstance(a, RoleAssertion):
+            return interp.role_value(a.role, element(a.subject), element(a.target))
+        return fuzzy_eval(interp, a.concept, element(a.subject))
+
+    def meets(ax: TerminologicalAxiom, d: str) -> bool:
+        name, rhs = interp.concept_value(ax.lhs, d), fuzzy_eval(interp, ax.rhs, d)
+        return name <= rhs if ax.kind is AxiomKind.SPECIALIZATION else name == rhs
+
+    if all(bound.holds(value(a)) for a, bound, _ in bounded) and all(
+        meets(ax, d) for ax in axioms for d in domain
+    ):
+        return interp
+    raise AssertionError("search produced a non-model; pruning is unsound")
 
 
 def fuzzy_entails(

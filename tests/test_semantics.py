@@ -344,3 +344,48 @@ class TestFuzzyExistsModel:
                     name, rhs = model.concept_value("X", d), fuzzy_eval(model, ax.rhs, d)
                     assert name <= rhs if ax.kind is AxiomKind.SPECIALIZATION else name == rhs
         assert found and refuted
+
+
+class TestPropagation:
+    """Refusals that bounds propagation over the shared term DAG turns into
+    answers: each contradiction runs through a shared subterm."""
+
+    def test_acceptance_5_kb_383_is_refuted(self):
+        from genutil import rand_assertional_kb
+        from nalc import Status, complete
+
+        rng = random.Random(55555)
+        for _ in range(384):
+            kb = rand_assertional_kb(rng)
+        constraints = list(kb.assertions)
+        model = exists_model(constraints, default_domain_size(constraints), QUARTER_GRID,
+                             max_nodes=10_000)
+        assert model is None
+        assert complete(constraints).status is Status.UNSATISFIABLE
+
+    def test_definition_and_bound_meet_in_a_shared_term(self):
+        X = Atomic("X")
+        b = Individual("b")
+        bounded = [
+            (ConceptAssertion(X, b), Bound(Rel.LE, F(1, 4))),
+            (RoleAssertion("R", a, a), Bound(Rel.LE, F(1, 2))),
+            (RoleAssertion("R", a, b), Bound(Rel.LE, F(1, 2))),
+            (ConceptAssertion(Forall("R", A), b), Bound(Rel.GE, F(1, 2))),
+        ]
+        axioms = (TerminologicalAxiom("X", AxiomKind.DEFINITION, Forall("R", A)),)
+        grid = QUARTER_GRID.with_midpoints()
+        assert fuzzy_exists_model(bounded, axioms, 3, grid, max_nodes=10_000) is None
+
+    def test_universal_combination_is_decided_in_few_nodes(self):
+        tuples = [(n, m, f, g) for n in QUARTERS for m in QUARTERS
+                  for f in QUARTERS for g in QUARTERS if n > g and m < f]
+        assert len(tuples) == 100
+        for n, m, f, g in tuples:
+            premises = [
+                Constraint.geq_leq(ConceptAssertion(Forall("R", C), a), n, m),
+                Constraint.geq_leq(ConceptAssertion(Forall("R", D), a), f, g),
+            ]
+            query = Constraint.geq_leq(
+                ConceptAssertion(Forall("R", And(C, D)), a), min(n, f), max(m, g)
+            )
+            assert oracle_entails(premises, query, max_nodes=1_000), (n, m, f, g)
