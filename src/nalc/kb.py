@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .constraints import (
@@ -32,7 +33,6 @@ from .syntax import (
     Not,
     Or,
     atomic_names,
-    role_names,
 )
 
 
@@ -50,6 +50,17 @@ class TerminologicalAxiom:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """Assertions and terminology, with what the reasoner reads of them
+    on every call computed once per object.
+
+    The hash and the statement facts (``_statement_facts``: the
+    per-statement violations and the assertions' concept names) are
+    cached on the KB the first time they are asked for, so a call on a
+    prepared KB does not walk its statements again.  A copy or an
+    unpickled KB is rebuilt through the constructor and computes them
+    afresh: string hashes are salted per process.
+    """
+
     assertions: tuple[Constraint, ...]
     terminology: tuple[TerminologicalAxiom, ...]
 
@@ -59,6 +70,39 @@ class KnowledgeBase:
         object.__setattr__(self, "assertions", tuple(self.assertions))
         object.__setattr__(self, "terminology", tuple(self.terminology))
 
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.assertions, self.terminology)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.assertions, self.terminology))
+
+    @cached_property
+    def _statement_facts(self) -> tuple[tuple[Violation, ...], frozenset[str]]:
+        """The violations of single statements, in statement order, and
+        the concept names the assertions use."""
+        violations = []
+        for constraint in self.assertions:
+            if constraint.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+                violations.append(
+                    Violation("bad-assertion", f"KB assertions must be nonstrict: {constraint}")
+                )
+            a = constraint.assertion
+            subjects = (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
+            for s in subjects:
+                if not isinstance(s, Individual):
+                    violations.append(
+                        Violation("bad-assertion", f"KB assertions range over individuals: {constraint}")
+                    )
+        # A wide ABox repeats a few concepts over many individuals, so
+        # each distinct concept is read once.
+        concepts = {c.assertion.concept for c in self.assertions
+                    if isinstance(c.assertion, ConceptAssertion)}
+        return tuple(violations), frozenset().union(*map(atomic_names, concepts))
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -67,27 +111,15 @@ class Violation:
     axiom_index: int = -1
 
 
-def _assertion_names(kb: KnowledgeBase) -> tuple[set[str], set[str]]:
-    """Concept and role names of the assertions.  A wide ABox repeats a
-    few concepts over many individuals, so each distinct concept is read
-    once."""
-    concepts: set[str] = set()
-    roles: set[str] = set()
-    distinct = set()
-    for constraint in kb.assertions:
-        a = constraint.assertion
-        if isinstance(a, RoleAssertion):
-            roles.add(a.role)
-        else:
-            distinct.add(a.concept)
-    for concept in distinct:
-        concepts |= atomic_names(concept)
-        roles |= role_names(concept)
-    return concepts, roles
-
-
 def validate(kb: KnowledgeBase) -> list[Violation]:
-    """Check KB well-formedness; an empty list means the KB is valid."""
+    """Check KB well-formedness; an empty list means the KB is valid.
+
+    Only the terminology is checked here.  The statement facts (the
+    form and subjects of each assertion, the concept names the
+    assertions use) are read from the KB, which computes them once, so
+    on a wide KB a call costs the size of its terminology.  Every call
+    returns a fresh list.
+    """
     violations: list[Violation] = []
     seen: dict[str, int] = {}
     for idx, axiom in enumerate(kb.terminology):
@@ -102,23 +134,11 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
         else:
             seen[axiom.lhs] = idx
 
-    for constraint in kb.assertions:
-        if constraint.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
-            violations.append(
-                Violation("bad-assertion", f"KB assertions must be nonstrict: {constraint}")
-            )
-        a = constraint.assertion
-        subjects = (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
-        for s in subjects:
-            if not isinstance(s, Individual):
-                violations.append(
-                    Violation("bad-assertion", f"KB assertions range over individuals: {constraint}")
-                )
+    statement_violations, assertion_concepts = kb._statement_facts
+    violations.extend(statement_violations)
 
     # Starred companions of specialized names must be fresh.
-    used_concepts, _ = _assertion_names(kb)
-    for axiom in kb.terminology:
-        used_concepts |= atomic_names(axiom.rhs)
+    used_concepts = assertion_concepts.union(*(atomic_names(axiom.rhs) for axiom in kb.terminology))
     for idx, axiom in enumerate(kb.terminology):
         if axiom.kind is AxiomKind.SPECIALIZATION and axiom.lhs + "*" in used_concepts:
             violations.append(
@@ -168,18 +188,24 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
 
 
 def _substitute(c: ConceptExpr, mapping: dict[str, ConceptExpr]) -> ConceptExpr:
+    """``c`` with every name in ``mapping`` replaced by its body.
+
+    A subtree that names no mapped concept is returned as it is, so an
+    unfolding shares every part it does not change.
+    """
     if isinstance(c, Atomic):
         return mapping.get(c.name, c)
-    if isinstance(c, And):
-        return And(_substitute(c.left, mapping), _substitute(c.right, mapping))
-    if isinstance(c, Or):
-        return Or(_substitute(c.left, mapping), _substitute(c.right, mapping))
+    if isinstance(c, (And, Or)):
+        left, right = _substitute(c.left, mapping), _substitute(c.right, mapping)
+        if left is c.left and right is c.right:
+            return c
+        return type(c)(left, right)
     if isinstance(c, Not):
-        return Not(_substitute(c.inner, mapping))
-    if isinstance(c, Forall):
-        return Forall(c.role, _substitute(c.filler, mapping))
-    if isinstance(c, Exists):
-        return Exists(c.role, _substitute(c.filler, mapping))
+        inner = _substitute(c.inner, mapping)
+        return c if inner is c.inner else Not(inner)
+    if isinstance(c, (Forall, Exists)):
+        filler = _substitute(c.filler, mapping)
+        return c if filler is c.filler else type(c)(c.role, filler)
     return c
 
 
@@ -216,21 +242,22 @@ def resolved_definitions(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
 
 
 def unfold_assertion(assertion: Assertion, resolved: dict[str, ConceptExpr]) -> Assertion:
-    """Replace defined names in an assertion's concept by their bodies."""
+    """Replace defined names in an assertion's concept by their bodies;
+    the assertion itself when it names none."""
     if isinstance(assertion, ConceptAssertion):
-        return ConceptAssertion(
-            _substitute(assertion.concept, resolved), assertion.subject
-        )
+        concept = _substitute(assertion.concept, resolved)
+        if concept is not assertion.concept:
+            return ConceptAssertion(concept, assertion.subject)
     return assertion
 
 
 def unfold_constraint(constraint: Constraint, resolved: dict[str, ConceptExpr]) -> Constraint:
-    """Replace defined names in a constraint's concept by their bodies."""
-    return Constraint(
-        unfold_assertion(constraint.assertion, resolved),
-        constraint.tbound,
-        constraint.fbound,
-    )
+    """Replace defined names in a constraint's concept by their bodies;
+    the constraint itself when it names none."""
+    assertion = unfold_assertion(constraint.assertion, resolved)
+    if assertion is constraint.assertion:
+        return constraint
+    return Constraint(assertion, constraint.tbound, constraint.fbound)
 
 
 def expand(kb: KnowledgeBase) -> KnowledgeBase:

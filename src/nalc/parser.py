@@ -20,6 +20,7 @@ binary floats would corrupt.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,6 +107,21 @@ _TOKEN_RE = re.compile(
 _Tok = tuple[str, str, int]  # kind, text, column
 
 
+# A wide KB repeats a handful of degree literals, so each distinct text
+# is converted, range-checked and made into a bound once.
+@functools.lru_cache(maxsize=1024)
+def _degree_literal(text: str) -> tuple[Fraction, bool]:
+    """The value of a degree literal and whether it lies in [0, 1]."""
+    value = Fraction(text)
+    return value, 0 <= value <= 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _bound(op: str, text: str) -> Bound:
+    """The bound ``op text``, for a literal that ``degree`` has accepted."""
+    return Bound(Rel(op), _degree_literal(text)[0])
+
+
 def _tokenize(text: str, line_no: int) -> list[_Tok]:
     """(kind, text, column) tokens of one line, ending in an ``eof`` token."""
     tokens = []
@@ -186,18 +202,19 @@ class _Parser:
         self.expect("rparen", "')'")
         return result
 
-    def degree(self) -> Fraction:
+    def degree(self) -> str:
+        """The text of a degree literal in [0, 1]."""
         kind, text, _ = self.peek()
         if kind != "number":
             self.fail("expected a degree literal")
         try:
-            value = Fraction(text)
+            in_range = _degree_literal(text)[1]
         except (ValueError, ZeroDivisionError):
             self.fail(f"bad degree literal {text!r}")
-        if not 0 <= value <= 1:
+        if not in_range:
             self.fail(f"degree {text} outside [0, 1]", "degree-range")
         self.next()
-        return value
+        return text
 
     def bounds(self) -> tuple[Bound, Bound]:
         """Parse ``>= n <= m`` or ``<= n >= m`` into (tbound, fbound)."""
@@ -211,9 +228,7 @@ class _Parser:
             self.fail(f"expected {wanted!r} after the first bound")
         self.next()
         m = self.degree()
-        if first == ">=":
-            return Bound(Rel.GE, n), Bound(Rel.LE, m)
-        return Bound(Rel.LE, n), Bound(Rel.GE, m)
+        return _bound(first, n), _bound(wanted, m)
 
     def bare_assertion(self):
         """``<concept>(<ind>)`` or ``<role>(<ind>,<ind>)``, no bounds."""

@@ -1,12 +1,14 @@
 """Top-level decision procedures over knowledge bases.
 
 Every procedure reaches one expanded KB the same way: each call passes
-the KB through ``kb.resolved_definitions``, the one validity gate.  The
-KB is prepared once, on its first call: its assertions are unfolded
-through the resolved map and added, unsaturated, to one hypothesis set
-that is kept for as long as the KB object lives.  Each task is then
-decided by refutation runs of ``tableau.complete`` that start from a
-copy of that set:
+the KB through ``kb.resolved_definitions``, the one validity gate, whose
+``validate`` reads the KB's cached statement facts and checks only its
+terminology.  The KB is prepared once, on its first call: its assertions
+are unfolded through the resolved map and added, unsaturated, to one
+hypothesis set that is kept for as long as the KB object lives.  So a
+call on a prepared KB walks none of its statements except in the one
+copy of that set a run starts from.  Each task is then decided by
+refutation runs of ``tableau.complete`` that start from that copy:
 
 * entailment adds the query's refutation constraint, and the query
   holds iff no completion is clash-free;
@@ -62,8 +64,10 @@ def _prepared(kb: KnowledgeBase):
     """The KB's entry in ``_PREPARED`` and the name-unfolding map for
     queries.
 
-    The KB is validated on every call; the entry is built on its first
-    call and shared by every later one.  Runs start from a copy of the
+    Every call validates the KB, and validate reads the KB's cached
+    statement facts, so it costs the size of the terminology.  The entry
+    is built on the first call and shared by every later one; the lookup
+    reads the KB's cached hash.  Runs start from a copy of the
     hypothesis set (``complete(..., base=root)``), which stays as built.
     Queries are posed against the same terminology as the KB, so any
     defined name they mention unfolds the same way.

@@ -599,16 +599,19 @@ def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
 def _children(s: ConstraintSet, engine: _Engine):
     """Branches of a set at its deterministic fixpoint, or None when complete.
 
-    Decomposition choices come before witness generation; the input set
-    is not modified.  Paired witness halves branch between one shared
-    witness and a witness per half.
+    Decomposition choices come before witness generation.  Paired witness
+    halves branch between one shared witness and a witness per half.  The
+    input set is consumed: every child but the last is copied from it
+    first, and the last (the only one of a single witness, the split one
+    of a paired witness) is the input set itself, grown in place.
     """
     found = engine.find_branches(s)
     if found is not None:
         c, label, key, premises, branches = found
+        last = len(branches) - 1
         out = []
-        for additions in branches:
-            child = s.copy()
+        for i, additions in enumerate(branches):
+            child = s if i == last else s.copy()
             child.processed.add(key)
             child.add(additions, label, premises)
             out.append(child)
@@ -616,16 +619,16 @@ def _children(s: ConstraintSet, engine: _Engine):
     found = engine.find_generation(s)
     if found is not None:
         c, label, premises, pending = found
-        shared = s.copy()
+        paired = len(pending) == 2
+        shared = s.copy() if paired else s
         shared.add(_witness(c, shared.fresh_variable(), pending), label, premises)
         out = [shared]
-        if len(pending) == 2:
-            split = s.copy()
-            x1 = split.fresh_variable()
-            x2 = split.fresh_variable()
+        if paired:
+            x1 = s.fresh_variable()
+            x2 = s.fresh_variable()
             additions = _witness(c, x1, pending[:1]) + _witness(c, x2, pending[1:])
-            split.add(additions, label + " split", premises)
-            out.append(split)
+            s.add(additions, label + " split", premises)
+            out.append(s)
         return out
     return None
 
@@ -633,14 +636,15 @@ def _children(s: ConstraintSet, engine: _Engine):
 def apply_rules(s: ConstraintSet):
     """Apply one rule; returns the branch list or None at a fixpoint.
 
-    The input set is not modified.  Deterministic rules return a single
-    branch; decomposition choices and witness generation return several.
+    The input set is not modified: the rules run on a copy of it.
+    Deterministic rules return a single branch; decomposition choices and
+    witness generation return several.
     """
     engine = _Engine(DEFAULT_MAX_STEPS)
     work = s.copy()
     if engine.apply_deterministic(work):
         return [work]
-    return _children(s, engine)
+    return _children(work, engine)
 
 
 def complete(
@@ -655,7 +659,9 @@ def complete(
     deterministic rules before any choice is made.  Returns the first
     clash-free completion, or, when there is none, the first clashed
     branch with its clash (the one ``CompletionResult.trace`` renders);
-    ``branch_count`` counts every branch explored.
+    ``branch_count`` counts every branch explored.  A branch is never read
+    again once it has been split, so the last child of each choice grows
+    in the parent's set and only the others are copies.
 
     ``base`` is a constraint set built once and shared by many runs, such
     as a KB's hypotheses: the search starts from a copy of it with each
