@@ -138,7 +138,10 @@ def _cmd_entails(args) -> int:
             query = parse_query(text)
         except ConceptSyntaxError as exc:
             raise _CliError(f"bad query {text!r}: {exc.error}")
-        answer, result = entails(kb, query, with_result=True)
+        if args.trace:
+            answer, result = entails(kb, query, with_result=True)
+        else:
+            answer = entails(kb, query)
         payload = {"query": text, "answer": answer}
         human = [f"{text}: {str(answer).lower()}"]
         if args.trace:

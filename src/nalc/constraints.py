@@ -231,10 +231,15 @@ class Constraint(FrozenValue):
         return _FORM_OF.get((self.tbound.rel, self.fbound.rel))
 
     def negated(self) -> "Constraint":
-        """The refutation constraint used for entailment queries.
+        """The paired complement of a nonstrict query, for rendering.
 
-        ``>= n <= m`` is refuted by adding ``< n > m`` and
-        ``<= n >= m`` by adding ``> n < m``.
+        ``>= n <= m`` becomes ``< n > m`` and ``<= n >= m`` becomes
+        ``> n < m``.  It decides nothing: a model of it violates *both*
+        halves of the query, while violating one is enough to refute it,
+        so queries are decided one half at a time (``_query_halves``).
+        When every half is refuted the paired run clashes as well, and
+        ``reasoner.entails`` renders that run as an entailed query's
+        derivation.
         """
         if self.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
             raise ValueError("only nonstrict constraints can be queried")
@@ -269,3 +274,18 @@ def conjugated(c1: Constraint, c2: Constraint) -> bool:
     if c1.fbound and c2.fbound and bounds_incompatible(c1.fbound, c2.fbound):
         return True
     return False
+
+
+def _query_halves(query: Constraint) -> list[tuple[Bound, str]]:
+    """The (bound, channel) halves a nonstrict query is decided by.
+
+    Truth and falsity are bounded separately, so the query holds iff
+    each of its halves does; a vacuous half holds of every degree and is
+    left out.
+    """
+    if query.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+        raise ValueError("only nonstrict constraints can be queried")
+    return [
+        (bound, ch) for bound, ch in ((query.tbound, "t"), (query.fbound, "f"))
+        if not vacuous(bound)
+    ]

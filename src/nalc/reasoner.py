@@ -4,26 +4,37 @@ Every procedure reaches one expanded KB the same way: each call passes
 the KB through ``kb.resolved_definitions``, the one validity gate, whose
 ``validate`` reads the KB's cached statement facts and checks only its
 terminology.  The KB is prepared once, on its first call: its assertions
-are unfolded through the resolved map and added, unsaturated, to one
-hypothesis set that is kept for as long as the KB object lives.  So a
-call on a prepared KB walks none of its statements except in the one
-copy of that set a run starts from.  Each task is then decided by
-refutation runs of ``tableau.complete`` that start from that copy:
+are unfolded through the resolved map, added to one hypothesis set and
+saturated there under the deterministic rules, and that set is kept for
+as long as the KB object lives.  So a call on a prepared KB neither
+walks its statements nor re-derives their deterministic closure, except
+in the one copy of that set a run starts from.
 
-* entailment adds the query's refutation constraint, and the query
-  holds iff no completion is clash-free;
+Every question is decided by one kind of run, ``_half_entailed``: it
+refutes a single bound on one component of an assertion, truth or
+falsity, by adding the bound's complement and searching the completions
+(``tableau.complete``); the bound holds iff none is clash-free.  Truth
+and falsity are bounded separately, so a paired bound holds iff each of
+its halves does, and a vacuous half (``>= 0`` on truth, ``<= 1`` on
+falsity) needs no run:
+
+* entailment refutes each non-vacuous half of the query in turn;
 * subsumption unfolds both concepts through the terminology once and
-  refutes the bound transfer from one to the other at every degree
-  pair of a fixed grid, over a fresh individual;
-* the best truth-value bounds search the degrees mentioned in the KB,
-  refuting one component at a time; entailment of a bound is monotone
-  in its degree, so the search gallops and then bisects.
+  scans the grid twice over a fresh individual: the truth bound of the
+  superconcept at each degree from the weakest premise that has that
+  truth bound, then its falsity bound likewise;
+* the best truth-value bounds search the degrees mentioned in the KB
+  for each component; entailment of a bound is monotone in its degree,
+  so the search gallops and then bisects.
 
-The bound scans test the two components separately (adding the half
-that refutes only the truth bound, then only the falsity bound).
-Refuting both at once would accept a candidate as soon as every model
-violates one side or the other, which inflates the bounds past the
-closed form they must reproduce for role assertions.
+A complement that clashes with the saturated set as it is added needs
+no run either (``tableau._unsatisfiable``): that run would build nothing
+but its copy of the set.  So on a wide KB a query costs about the same
+whether one of its halves is decided or both.
+
+Refuting both halves of a query at once (``Constraint.negated``) would
+accept a query as soon as every model violates one side or the other;
+that paired run only renders an entailed query's derivation.
 """
 
 from __future__ import annotations
@@ -40,13 +51,24 @@ from .constraints import (
     Constraint,
     DegreePair,
     Form,
+    Rel,
     RoleAssertion,
+    _query_halves,
     vacuous,
 )
 from .kb import KnowledgeBase, resolved_definitions, unfold_assertion, unfold_constraint
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not, nnf
-from .tableau import CompletionResult, ConstraintSet, Status, _make, complete
+from .tableau import (
+    DEFAULT_MAX_STEPS,
+    CompletionResult,
+    ConstraintSet,
+    Status,
+    _Engine,
+    _make,
+    _unsatisfiable,
+    complete,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -54,9 +76,9 @@ ONE = Fraction(1)
 SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 
-# KB -> [unfolded assertions, their unsaturated hypothesis set, the
-# glb/lub candidate degrees or None before the first bound search]; an
-# entry lives as long as its KB.
+# KB -> [unfolded assertions, their hypothesis set saturated under the
+# deterministic rules, the glb/lub candidate degrees or None before the
+# first bound search]; an entry lives as long as its KB.
 _PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -67,16 +89,21 @@ def _prepared(kb: KnowledgeBase):
     Every call validates the KB, and validate reads the KB's cached
     statement facts, so it costs the size of the terminology.  The entry
     is built on the first call and shared by every later one; the lookup
-    reads the KB's cached hash.  Runs start from a copy of the
-    hypothesis set (``complete(..., base=root)``), which stays as built.
-    Queries are posed against the same terminology as the KB, so any
-    defined name they mention unfolds the same way.
+    reads the KB's cached hash.  Building it saturates the hypotheses
+    under the deterministic rules, within ``DEFAULT_MAX_STEPS`` steps of
+    its own; past that ``ResourceExhausted`` propagates and no entry is
+    kept.  Runs start from a copy of the saturated set
+    (``complete(..., base=root)``), which stays as built.  Queries are
+    posed against the same terminology as the KB, so any defined name
+    they mention unfolds the same way.
     """
     resolved = resolved_definitions(kb)
     prepared = _PREPARED.get(kb)
     if prepared is None:
         assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
-        prepared = _PREPARED[kb] = [assertions, ConstraintSet.from_constraints(assertions), None]
+        root = ConstraintSet.from_constraints(assertions)
+        _Engine(DEFAULT_MAX_STEPS).saturate(root)
+        prepared = _PREPARED[kb] = [assertions, root, None]
     return prepared, resolved
 
 
@@ -88,17 +115,34 @@ def entails(
 ):
     """Does every model of the KB satisfy the (nonstrict) query?
 
-    Decided by refutation: ``>= n <= m`` queries add ``< n > m`` and
-    ``<= n >= m`` queries add ``> n < m``; the query holds iff the
-    extended constraint set has no clash-free completion.
+    True iff each non-vacuous half of the query is entailed, each
+    decided by its own refutation (``_half_entailed``); the first half
+    that a clash-free completion refutes settles False.  With
+    ``with_result`` every half gets a full run, and the answer
+    comes with a run to render: the refuting half's, whose witness is a
+    countermodel, for False; for True the run of the query's only
+    non-vacuous half, or else the paired run of ``query.negated()``,
+    which clashes whenever each half's run does.
     """
     (_, root, _), resolved = _prepared(kb)
     query = unfold_constraint(query, resolved)
-    result = complete([query.negated()], max_branches=max_branches, base=root)
-    answer = result.status is Status.UNSATISFIABLE
-    if with_result:
-        return answer, result
-    return answer
+    halves = _query_halves(query)
+    if not with_result:
+        return all(_half_entailed(root, query.assertion, ch, bound, max_branches)
+                   for bound, ch in halves)
+    for bound, ch in halves:
+        result = complete([_refutation(query.assertion, ch, bound)], max_branches=max_branches,
+                          base=root)
+        if result.status is Status.SATISFIABLE:
+            return False, result
+    if len(halves) != 1:
+        result = complete([query.negated()], max_branches=max_branches, base=root)
+    return True, result
+
+
+def _refutation(assertion: Assertion, ch: str, bound: Bound) -> Constraint:
+    """The complement of one bound on one component of an assertion."""
+    return _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
 
 
 def _half_entailed(
@@ -114,9 +158,7 @@ def _half_entailed(
         return True
     if not isinstance(base, ConstraintSet):
         base = ConstraintSet.from_constraints(base)
-    refuted = _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
-    result = complete([refuted], max_branches=max_branches, base=base)
-    return result.status is Status.UNSATISFIABLE
+    return _unsatisfiable(_refutation(assertion, ch, bound), base, max_branches)
 
 
 class BoundKind(enum.Enum):
@@ -228,11 +270,15 @@ def subsumes(
     """Does ``super_`` dominate ``sub`` in every model of the terminology?
 
     Both concepts are first rewritten through the (acyclic) terminology,
-    reducing to the empty-terminology case; then the bound-transfer
-    test runs for every degree pair of the grid over a fresh individual.
-    The concepts ride along as assertions of the one KB that is
-    validated, so the starred names that specializations reserve stay
-    out of them too.
+    reducing to the empty-terminology case.  Domination means that at
+    every grid pair (n, m), over a fresh individual, ``sub >= n <= m``
+    entails both halves of ``super_ >= n <= m``.  A weaker premise
+    entails less, so two scans decide all those pairs: the truth half
+    ``>= n`` from ``sub >= n <= max(grid)`` for each n, and the falsity
+    half ``<= m`` from ``sub >= min(grid) <= m`` for each m, at most
+    2 * len(grid) runs.  The concepts ride along as assertions of the
+    one KB that is validated, so the starred names that specializations
+    reserve stay out of them too.
     """
     probe = Individual("_probe")
     sub_a, super_a = ConceptAssertion(sub, probe), ConceptAssertion(super_, probe)
@@ -244,14 +290,13 @@ def subsumes(
         ConceptAssertion(nnf(unfold_assertion(a, resolved).concept), probe)
         for a in (sub_a, super_a)
     )
-    for n in grid:
-        for m in grid:
-            refuted = Constraint.geq_leq(super_a, n, m).negated()
-            result = complete([Constraint.geq_leq(sub_a, n, m), refuted],
-                              max_branches=max_branches)
-            if result.status is not Status.UNSATISFIABLE:
-                return False
-    return True
+    low, high = min(grid), max(grid)
+    scans = [((n, high), "t", Bound(Rel.GE, n)) for n in grid]
+    scans += [((low, m), "f", Bound(Rel.LE, m)) for m in grid]
+    return all(
+        _half_entailed([Constraint.geq_leq(sub_a, *premise)], super_a, ch, bound, max_branches)
+        for premise, ch, bound in scans
+    )
 
 
 def check_satisfiable(kb: KnowledgeBase, max_branches: int | None = None) -> CompletionResult:

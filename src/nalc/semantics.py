@@ -37,6 +37,7 @@ from .constraints import (
     DegreePair,
     Rel,
     RoleAssertion,
+    _query_halves,
     vacuous,
 )
 from .kb import AxiomKind, FuzzyAssertion, FuzzyRel, TerminologicalAxiom
@@ -833,20 +834,30 @@ def oracle_entails(
     grid: DegreeGrid | None = None,
     max_nodes: int = 5_000_000,
 ) -> bool:
-    """Brute-force entailment: no model satisfies the refuted query.
+    """Brute-force entailment: no model violates a half of the query.
 
-    The default grid contains every degree of the constraints and the
-    query plus the midpoints between neighbours; midpoints give the
-    strict refutation bounds room to be satisfied, mirroring the
-    midpoint choice model extraction makes.
+    One search per non-vacuous half of the query, each for a model of
+    the constraints with that half's complement; the query holds iff
+    none is found.  The default grid contains every degree of the
+    constraints and the query plus the midpoints between neighbours;
+    midpoints give the strict complements room to be satisfied,
+    mirroring the midpoint choice model extraction makes.
     """
     constraints = list(constraints)
-    refuted = constraints + [query.negated()]
+    halves = _query_halves(query)
+    posed = constraints + [query]
     if grid is None:
-        grid = DegreeGrid.containing(constraint_degrees(refuted)).with_midpoints()
+        grid = DegreeGrid.containing(constraint_degrees(posed)).with_midpoints()
     if domain_size is None:
-        domain_size = default_domain_size(refuted)
-    return exists_model(refuted, domain_size, grid, max_nodes=max_nodes) is None
+        domain_size = default_domain_size(posed)
+    for bound, ch in halves:
+        complement = Bound(bound.rel.complement, bound.value)
+        refuted = Constraint(query.assertion, complement if ch == "t" else None,
+                             complement if ch == "f" else None)
+        model = exists_model(constraints + [refuted], domain_size, grid, max_nodes=max_nodes)
+        if model is not None:
+            return False
+    return True
 
 
 # --- single-valued (fuzzy) oracle --------------------------------------

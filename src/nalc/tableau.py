@@ -65,7 +65,7 @@ from .constraints import (
     conjugated,
     vacuous,
 )
-from .semantics import FiniteInterpretation, _term, takes_min
+from .semantics import FiniteInterpretation, takes_min
 from .syntax import (
     And,
     Atomic,
@@ -219,8 +219,14 @@ class ConstraintSet:
                 return c
         return None
 
-    def _check_clash(self, c: Constraint) -> ClashInfo | None:
-        step = self.step_of[c]
+    def _clashes_with(self, c: Constraint) -> bool:
+        """Would adding ``c`` as one more hypothesis clash at once?  The
+        set itself is left as it is."""
+        if self.clash is not None:
+            return True
+        return c not in self.step_of and self._check_clash(c, len(self.steps) + 1) is not None
+
+    def _check_clash(self, c: Constraint, step: int) -> ClashInfo | None:
         for bound, ch in ((c.tbound, "t"), (c.fbound, "f")):
             if bound is None:
                 continue
@@ -231,7 +237,7 @@ class ConstraintSet:
                 return ClashInfo(f"strict bound {bound} is unsatisfiable", (step,))
             concept = c.assertion.concept if isinstance(c.assertion, ConceptAssertion) else None
             if isinstance(concept, (Top, Bottom)):
-                fixed = int(_term(concept, ch, single=False)[1])
+                fixed = int(isinstance(concept, Top) == (ch == "t"))
                 if not bound.holds(fixed):
                     name = "top" if isinstance(concept, Top) else "bottom"
                     return ClashInfo(
@@ -261,7 +267,7 @@ class ConstraintSet:
         self.steps.append(Step(number, tuple(new), rule, tuple(sorted(set(premises)))))
         if self.clash is None:
             for c in new:
-                info = self._check_clash(c)
+                info = self._check_clash(c, number)
                 if info is not None:
                     self.clash = info
                     break
@@ -390,6 +396,11 @@ class _Engine:
             raise ResourceExhausted(f"step ceiling {self.max_steps} exceeded")
 
     # -- deterministic pass -------------------------------------------
+
+    def saturate(self, s: ConstraintSet) -> None:
+        """Fire deterministic rules until none fires or the set clashes."""
+        while s.clash is None and self.apply_deterministic(s):
+            pass
 
     def apply_deterministic(self, s: ConstraintSet) -> bool:
         """Fire the first deterministic rule in constraint order, if any.
@@ -668,7 +679,9 @@ def complete(
     of ``constraints`` added as one more hypothesis, and ``base`` itself
     is never modified.  For ``base = ConstraintSet.from_constraints(h)``
     that start is ``from_constraints(h + constraints)``, so every step,
-    branch and model is the one the longer list gives.
+    branch and model is the one the longer list gives.  A base may also
+    come already saturated under the deterministic rules; the steps that
+    took are not counted against ``max_steps``.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
@@ -684,19 +697,33 @@ def complete(
         branch_count += 1
         if branch_count > max_branches:
             raise ResourceExhausted(f"branch ceiling {max_branches} exceeded")
-        while True:
-            if s.clash is not None:
-                if not clashes:
-                    clashes = ((s, s.clash),)
-                break
-            if engine.apply_deterministic(s):
-                continue
-            children = _children(s, engine)
-            if children is None:
-                return CompletionResult(Status.SATISFIABLE, s, clashes, branch_count)
-            stack.extend(reversed(children))
-            break
+        engine.saturate(s)
+        if s.clash is not None:
+            if not clashes:
+                clashes = ((s, s.clash),)
+            continue
+        children = _children(s, engine)
+        if children is None:
+            return CompletionResult(Status.SATISFIABLE, s, clashes, branch_count)
+        stack.extend(reversed(children))
     return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
+
+
+def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None = None) -> bool:
+    """Does ``complete([c], max_branches, base=base)`` find no clash-free
+    completion?
+
+    The same answer, with the same ceilings, but when ``c`` clashes with
+    ``base`` as it is added no run is made: that start set clashes before
+    any rule fires, so the run would explore that one branch and build
+    nothing but its copy of ``base``, which on a wide KB is most of what a
+    run costs.
+    """
+    if max_branches is None:
+        max_branches = _env_max_branches()
+    if max_branches >= 1 and base._clashes_with(c):
+        return True
+    return complete([c], max_branches=max_branches, base=base).status is Status.UNSATISFIABLE
 
 
 # --- model extraction ---------------------------------------------------
