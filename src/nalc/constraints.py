@@ -289,3 +289,12 @@ def _query_halves(query: Constraint) -> list[tuple[Bound, str]]:
         (bound, ch) for bound, ch in ((query.tbound, "t"), (query.fbound, "f"))
         if not vacuous(bound)
     ]
+
+
+def _refutation(assertion: Assertion, ch: str, bound: Bound) -> Constraint:
+    """The complement of one bound on one channel of an assertion: the
+    half a query is entailed by iff no model satisfies this."""
+    complement = Bound(bound.rel.complement, bound.value)
+    if ch == "t":
+        return Constraint(assertion, complement, None)
+    return Constraint(assertion, None, complement)

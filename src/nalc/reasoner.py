@@ -19,10 +19,10 @@ its halves does, and a vacuous half (``>= 0`` on truth, ``<= 1`` on
 falsity) needs no run:
 
 * entailment refutes each non-vacuous half of the query in turn;
-* subsumption unfolds both concepts through the terminology once and
-  scans the grid twice over a fresh individual: the truth bound of the
-  superconcept at each degree from the weakest premise that has that
-  truth bound, then its falsity bound likewise;
+* subsumption poses the subconcept at the grid's greatest and least
+  degrees on two fresh individuals of one KB, prepared like any other,
+  and refutes the superconcept's truth bound on the first and its
+  falsity bound on the second, the two thresholds that decide the grid;
 * the best truth-value bounds search the degrees mentioned in the KB
   for each component; entailment of a bound is monotone in its degree,
   so the search gallops and then bisects.
@@ -54,18 +54,18 @@ from .constraints import (
     Rel,
     RoleAssertion,
     _query_halves,
+    _refutation,
     vacuous,
 )
 from .kb import KnowledgeBase, resolved_definitions, unfold_assertion, unfold_constraint
 from .semantics import constraint_degrees
-from .syntax import ConceptExpr, Individual, Not, nnf
+from .syntax import ConceptExpr, Individual, Not
 from .tableau import (
     DEFAULT_MAX_STEPS,
     CompletionResult,
     ConstraintSet,
     Status,
     _Engine,
-    _make,
     _unsatisfiable,
     complete,
 )
@@ -140,25 +140,18 @@ def entails(
     return True, result
 
 
-def _refutation(assertion: Assertion, ch: str, bound: Bound) -> Constraint:
-    """The complement of one bound on one component of an assertion."""
-    return _make(assertion, [(Bound(bound.rel.complement, bound.value), ch)])
-
-
 def _half_entailed(
-    base: ConstraintSet | list[Constraint],
+    root: ConstraintSet,
     assertion: Assertion,
     ch: str,
     bound: Bound,
     max_branches: int | None = None,
 ) -> bool:
-    """Is the single-component bound forced in every model of ``base``,
-    a prepared hypothesis set or a list of constraints?"""
+    """Is the single-component bound forced in every model of the
+    prepared hypothesis set ``root``?"""
     if vacuous(bound):
         return True
-    if not isinstance(base, ConstraintSet):
-        base = ConstraintSet.from_constraints(base)
-    return _unsatisfiable(_refutation(assertion, ch, bound), base, max_branches)
+    return _unsatisfiable(_refutation(assertion, ch, bound), root, max_branches)
 
 
 class BoundKind(enum.Enum):
@@ -269,34 +262,39 @@ def subsumes(
 ) -> bool:
     """Does ``super_`` dominate ``sub`` in every model of the terminology?
 
-    Both concepts are first rewritten through the (acyclic) terminology,
-    reducing to the empty-terminology case.  Domination means that at
-    every grid pair (n, m), over a fresh individual, ``sub >= n <= m``
-    entails both halves of ``super_ >= n <= m``.  A weaker premise
-    entails less, so two scans decide all those pairs: the truth half
-    ``>= n`` from ``sub >= n <= max(grid)`` for each n, and the falsity
-    half ``<= m`` from ``sub >= min(grid) <= m`` for each m, at most
-    2 * len(grid) runs.  The concepts ride along as assertions of the
-    one KB that is validated, so the starred names that specializations
-    reserve stay out of them too.
+    Domination means that at every grid pair (n, m), over a fresh
+    individual, ``sub >= n <= m`` entails both halves of
+    ``super_ >= n <= m``.  A weaker premise entails less, so the truth
+    halves are decided by ``sub >= n <= g1`` giving ``super_ t>= n`` for
+    each n, and the falsity halves by ``sub >= g0 <= m`` giving
+    ``super_ f<= m`` for each m (g0, g1 the least and greatest grid
+    degrees).  Each channel of a concept is a min/max/sup/inf term over
+    the doubled signature, so a monotone map of the degrees commutes with
+    it: sending those below n to 0, those in [n, g1] to n' and those
+    above g1 to 1 moves a counterexample at truth threshold n > 0 to any
+    other n' > 0 of the grid.  So n = g1 decides the truth scan and,
+    dually, m = g0 the falsity scan.
+
+    Both probes sit in one prepared KB, on individuals no role links:
+    ``sub(o_t) >= g1 <= g1`` and ``sub(o_f) >= g0 <= g0``, each
+    satisfiable (every cell at the degree) unless the truth of ``sub`` is
+    constantly 0, and then neither is; so sharing changes no answer, and
+    a call makes at most 2 runs.  A vacuous ``super_(o_t) >= 0 <= 1``
+    keeps the names that specializations reserve out of both concepts.
     """
-    probe = Individual("_probe")
-    sub_a, super_a = ConceptAssertion(sub, probe), ConceptAssertion(super_, probe)
-    resolved = resolved_definitions(KnowledgeBase(
-        (Constraint.geq_leq(sub_a, 0, 1), Constraint.geq_leq(super_a, 0, 1)),
-        tuple(terminology),
-    ))
-    sub_a, super_a = (
-        ConceptAssertion(nnf(unfold_assertion(a, resolved).concept), probe)
-        for a in (sub_a, super_a)
-    )
-    low, high = min(grid), max(grid)
-    scans = [((n, high), "t", Bound(Rel.GE, n)) for n in grid]
-    scans += [((low, m), "f", Bound(Rel.LE, m)) for m in grid]
-    return all(
-        _half_entailed([Constraint.geq_leq(sub_a, *premise)], super_a, ch, bound, max_branches)
-        for premise, ch, bound in scans
-    )
+    if not grid:
+        raise ValueError(f"subsumption needs a non-empty grid of degrees, got {grid!r}")
+    low, high = Fraction(min(grid)), Fraction(max(grid))
+    o_t, o_f = Individual("_probe_t"), Individual("_probe_f")
+    (assertions, root, _), _ = _prepared(KnowledgeBase((
+        Constraint.geq_leq(ConceptAssertion(sub, o_t), high, high),
+        Constraint.geq_leq(ConceptAssertion(sub, o_f), low, low),
+        Constraint.geq_leq(ConceptAssertion(super_, o_t), 0, 1),
+    ), tuple(terminology)))
+    super_ = assertions[2].assertion.concept  # unfolded through the terminology
+    halves = ((o_t, "t", Bound(Rel.GE, high)), (o_f, "f", Bound(Rel.LE, low)))
+    return all(_half_entailed(root, ConceptAssertion(super_, o), ch, bound, max_branches)
+               for o, ch, bound in halves)
 
 
 def check_satisfiable(kb: KnowledgeBase, max_branches: int | None = None) -> CompletionResult:

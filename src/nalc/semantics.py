@@ -38,6 +38,7 @@ from .constraints import (
     Rel,
     RoleAssertion,
     _query_halves,
+    _refutation,
     vacuous,
 )
 from .kb import AxiomKind, FuzzyAssertion, FuzzyRel, TerminologicalAxiom
@@ -851,9 +852,7 @@ def oracle_entails(
     if domain_size is None:
         domain_size = default_domain_size(posed)
     for bound, ch in halves:
-        complement = Bound(bound.rel.complement, bound.value)
-        refuted = Constraint(query.assertion, complement if ch == "t" else None,
-                             complement if ch == "f" else None)
+        refuted = _refutation(query.assertion, ch, bound)
         model = exists_model(constraints + [refuted], domain_size, grid, max_nodes=max_nodes)
         if model is not None:
             return False

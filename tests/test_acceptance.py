@@ -16,6 +16,7 @@ from nalc import (
     Bound,
     ConceptAssertion,
     Constraint,
+    ConstraintSet,
     DegreePair,
     Exists,
     FiniteInterpretation,
@@ -375,6 +376,7 @@ def test_acceptance_6_btvb(capsys):
                                  atoms=["A", "B"], roles=["R"], individuals=["a", "b"])
         assertions = list(kb.assertions)
         target = ConceptAssertion(rand_concept(rng, 1, ["A", "B"], ["R"]), a)
+        hypotheses = ConstraintSet.from_constraints(assertions)
 
         computed = glb(kb, target).bound
         degrees = sorted(
@@ -382,11 +384,11 @@ def test_acceptance_6_btvb(capsys):
             | {F(0), F(1)}
         )
         best_n = max(
-            (n for n in degrees if _half_entailed(assertions, target, "t", Bound(Rel.GE, n))),
+            (n for n in degrees if _half_entailed(hypotheses, target, "t", Bound(Rel.GE, n))),
             default=F(0),
         )
         best_m = min(
-            (m for m in degrees if _half_entailed(assertions, target, "f", Bound(Rel.LE, m))),
+            (m for m in degrees if _half_entailed(hypotheses, target, "f", Bound(Rel.LE, m))),
             default=F(1),
         )
         if computed != DegreePair(best_n, best_m):

@@ -23,6 +23,7 @@ from nalc import (
     Bound,
     ConceptAssertion,
     Constraint,
+    DegreeGrid,
     Individual,
     KnowledgeBase,
     Or,
@@ -33,6 +34,7 @@ from nalc import (
     check_satisfiable,
     complete,
     entails,
+    exists_model,
     expand,
     extract_model,
     oracle_entails,
@@ -43,6 +45,8 @@ from nalc import (
 )
 from nalc.cli import run
 from nalc.constraints import vacuous
+from nalc.kb import resolved_definitions, unfold_assertion
+from nalc.semantics import default_domain_size
 from nalc.tableau import _unsatisfiable
 from genutil import QUARTERS, rand_assertional_kb, rand_concept, rand_kb_constraint, rand_query
 
@@ -142,10 +146,14 @@ def _reference_subsumes(sub, super_, grid):
     return True
 
 
+def _unfolded(concept, resolved):
+    return unfold_assertion(ConceptAssertion(concept, PROBE), resolved).concept
+
+
 class TestSubsumptionScans:
-    def _pairs(self, rng, count):
+    def _pairs(self, rng, count, atoms=("A", "B", "C")):
         for _ in range(count):
-            sub, super_ = rand_concept(rng, 2), rand_concept(rng, 2)
+            sub, super_ = rand_concept(rng, 2, atoms), rand_concept(rng, 2, atoms)
             pick = rng.random()
             if pick < 0.25:
                 super_ = Or(sub, super_)
@@ -167,6 +175,31 @@ class TestSubsumptionScans:
     def test_a_grid_without_the_extremes_matches_every_per_half_pair(self):
         self._check(random.Random(812), (F(1, 4), F(3, 4)), 60)
 
+    @pytest.mark.parametrize("seed, grid", [
+        (814, (F(0), F(1, 2))),
+        (815, (F(1, 2), F(1))),
+        (816, (F(0),)),
+        (817, (F(1),)),
+        (818, (F(1, 5), F(2, 3), F(9, 10))),
+    ])
+    def test_more_grids_match_every_per_half_pair(self, seed, grid):
+        self._check(random.Random(seed), grid, 40)
+
+    @pytest.mark.parametrize("grid", [QUARTERS, (F(1, 4), F(3, 4)), (F(1),)])
+    def test_a_terminology_matches_every_per_half_pair_of_the_unfolded_concepts(self, grid):
+        rng = random.Random(819)
+        answers = set()
+        for _ in range(12):
+            terminology = _terminology_kb(rng).terminology
+            resolved = resolved_definitions(KnowledgeBase((), terminology))
+            for sub, super_ in self._pairs(rng, 4, atoms=("A", "B", "D1", "D2")):
+                answer = subsumes(terminology, sub, super_, grid=grid)
+                expected = _reference_subsumes(_unfolded(sub, resolved),
+                                               _unfolded(super_, resolved), grid)
+                assert answer == expected, (terminology, sub, super_)
+                answers.add(answer)
+        assert answers == {True, False}
+
     def test_at_most_two_runs_per_grid_degree(self, monkeypatch):
         # One refutation per call, whether a run or a clash at once decides it.
         runs = []
@@ -178,14 +211,48 @@ class TestSubsumptionScans:
 
         monkeypatch.setattr(nalc.reasoner, "_unsatisfiable", counting)
         rng = random.Random(813)
-        for grid in (QUARTERS, (F(1, 4), F(3, 4)), (F(1, 3),)):
+        for grid in (QUARTERS, (F(1, 4), F(3, 4)), (F(1, 3),), (F(0),), (F(1),),
+                     (F(1, 5), F(2, 3), F(9, 10))):
             for sub, super_ in self._pairs(rng, 20):
                 runs.clear()
                 subsumes((), sub, super_, grid=grid)
                 assert len(runs) <= 2 * len(grid)
+                assert len(runs) <= 2
         runs.clear()
         assert subsumes((), Atomic("A"), Or(Atomic("A"), Atomic("B")))
-        assert len(runs) == 8  # the vacuous halves >= 0 and <= 1 take no run
+        assert len(runs) == 2  # truth at the greatest grid degree, falsity at the least
+
+    def test_an_empty_grid_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="non-empty grid"):
+            subsumes((), Atomic("A"), Atomic("A"), grid=())
+
+
+class TestSubsumptionCut:
+    """On the quarter grid a subsumption fails iff a two-valued model
+    gives the subconcept truth 1 and the superconcept truth below 1, so
+    one cut at 1 decides all the grid's thresholds on both channels.
+    Checked by the enumerator alone, without the tableau."""
+
+    def test_the_answer_is_a_two_valued_countermodel_search(self):
+        rng = random.Random(4243)
+        probe = Individual("o")
+        answers = {True: 0, False: 0}
+        for _ in range(300):
+            sub, super_ = (rand_concept(rng, rng.randint(0, 3)) for _ in range(2))
+            pick = rng.random()
+            if pick < 0.25:
+                super_ = Or(sub, super_)
+            elif pick < 0.5:
+                sub = And(super_, sub)
+            refuted = [
+                Constraint(ConceptAssertion(sub, probe), Bound(Rel.GE, F(1)), None),
+                Constraint(ConceptAssertion(super_, probe), Bound(Rel.LT, F(1)), None),
+            ]
+            model = exists_model(refuted, default_domain_size(refuted), DegreeGrid((F(0), F(1))))
+            answer = subsumes((), sub, super_)
+            assert answer == (model is None), (sub, super_)
+            answers[answer] += 1
+        assert min(answers.values()) >= 50
 
 
 def _terminology_kb(rng):

@@ -157,7 +157,7 @@ class TestPreparedKb:
 
     @pytest.mark.parametrize("kind", ["glb", "lub"])
     def test_the_bound_search_finds_what_a_linear_scan_finds(self, kind):
-        from nalc import Bound, Rel
+        from nalc import Bound, ConstraintSet, Rel
         from nalc.reasoner import _half_entailed
 
         tenths = [F(k, 10) for k in range(11)]
@@ -166,8 +166,8 @@ class TestPreparedKb:
             kb = rand_assertional_kb(rng, size=rng.randint(2, 4), depth=1,
                                      individuals=["a"], degrees=tenths)
             target = ConceptAssertion(rand_concept(rng, 1), a)
-            assertions = list(kb.assertions)
-            degrees = sorted({d for c in assertions for d in (c.tbound.value, c.fbound.value)}
+            assertions = ConstraintSet.from_constraints(kb.assertions)
+            degrees = sorted({d for c in kb.assertions for d in (c.tbound.value, c.fbound.value)}
                              | {F(0), F(1)})
             rels = (Rel.GE, Rel.LE) if kind == "glb" else (Rel.LE, Rel.GE)
             expected = []
@@ -296,14 +296,14 @@ class TestGlb:
 
     def test_glb_is_entailed_and_maximal(self):
         from nalc.reasoner import _half_entailed
-        from nalc import Bound, Rel
+        from nalc import Bound, ConstraintSet, Rel
 
         rng = random.Random(53)
         for _ in range(40):
             kb = rand_assertional_kb(rng, size=2, depth=1, individuals=["a"])
             target = ConceptAssertion(rand_concept(rng, 1), a)
             bound = glb(kb, target).bound
-            assertions = list(kb.assertions)
+            assertions = ConstraintSet.from_constraints(kb.assertions)
             assert _half_entailed(assertions, target, "t", Bound(Rel.GE, bound.n))
             assert _half_entailed(assertions, target, "f", Bound(Rel.LE, bound.m))
             degrees = sorted({d for c in kb.assertions for d in (c.tbound.value, c.fbound.value)} | {F(0), F(1)})
