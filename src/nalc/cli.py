@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--sub", required=True, help="candidate subsumee concept")
     p.add_argument("--super", required=True, help="candidate subsumer concept")
-    p.add_argument("--grid", help="comma-separated degree pairs grid override")
+    p.add_argument("--grid", help="comma-separated degrees, each checked to lie in [0, 1];"
+                   " the answer is the same on every grid")
 
     for kind in ("glb", "lub"):
         p = sub.add_parser(kind, help=f"{kind} of an assertion's degree bounds")

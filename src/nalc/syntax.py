@@ -206,13 +206,6 @@ def atomic_names(c: ConceptExpr) -> frozenset[str]:
     return frozenset(s.name for s in subconcepts(c) if isinstance(s, Atomic))
 
 
-def role_names(c: ConceptExpr) -> frozenset[str]:
-    """Role names occurring in ``c``."""
-    return frozenset(
-        s.role for s in subconcepts(c) if isinstance(s, (Forall, Exists))
-    )
-
-
 def quantifier_depth(c: ConceptExpr) -> int:
     """Maximal nesting depth of role restrictions in ``c``."""
     if isinstance(c, (Top, Bottom, Atomic)):

@@ -192,8 +192,7 @@ class ConstraintSet:
 
     def objects(self):
         seen: dict = {}
-        for c in self.constraints:
-            a = c.assertion
+        for a in self.by_assertion:  # assertions in order of first constraint
             seen.update(dict.fromkeys(
                 (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
             ))
@@ -729,7 +728,9 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
 # --- model extraction ---------------------------------------------------
 
 def _pick(bounds, low: bool) -> Fraction:
-    """The value nearest one end of [0, 1] that the bounds allow.
+    """The value nearest one end of [0, 1] that the bounds allow
+    (``None`` entries, the channel a half constraint leaves open, are
+    skipped).
 
     It sits on the strongest bound facing that end (the lower bounds
     for ``low``, else the upper ones); a strict one moves it to the
@@ -739,6 +740,8 @@ def _pick(bounds, low: bool) -> Fraction:
     """
     lower = upper = None
     for b in bounds:
+        if b is None:
+            continue
         if b.rel.is_lower:
             if lower is None or b.value > lower.value or (
                 b.value == lower.value and b.rel.is_strict
@@ -784,28 +787,15 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     def element(obj) -> str:
         return obj.name if isinstance(obj, Individual) else f"?{obj}"
 
-    t_bounds: dict = {}
-    f_bounds: dict = {}
-    for c in s.constraints:
-        a = c.assertion
+    for a, bucket in s.by_assertion.items():
         if isinstance(a, ConceptAssertion):
             if not isinstance(a.concept, Atomic):
                 continue
-            key = ("c", a.concept.name, element(a.subject))
+            table, key = interp.concept_table, (a.concept.name, element(a.subject))
         else:
-            key = ("r", a.role, element(a.subject), element(a.target))
-        if c.tbound is not None:
-            t_bounds.setdefault(key, []).append(c.tbound)
-        if c.fbound is not None:
-            f_bounds.setdefault(key, []).append(c.fbound)
-
-    for key in sorted(set(t_bounds) | set(f_bounds), key=str):
-        t = _pick(t_bounds.get(key, ()), low=True)
-        f = _pick(f_bounds.get(key, ()), low=False)
-        if key[0] == "c":
-            interp.concept_table[(key[1], key[2])] = DegreePair(t, f)
-        else:
-            interp.role_table[(key[1], key[2], key[3])] = DegreePair(t, f)
+            table, key = interp.role_table, (a.role, element(a.subject), element(a.target))
+        table[key] = DegreePair(_pick((c.tbound for c in bucket), low=True),
+                                _pick((c.fbound for c in bucket), low=False))
     return interp
 
 

@@ -181,6 +181,8 @@ class TestSubsumptionScans:
         (816, (F(0),)),
         (817, (F(1),)),
         (818, (F(1, 5), F(2, 3), F(9, 10))),
+        (820, (F(1, 3),)),
+        (821, (F(0), F(1))),
     ])
     def test_more_grids_match_every_per_half_pair(self, seed, grid):
         self._check(random.Random(seed), grid, 40)
@@ -217,14 +219,19 @@ class TestSubsumptionScans:
                 runs.clear()
                 subsumes((), sub, super_, grid=grid)
                 assert len(runs) <= 2 * len(grid)
-                assert len(runs) <= 2
+                assert len(runs) == 1
         runs.clear()
         assert subsumes((), Atomic("A"), Or(Atomic("A"), Atomic("B")))
-        assert len(runs) == 2  # truth at the greatest grid degree, falsity at the least
+        assert len(runs) == 1  # the superconcept's truth at 1, whatever the grid
 
     def test_an_empty_grid_is_rejected_by_name(self):
         with pytest.raises(ValueError, match="non-empty grid"):
             subsumes((), Atomic("A"), Atomic("A"), grid=())
+
+    @pytest.mark.parametrize("grid", [(F(3, 2),), (F(-1, 2), F(1, 2))])
+    def test_a_grid_degree_outside_the_unit_interval_is_rejected(self, grid):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            subsumes((), Atomic("A"), Atomic("A"), grid=grid)
 
 
 class TestSubsumptionCut:
