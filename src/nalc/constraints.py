@@ -18,6 +18,7 @@ realised by different successors; they have no surface syntax.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,15 @@ class DegreePair:
         _check_degree(self.n, "first bound")
         _check_degree(self.m, "second bound")
 
+    @classmethod
+    def _unchecked(cls, n: Fraction, m: Fraction) -> "DegreePair":
+        """The pair of two values the caller knows lie in [0, 1], built
+        without checking them again."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "n", n)
+        object.__setattr__(pair, "m", m)
+        return pair
+
 
 @frozen_value
 class ConceptAssertion(FrozenValue):
@@ -92,13 +102,11 @@ class Rel(enum.Enum):
     LE = "<="
     LT = "<"
 
-    @property
-    def is_lower(self) -> bool:
-        return self in (Rel.GE, Rel.GT)
-
-    @property
-    def is_strict(self) -> bool:
-        return self in (Rel.GT, Rel.LT)
+    def __init__(self, symbol: str):
+        # Plain attributes, not properties: the clash check reads them for
+        # every bound of every new constraint.
+        self.is_lower = symbol[0] == ">"
+        self.is_strict = len(symbol) == 1
 
     @property
     def complement(self) -> "Rel":
@@ -142,6 +150,14 @@ def vacuous(bound: Bound) -> bool:
     )
 
 
+# The two relations between bounds below are memoized: the tableau asks
+# them for every pair of bounds that meet on an assertion, a KB holds few
+# distinct bounds, and a ``Bound`` keeps its hash.  The caches are bounded
+# so that a long-lived process that sees many KBs keeps a fixed size.
+_BOUND_PAIRS = 1 << 16
+
+
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
 def bound_implies(given: Bound, wanted: Bound) -> bool:
     """Does ``x given`` force ``x wanted`` for every x in [0, 1]?"""
     if given.rel.is_lower != wanted.rel.is_lower:
@@ -156,6 +172,7 @@ def bound_implies(given: Bound, wanted: Bound) -> bool:
     return g <= w
 
 
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
 def bounds_incompatible(a: Bound, b: Bound) -> bool:
     """Is ``{x : x a and x b}`` empty within [0, 1]?
 

@@ -46,6 +46,7 @@ a new successor opens new edge choices.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import os
@@ -53,12 +54,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import (
+    _BOUND_PAIRS,
     Assertion,
     Bound,
     ConceptAssertion,
     Constraint,
     DegreePair,
-    Rel,
     RoleAssertion,
     bound_implies,
     bounds_incompatible,
@@ -100,7 +101,7 @@ class Status(enum.Enum):
     UNSATISFIABLE = "unsatisfiable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     number: int
     constraints: tuple[Constraint, ...]
@@ -164,7 +165,7 @@ class ConstraintSet:
     def from_constraints(constraints) -> "ConstraintSet":
         s = ConstraintSet()
         for c in constraints:
-            s.add([c], "hypothesis", [])
+            s.add((c,), "hypothesis", ())
         return s
 
     def copy(self) -> "ConstraintSet":
@@ -193,28 +194,29 @@ class ConstraintSet:
     def objects(self):
         seen: dict = {}
         for a in self.by_assertion:  # assertions in order of first constraint
-            seen.update(dict.fromkeys(
-                (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
-            ))
+            seen[a.subject] = None
+            if isinstance(a, RoleAssertion):
+                seen[a.target] = None
         return list(seen)
 
-    def channel_bounds(self, assertion: Assertion, ch: str):
-        """(constraint, bound) pairs bounding one component of an assertion."""
-        out = []
-        for c in self.by_assertion.get(assertion, ()):
-            bound = c.tbound if ch == "t" else c.fbound
-            if bound is not None:
-                out.append((c, bound))
-        return out
-
     def implied(self, assertion: Assertion, ch: str, wanted: Bound) -> bool:
+        """Does some bound on channel ``ch`` of the assertion force ``wanted``?"""
         if vacuous(wanted):
             return True
-        return any(bound_implies(b, wanted) for _, b in self.channel_bounds(assertion, ch))
+        truth = ch == "t"
+        for c in self.by_assertion.get(assertion, ()):
+            bound = c.tbound if truth else c.fbound
+            if bound is not None and bound_implies(bound, wanted):
+                return True
+        return False
 
     def refuter(self, assertion: Assertion, ch: str, candidate: Bound):
-        for c, b in self.channel_bounds(assertion, ch):
-            if bounds_incompatible(b, candidate):
+        """The first constraint whose bound on channel ``ch`` of the
+        assertion rules out ``candidate``, or None."""
+        truth = ch == "t"
+        for c in self.by_assertion.get(assertion, ()):
+            bound = c.tbound if truth else c.fbound
+            if bound is not None and bounds_incompatible(bound, candidate):
                 return c
         return None
 
@@ -226,44 +228,52 @@ class ConstraintSet:
         return c not in self.step_of and self._check_clash(c, len(self.steps) + 1) is not None
 
     def _check_clash(self, c: Constraint, step: int) -> ClashInfo | None:
-        for bound, ch in ((c.tbound, "t"), (c.fbound, "f")):
+        """The clash ``c`` exposes on its own or with a constraint of its
+        assertion: its truth bound is checked before its falsity bound."""
+        a = c.assertion
+        constant = isinstance(a, ConceptAssertion) and isinstance(a.concept, (Top, Bottom))
+        bucket = self.by_assertion.get(a, ())
+        for truth in (True, False):
+            bound = c.tbound if truth else c.fbound
             if bound is None:
                 continue
+            rel = bound.rel
             # Strict bounds with no room in [0, 1].
-            if (bound.rel is Rel.GT and bound.value == 1) or (
-                bound.rel is Rel.LT and bound.value == 0
-            ):
+            if rel.is_strict and bound.value == (1 if rel.is_lower else 0):
                 return ClashInfo(f"strict bound {bound} is unsatisfiable", (step,))
-            concept = c.assertion.concept if isinstance(c.assertion, ConceptAssertion) else None
-            if isinstance(concept, (Top, Bottom)):
-                fixed = int(isinstance(concept, Top) == (ch == "t"))
+            if constant:
+                ch = "t" if truth else "f"
+                fixed = int(isinstance(a.concept, Top) == truth)
                 if not bound.holds(fixed):
-                    name = "top" if isinstance(concept, Top) else "bottom"
+                    name = "top" if isinstance(a.concept, Top) else "bottom"
                     return ClashInfo(
                         f"{name} concept has {ch}-value {fixed}, violating {bound}", (step,)
                     )
-            for other, other_bound in self.channel_bounds(c.assertion, ch):
+            for other in bucket:
                 if other is c:
                     continue
-                if bounds_incompatible(other_bound, bound):
+                other_bound = other.tbound if truth else other.fbound
+                if other_bound is not None and bounds_incompatible(other_bound, bound):
                     return ClashInfo(
-                        f"conjugated pair on {c.assertion}",
-                        tuple(sorted({self.step_of[other], step})),
+                        f"conjugated pair on {a}", tuple(sorted({self.step_of[other], step}))
                     )
         return None
 
     def add(self, constraints, rule: str, premises) -> bool:
         """Record one rule firing; returns False when nothing is new."""
-        new = [c for c in constraints if c not in self.step_of]
+        step_of = self.step_of
+        new = tuple([c for c in constraints if c not in step_of])
         if not new:
             return False
         number = len(self.steps) + 1
+        by_assertion = self.by_assertion
         for c in new:
             self._index(c, len(self.constraints))
             self.constraints.append(c)
-            self.step_of[c] = number
-            self.by_assertion[c.assertion] = self.by_assertion.get(c.assertion, ()) + (c,)
-        self.steps.append(Step(number, tuple(new), rule, tuple(sorted(set(premises)))))
+            step_of[c] = number
+            a = c.assertion
+            by_assertion[a] = by_assertion.get(a, ()) + (c,)
+        self.steps.append(Step(number, new, rule, tuple(sorted(set(premises)))))
         if self.clash is None:
             for c in new:
                 info = self._check_clash(c, number)
@@ -727,6 +737,19 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
 
 # --- model extraction ---------------------------------------------------
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
+def _tighter(b: Bound, than: Bound) -> bool:
+    """Does ``b`` bound more tightly than ``than``, a bound in the same
+    direction, or as tightly and strictly?"""
+    if b.value == than.value:
+        return b.rel.is_strict
+    return (b.value > than.value) == b.rel.is_lower
+
+
 def _pick(bounds, low: bool) -> Fraction:
     """The value nearest one end of [0, 1] that the bounds allow
     (``None`` entries, the channel a half constraint leaves open, are
@@ -736,24 +759,21 @@ def _pick(bounds, low: bool) -> Fraction:
     for ``low``, else the upper ones); a strict one moves it to the
     midpoint between that bound and the strongest opposite bound (or
     the far end).  The high pick is one minus the low pick of the
-    mirrored bounds.
+    mirrored bounds.  Every pick is 0, 1, a bound's value or the
+    midpoint of two values in [0, 1], so it lies in [0, 1] itself.
     """
     lower = upper = None
     for b in bounds:
         if b is None:
             continue
         if b.rel.is_lower:
-            if lower is None or b.value > lower.value or (
-                b.value == lower.value and b.rel.is_strict
-            ):
+            if lower is None or _tighter(b, lower):
                 lower = b
-        elif upper is None or b.value < upper.value or (
-            b.value == upper.value and b.rel.is_strict
-        ):
+        elif upper is None or _tighter(b, upper):
             upper = b
     near, far = (lower, upper) if low else (upper, lower)
     if near is None:
-        return Fraction(0 if low else 1)
+        return ZERO if low else ONE
     if not near.rel.is_strict:
         return near.value
     return (near.value + (far.value if far is not None else (1 if low else 0))) / 2
@@ -783,19 +803,18 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     if not domain:
         domain = ("d0",)
     interp = FiniteInterpretation(tuple(domain), {name: name for name in individuals})
-
-    def element(obj) -> str:
-        return obj.name if isinstance(obj, Individual) else f"?{obj}"
-
+    element = {o: o.name if isinstance(o, Individual) else f"?{o}" for o in objects}
+    concepts, roles = interp.concept_table, interp.role_table
     for a, bucket in s.by_assertion.items():
         if isinstance(a, ConceptAssertion):
             if not isinstance(a.concept, Atomic):
                 continue
-            table, key = interp.concept_table, (a.concept.name, element(a.subject))
+            table, key = concepts, (a.concept.name, element[a.subject])
         else:
-            table, key = interp.role_table, (a.role, element(a.subject), element(a.target))
-        table[key] = DegreePair(_pick((c.tbound for c in bucket), low=True),
-                                _pick((c.fbound for c in bucket), low=False))
+            table, key = roles, (a.role, element[a.subject], element[a.target])
+        # Each pick lies in [0, 1] already (``_pick``).
+        table[key] = DegreePair._unchecked(_pick([c.tbound for c in bucket], low=True),
+                                           _pick([c.fbound for c in bucket], low=False))
     return interp
 
 

@@ -40,7 +40,7 @@ from nalc import (
 )
 from nalc.constraints import vacuous
 from nalc.semantics import default_domain_size
-from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine
+from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine, _pick
 from genutil import QUARTER_GRID, QUARTERS, rand_assertional_kb, rand_interpretation, stable_seed
 
 F = Fraction
@@ -98,6 +98,37 @@ class TestClashTable:
         info = find_clash(pair)
         assert info is not None and "conjugated" in info.message
 
+    @pytest.mark.parametrize(
+        "text, clash",
+        [
+            # Two conjugated pairs: the pair completed first wins, though
+            # the other pair's first constraint comes earlier.
+            (
+                "assert A(a) >= 0.75 <= 0.25\n"
+                "assert B(b) >= 0.5 <= 0.5\n"
+                "assert B(b) <= 0.25 >= 0.75\n"
+                "assert A(a) <= 0.5 >= 0\n",
+                "clash : (2), (3) : conjugated pair on B(b)",
+            ),
+            # One constraint conjugated with two others, on different
+            # channels: its truth bound is checked first.
+            (
+                "assert A(a) >= 0 <= 0.25\n"
+                "assert A(a) >= 0.75 <= 1\n"
+                "assert A(a) <= 0.5 >= 0.5\n",
+                "clash : (2), (3) : conjugated pair on A(a)",
+            ),
+        ],
+    )
+    def test_the_first_conjugated_pair_is_the_clash(self, text, clash):
+        kb = parse_kb(text)
+        assert ConstraintSet.from_constraints(kb.assertions).clash.render() == clash
+        trace = check_satisfiable(kb).trace
+        assert trace[-1] == clash
+        assert trace[:-1] == [
+            f"({k}) {c}   [hypothesis]" for k, c in enumerate(kb.assertions, 1)
+        ]
+
 
 class TestConjugationTable:
     def lower_nonstrict(self, n, m):
@@ -149,6 +180,18 @@ class TestConjugationTable:
 
 class TestComplements:
     """Refutation bounds: each complement holds exactly where its bound fails."""
+
+    @pytest.mark.parametrize(
+        "rel, lower, strict, complement",
+        [
+            (Rel.GE, True, False, Rel.LT),
+            (Rel.GT, True, True, Rel.LE),
+            (Rel.LE, False, False, Rel.GT),
+            (Rel.LT, False, True, Rel.GE),
+        ],
+    )
+    def test_relation_attributes(self, rel, lower, strict, complement):
+        assert (rel.is_lower, rel.is_strict, rel.complement) == (lower, strict, complement)
 
     @pytest.mark.parametrize("rel", list(Rel))
     def test_complement_holds_exactly_where_the_bound_fails(self, rel):
@@ -292,6 +335,46 @@ class TestExtractModel:
         interp = extract_model(ConstraintSet.from_constraints([]))
         assert interp.concept_table == {} and interp.role_table == {}
         assert interp.concept_value("A", interp.domain[0]) == DegreePair(F(0), F(1))
+
+    def test_extraction_matches_checked_picks(self):
+        """Each table entry is the checked pair of its bucket's picks.
+
+        ``extract_model`` builds its pairs without checking the degrees
+        again; the reference here checks every one.  Each KB also runs
+        with its bounds made strict, so that picks move to midpoints.
+        """
+        strict = {Rel.GE: Rel.GT, Rel.LE: Rel.LT}
+        checked = {"drawn": 0, "strict": 0}
+        for seed in range(300):
+            drawn = rand_assertional_kb(random.Random(seed)).assertions
+            variants = {"drawn": drawn, "strict": [
+                Constraint(c.assertion, Bound(strict[c.tbound.rel], c.tbound.value),
+                           Bound(strict[c.fbound.rel], c.fbound.value))
+                for c in drawn
+            ]}
+            for name, constraints in variants.items():
+                result = complete(list(constraints))
+                if result.status is Status.SATISFIABLE:
+                    self._assert_checked_picks(result.witness, (seed, name))
+                    checked[name] += 1
+        assert checked["drawn"] > 200 and checked["strict"] > 50, checked
+
+    @staticmethod
+    def _assert_checked_picks(s, case):
+        element = variable_assignment(s)
+        element.update((o, o.name) for o in s.objects() if isinstance(o, Individual))
+        concepts, roles = {}, {}
+        for x, bucket in s.by_assertion.items():
+            pair = DegreePair(_pick([c.tbound for c in bucket], low=True),
+                              _pick([c.fbound for c in bucket], low=False))
+            if isinstance(x, RoleAssertion):
+                roles[(x.role, element[x.subject], element[x.target])] = pair
+            elif isinstance(x.concept, Atomic):
+                concepts[(x.concept.name, element[x.subject])] = pair
+        interp = extract_model(s)
+        assert (interp.concept_table, interp.role_table) == (concepts, roles), case
+        for pair in (*concepts.values(), *roles.values()):
+            assert 0 <= pair.n <= 1 and 0 <= pair.m <= 1, (case, pair)
 
     def test_extraction_satisfies_random_completions(self):
         rng = random.Random(37)
