@@ -156,18 +156,23 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
     stack: list[str] = []
 
     def visit(name: str) -> list[str] | None:
-        if name not in deps or state.get(name) == 1:
-            return None
-        if state.get(name) == 0:
-            return stack[stack.index(name):] + [name]
-        state[name] = 0
-        stack.append(name)
-        for dep in sorted(deps[name]):
-            cycle = visit(dep)
-            if cycle is not None:
-                return cycle
-        stack.pop()
-        state[name] = 1
+        """The first cycle a depth-first walk from ``name`` meets, taking
+        dependencies in sorted order.  A loop, so a long chain needs no
+        recursion; on a cycle it leaves ``stack`` and ``state`` as they
+        stand."""
+        todo = [iter((name,))]
+        while todo:
+            dep = next(todo[-1], None)
+            if dep is None:
+                todo.pop()
+                if todo:
+                    state[stack.pop()] = 1
+            elif dep in deps and state.get(dep) != 1:
+                if state.get(dep) == 0:
+                    return stack[stack.index(dep):] + [dep]
+                state[dep] = 0
+                stack.append(dep)
+                todo.append(iter(sorted(deps[dep])))
         return None
 
     reported: set[frozenset[str]] = set()
@@ -175,13 +180,18 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
         cycle = visit(name)
         if cycle is not None and frozenset(cycle) not in reported:
             reported.add(frozenset(cycle))
-            violations.append(
-                Violation(
-                    "cycle",
-                    "cyclic definitions: " + " -> ".join(cycle),
-                    index_of[cycle[0]],
+            # A walk that meets a cycle reported before leaves its path
+            # marked, so a later walk can stop on a stale path that is no
+            # cycle of the terminology; only a path along definitions is
+            # reported.
+            if all(b in deps[a] for a, b in zip(cycle, cycle[1:])):
+                violations.append(
+                    Violation(
+                        "cycle",
+                        "cyclic definitions: " + " -> ".join(cycle),
+                        index_of[cycle[0]],
+                    )
                 )
-            )
             state.clear()
             stack.clear()
     return violations
@@ -227,17 +237,24 @@ def resolved_definitions(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
         else:
             definitions[axiom.lhs] = axiom.rhs
 
+    # Each name after the names its body uses, in the body's order; the
+    # walk keeps its own stack, so a long chain needs no recursion.
     resolved: dict[str, ConceptExpr] = {}
-
-    def resolve(name: str) -> ConceptExpr:
-        if name not in resolved:
+    for root in definitions:
+        todo = [root]
+        while todo:
+            name = todo[-1]
+            if name in resolved:
+                todo.pop()
+                continue
             body = definitions[name]
-            mapping = {dep: resolve(dep) for dep in atomic_names(body) if dep in definitions}
-            resolved[name] = _substitute(body, mapping)
-        return resolved[name]
-
-    for name in definitions:
-        resolve(name)
+            deps = [dep for dep in atomic_names(body) if dep in definitions]
+            pending = [dep for dep in deps if dep not in resolved]
+            if pending:
+                todo.extend(reversed(pending))
+                continue
+            todo.pop()
+            resolved[name] = _substitute(body, {dep: resolved[dep] for dep in deps})
     return resolved
 
 

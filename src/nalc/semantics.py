@@ -3,7 +3,9 @@
 Concepts evaluate to a pair of degrees: the truth component composes
 with min/max and the falsity component with the dual operator, while
 negation swaps the two.  Quantifiers take the pointwise best value
-over the finite domain, so inf and sup are attained.
+over the finite domain, so inf and sup are attained.  A single-valued
+interpretation is read through its ``(x, 1 - x)`` embedding, so one
+evaluator and one model check serve both semantics.
 
 Truth and falsity never meet in a cell, so each channel of a concept
 reads alone as a negation-free fuzzy-ALC term over a doubled signature
@@ -722,7 +724,7 @@ def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
     return {k: dag.lo[n] for k, n in dag.cells.items()}
 
 
-def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
+def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
             single: bool):
     """Grid search shared by both oracles.
 
@@ -732,7 +734,13 @@ def _search(bounded, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
     a model, where ``degrees`` maps every cell read to its degree, or
     None when there is no model.
     """
-    objects = [o for a, _, _ in bounded for o in _objects(a)]
+    bounded = [
+        (c.assertion, bound, ch)
+        for c in constraints
+        for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
+        if bound is not None
+    ]
+    objects = [o for c in constraints for o in _objects(c.assertion)]
     individuals = sorted({o.name for o in objects if isinstance(o, Individual)})
     if domain_size < max(1, len(individuals)):
         raise ValueError("domain too small for the named individuals")
@@ -774,13 +782,7 @@ def exists_model(
     """
     constraints = list(constraints)
     axioms = list(axioms)
-    bounded = [
-        (c.assertion, bound, ch)
-        for c in constraints
-        for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
-        if bound is not None
-    ]
-    found = _search(bounded, axioms, domain_size, grid, max_nodes, single=False)
+    found = _search(constraints, axioms, domain_size, grid, max_nodes, single=False)
     if found is None:
         return None
     domain, ind_map, assignment, degrees = found
@@ -795,6 +797,12 @@ def exists_model(
     for role in {k[1] for k in degrees if k[0] == "r"}:
         for d1, d2 in itertools.product(domain, repeat=2):
             interp.role_table[(role, d1, d2)] = pair("r", role, d1, d2)
+    return _checked(interp, constraints, assignment, axioms)
+
+
+def _checked(interp: FiniteInterpretation, constraints, assignment, axioms) -> FiniteInterpretation:
+    """``interp``, which the search returned as a model: it must satisfy
+    every constraint under ``assignment`` and every axiom."""
     if all(satisfies(interp, c, assignment) for c in constraints) and all(
         satisfies_axiom(interp, ax) for ax in axioms
     ):
@@ -844,19 +852,24 @@ def oracle_entails(
     midpoints give the strict complements room to be satisfied,
     mirroring the midpoint choice model extraction makes.
     """
-    constraints = list(constraints)
-    halves = _query_halves(query)
+    return _entailed(list(constraints), query, _query_halves(query), domain_size, grid,
+                     lambda refuted, n, g: exists_model(refuted, n, g, max_nodes=max_nodes))
+
+
+def _entailed(constraints, query: Constraint, halves, domain_size, grid, model) -> bool:
+    """Refutation driver shared by both oracles: does ``model`` find no
+    model of the constraints plus the complement of any (bound, channel)
+    half of the query?  The constraints and the query set the default
+    grid (their degrees plus midpoints) and the default domain."""
     posed = constraints + [query]
     if grid is None:
         grid = DegreeGrid.containing(constraint_degrees(posed)).with_midpoints()
     if domain_size is None:
         domain_size = default_domain_size(posed)
-    for bound, ch in halves:
-        refuted = _refutation(query.assertion, ch, bound)
-        model = exists_model(constraints + [refuted], domain_size, grid, max_nodes=max_nodes)
-        if model is not None:
-            return False
-    return True
+    return all(
+        model(constraints + [_refutation(query.assertion, ch, bound)], domain_size, grid) is None
+        for bound, ch in halves
+    )
 
 
 # --- single-valued (fuzzy) oracle --------------------------------------
@@ -875,30 +888,22 @@ class FuzzyInterpretation:
         return self.role_table.get((role, e1, e2), ZERO)
 
 
+def _embedded(interp: FuzzyInterpretation) -> FiniteInterpretation:
+    """The two-channel interpretation that reads each degree ``x`` as the
+    pair ``(x, 1 - x)``; a missing entry stays ``(0, 1)``."""
+    return FiniteInterpretation(
+        interp.domain,
+        interp.individual_map,
+        {k: DegreePair(v, 1 - v) for k, v in interp.concept_table.items()},
+        {k: DegreePair(v, 1 - v) for k, v in interp.role_table.items()},
+    )
+
+
 def fuzzy_eval(interp: FuzzyInterpretation, c: ConceptExpr, element: str) -> Fraction:
-    if isinstance(c, Top):
-        return ONE
-    if isinstance(c, Bottom):
-        return ZERO
-    if isinstance(c, Atomic):
-        return interp.concept_value(c.name, element)
-    if isinstance(c, Not):
-        return 1 - fuzzy_eval(interp, c.inner, element)
-    if isinstance(c, And):
-        return min(fuzzy_eval(interp, c.left, element), fuzzy_eval(interp, c.right, element))
-    if isinstance(c, Or):
-        return max(fuzzy_eval(interp, c.left, element), fuzzy_eval(interp, c.right, element))
-    if isinstance(c, Forall):
-        return min(
-            max(1 - interp.role_value(c.role, element, d), fuzzy_eval(interp, c.filler, d))
-            for d in interp.domain
-        )
-    if isinstance(c, Exists):
-        return max(
-            min(interp.role_value(c.role, element, d), fuzzy_eval(interp, c.filler, d))
-            for d in interp.domain
-        )
-    raise TypeError(f"not a concept expression: {c!r}")
+    """The single-valued degree of ``c`` at a domain element: the truth of
+    ``eval_concept`` on the ``(x, 1 - x)`` embedding, whose falsity then
+    stays one minus its truth under every connective."""
+    return eval_concept(_embedded(interp), c, element).n
 
 
 def fuzzy_exists_model(
@@ -914,11 +919,11 @@ def fuzzy_exists_model(
     pairs (strict bounds welcome); ``axioms`` are checked pointwise.
     This is the two-valued search with one truth cell per name, the
     falsity channel read as one minus truth.  A returned model is
-    checked against every bound and axiom under ``fuzzy_eval``.
+    checked as its embedding, with each bound on truth.
     """
-    bounded = [(a, bound, "t") for a, bound in bounded_assertions]
+    constraints = [Constraint(a, bound, None) for a, bound in bounded_assertions]
     axioms = list(axioms)
-    found = _search(bounded, axioms, domain_size, grid, max_nodes, single=True)
+    found = _search(constraints, axioms, domain_size, grid, max_nodes, single=True)
     if found is None:
         return None
     domain, ind_map, assignment, degrees = found
@@ -928,24 +933,8 @@ def fuzzy_exists_model(
             interp.concept_table[key[1:3]] = value
         else:
             interp.role_table[key[1:4]] = value
-
-    def element(obj) -> str:
-        return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
-
-    def value(a: Assertion) -> Fraction:
-        if isinstance(a, RoleAssertion):
-            return interp.role_value(a.role, element(a.subject), element(a.target))
-        return fuzzy_eval(interp, a.concept, element(a.subject))
-
-    def meets(ax: TerminologicalAxiom, d: str) -> bool:
-        name, rhs = interp.concept_value(ax.lhs, d), fuzzy_eval(interp, ax.rhs, d)
-        return name <= rhs if ax.kind is AxiomKind.SPECIALIZATION else name == rhs
-
-    if all(bound.holds(value(a)) for a, bound, _ in bounded) and all(
-        meets(ax, d) for ax in axioms for d in domain
-    ):
-        return interp
-    raise AssertionError("search produced a non-model; pruning is unsound")
+    _checked(_embedded(interp), constraints, assignment, axioms)
+    return interp
 
 
 def fuzzy_entails(
@@ -957,18 +946,15 @@ def fuzzy_entails(
 ) -> bool:
     """Single-valued entailment by refuted-query model search."""
 
-    def bound(fa: FuzzyAssertion) -> Bound:
-        return Bound(Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE, fa.degree)
+    def truth_only(fa: FuzzyAssertion) -> Constraint:
+        rel = Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE
+        return Constraint(fa.assertion, Bound(rel, fa.degree), None)
 
-    wanted = bound(query)
-    if vacuous(wanted):
-        return True  # every degree meets the query: its refutation is empty
-    bounded = [(fa.assertion, bound(fa)) for fa in fkb.assertions]
-    bounded.append((query.assertion, Bound(wanted.rel.complement, wanted.value)))
-    if grid is None:
-        grid = DegreeGrid.containing(b.value for _, b in bounded).with_midpoints()
-    if domain_size is None:
-        query_like = [Constraint(a, Bound(Rel.GE, ZERO), None) for a, _ in bounded]
-        domain_size = default_domain_size(query_like)
-    model = fuzzy_exists_model(bounded, fkb.terminology, domain_size, grid, max_nodes)
-    return model is None
+    wanted = truth_only(query)
+    # a vacuous query holds of every degree: it has no refutation
+    halves = [] if vacuous(wanted.tbound) else [(wanted.tbound, "t")]
+    return _entailed(
+        [truth_only(fa) for fa in fkb.assertions], wanted, halves, domain_size, grid,
+        lambda refuted, n, g: fuzzy_exists_model(
+            [(c.assertion, c.tbound) for c in refuted], fkb.terminology, n, g, max_nodes),
+    )

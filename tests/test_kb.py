@@ -14,7 +14,9 @@ from nalc import (
     FuzzyRel,
     Individual,
     KnowledgeBase,
+    Status,
     TerminologicalAxiom,
+    check_satisfiable,
     embed_fuzzy,
     entails,
     expand,
@@ -25,6 +27,8 @@ from nalc import (
     star,
     validate,
 )
+from nalc import cli
+from nalc.kb import resolved_definitions
 from genutil import rand_fuzzy_kb
 
 from test_parser import EXAMPLE_KB
@@ -69,6 +73,36 @@ class TestValidate:
             (axiom("A", AxiomKind.SPECIALIZATION, Atomic("B")),),
         )
         assert any(v.kind == "name-collision" for v in validate(kb))
+
+
+class TestLongDefinitionChains:
+    """A long flat terminology needs no recursion depth: the cycle check
+    and the unfolding walk it with their own stacks."""
+
+    N = 1200
+
+    def test_top_down_chain_is_valid_and_resolves(self, tmp_path):
+        lines = [f"define A{i} = A{i - 1}" for i in range(self.N - 1, 0, -1)]
+        lines += ["define A0 = B", f"assert A{self.N - 1}(a) >= 0.5 <= 0.5"]
+        path = tmp_path / "chain.nalc"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        kb = parse_kb(path.read_text(encoding="utf-8"))
+        assert resolved_definitions(kb)[f"A{self.N - 1}"] == B
+        assert check_satisfiable(kb).status is Status.SATISFIABLE
+        assert cli.run(["check", str(path)]) == 0
+
+    def test_long_cycle_is_one_violation(self):
+        """A cycle written top-down gives one violation naming it, and no
+        path that is not a cycle of the terminology."""
+        n = self.N
+        kb = KnowledgeBase(
+            (), tuple(axiom(f"A{i}", AxiomKind.DEFINITION, Atomic(f"A{(i - 1) % n}"))
+                      for i in range(n - 1, -1, -1))
+        )
+        walk = " -> ".join(f"A{i % n}" for i in range(2 * n - 1, n - 2, -1))
+        assert [(v.kind, v.message, v.axiom_index) for v in validate(kb)] == [
+            ("cycle", "cyclic definitions: " + walk, 0)
+        ]
 
 
 class TestExpand:

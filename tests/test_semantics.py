@@ -309,6 +309,40 @@ class TestSingleChannelTerms:
                     assert point == (one_valued * scale,) * 2, (c, ch)
 
 
+class TestFuzzyEval:
+    """Hand-worked single-valued degrees on a fixed two-element
+    interpretation: A is 3/4 at d0 and 1/4 at d1, B is 1/2 at both,
+    R(d0, d0) is 1/4 and R(d0, d1) is 3/4; every other entry is 0."""
+
+    INTERP = FuzzyInterpretation(
+        ("d0", "d1"),
+        {"a": "d0"},
+        {("A", "d0"): F(3, 4), ("A", "d1"): F(1, 4), ("B", "d0"): F(1, 2), ("B", "d1"): F(1, 2)},
+        {("R", "d0", "d0"): F(1, 4), ("R", "d0", "d1"): F(3, 4)},
+    )
+
+    @pytest.mark.parametrize("concept, element, degree", [
+        (TOP, "d0", 1),
+        (BOT, "d0", 0),
+        (Not(A), "d0", F(1, 4)),  # 1 - 3/4
+        (And(A, B), "d0", F(1, 2)),  # min(3/4, 1/2)
+        (Or(A, B), "d0", F(3, 4)),  # max(3/4, 1/2)
+        # min(max(1 - 1/4, 3/4), max(1 - 3/4, 1/4))
+        (Forall("R", A), "d0", F(1, 4)),
+        # max(min(1/4, 1/2), min(3/4, 1/2))
+        (Exists("R", B), "d0", F(1, 2)),
+        # d1 has no R-successor to a positive degree
+        (Forall("R", A), "d1", 1),
+        (Exists("R", A), "d1", 0),
+    ])
+    def test_hand_worked_degrees(self, concept, element, degree):
+        assert fuzzy_eval(self.INTERP, concept, element) == degree
+
+    def test_unknown_element_is_an_error(self):
+        with pytest.raises(ValueError):
+            fuzzy_eval(self.INTERP, A, "d2")
+
+
 class TestFuzzyExistsModel:
     def test_returned_models_meet_every_bound_and_axiom(self):
         rng = random.Random(1618)
