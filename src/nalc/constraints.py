@@ -247,6 +247,16 @@ class Constraint(FrozenValue):
             return None
         return _FORM_OF.get((self.tbound.rel, self.fbound.rel))
 
+    @property
+    def nonstrict(self) -> bool:
+        """Is this ``>= n <= m`` or ``<= n >= m``, the shape of a KB
+        assertion and of a query?  It reads the relations' plain
+        attributes, not ``form``: a KB asks it of every statement, and an
+        enum member hashes through a Python-level call."""
+        t, f = self.tbound, self.fbound
+        return (t is not None and f is not None and not (t.rel.is_strict or f.rel.is_strict)
+                and t.rel.is_lower != f.rel.is_lower)
+
     def negated(self) -> "Constraint":
         """The paired complement of a nonstrict query, for rendering.
 
@@ -258,7 +268,7 @@ class Constraint(FrozenValue):
         ``reasoner.entails`` renders that run as an entailed query's
         derivation.
         """
-        if self.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+        if not self.nonstrict:
             raise ValueError("only nonstrict constraints can be queried")
         t, f = self.tbound, self.fbound
         return Constraint(
@@ -300,7 +310,7 @@ def _query_halves(query: Constraint) -> list[tuple[Bound, str]]:
     each of its halves does; a vacuous half holds of every degree and is
     left out.
     """
-    if query.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+    if not query.nonstrict:
         raise ValueError("only nonstrict constraints can be queried")
     return [
         (bound, ch) for bound, ch in ((query.tbound, "t"), (query.fbound, "f"))

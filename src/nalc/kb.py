@@ -21,7 +21,6 @@ from .constraints import (
     DegreePair,
     Form,
     Rel,
-    RoleAssertion,
 )
 from .syntax import (
     And,
@@ -53,12 +52,12 @@ class KnowledgeBase:
     """Assertions and terminology, with what the reasoner reads of them
     on every call computed once per object.
 
-    The hash and the statement facts (``_statement_facts``: the
-    per-statement violations and the assertions' concept names) are
-    cached on the KB the first time they are asked for, so a call on a
-    prepared KB does not walk its statements again.  A copy or an
-    unpickled KB is rebuilt through the constructor and computes them
-    afresh: string hashes are salted per process.
+    The hash, the violations ``validate`` reports and the unfolded
+    definitions are cached on the KB the first time they are asked for:
+    a KB is frozen, so a call on a prepared KB walks neither its
+    statements nor its terminology again.  A copy or an unpickled KB is
+    rebuilt through the constructor and computes them afresh: string
+    hashes are salted per process.
     """
 
     assertions: tuple[Constraint, ...]
@@ -81,27 +80,14 @@ class KnowledgeBase:
         return hash((self.assertions, self.terminology))
 
     @cached_property
-    def _statement_facts(self) -> tuple[tuple[Violation, ...], frozenset[str]]:
-        """The violations of single statements, in statement order, and
-        the concept names the assertions use."""
-        violations = []
-        for constraint in self.assertions:
-            if constraint.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
-                violations.append(
-                    Violation("bad-assertion", f"KB assertions must be nonstrict: {constraint}")
-                )
-            a = constraint.assertion
-            subjects = (a.subject, a.target) if isinstance(a, RoleAssertion) else (a.subject,)
-            for s in subjects:
-                if not isinstance(s, Individual):
-                    violations.append(
-                        Violation("bad-assertion", f"KB assertions range over individuals: {constraint}")
-                    )
-        # A wide ABox repeats a few concepts over many individuals, so
-        # each distinct concept is read once.
-        concepts = {c.assertion.concept for c in self.assertions
-                    if isinstance(c.assertion, ConceptAssertion)}
-        return tuple(violations), frozenset().union(*map(atomic_names, concepts))
+    def _violations(self) -> tuple[Violation, ...]:
+        return tuple(_find_violations(self))
+
+    @cached_property
+    def _resolved(self) -> dict[str, ConceptExpr]:
+        """The unfolded definitions, which ``resolved_definitions`` reads
+        once the KB has passed ``validate``."""
+        return _unfold_definitions(self.terminology)
 
 
 @dataclass(frozen=True)
@@ -114,12 +100,43 @@ class Violation:
 def validate(kb: KnowledgeBase) -> list[Violation]:
     """Check KB well-formedness; an empty list means the KB is valid.
 
-    Only the terminology is checked here.  The statement facts (the
-    form and subjects of each assertion, the concept names the
-    assertions use) are read from the KB, which computes them once, so
-    on a wide KB a call costs the size of its terminology.  Every call
-    returns a fresh list.
+    The check runs once per KB object and is cached on it, so on a wide
+    KB only the first call walks the statements.  Every call returns a
+    fresh list.
     """
+    return list(kb._violations)
+
+
+def _statement_facts(assertions) -> tuple[list[Violation], frozenset[str]]:
+    """The violations of single statements, in statement order, and the
+    concept names the assertions use."""
+    violations = []
+    # A wide ABox repeats a few concepts over many individuals, and a
+    # parsed KB shares its leaves, so concepts are gathered by identity
+    # first and each distinct one is read once.
+    by_id = {}
+    for constraint in assertions:
+        if not constraint.nonstrict:
+            violations.append(
+                Violation("bad-assertion", f"KB assertions must be nonstrict: {constraint}")
+            )
+        a = constraint.assertion
+        if isinstance(a, ConceptAssertion):
+            by_id[id(a.concept)] = a.concept
+            subjects = (a.subject,)
+        else:
+            subjects = (a.subject, a.target)
+        for s in subjects:
+            if not isinstance(s, Individual):
+                violations.append(
+                    Violation("bad-assertion", f"KB assertions range over individuals: {constraint}")
+                )
+    concepts = set(by_id.values())
+    return violations, frozenset().union(*map(atomic_names, concepts))
+
+
+def _find_violations(kb: KnowledgeBase) -> list[Violation]:
+    """Every violation of the KB, for ``validate`` to cache."""
     violations: list[Violation] = []
     seen: dict[str, int] = {}
     for idx, axiom in enumerate(kb.terminology):
@@ -134,7 +151,7 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
         else:
             seen[axiom.lhs] = idx
 
-    statement_violations, assertion_concepts = kb._statement_facts
+    statement_violations, assertion_concepts = _statement_facts(kb.assertions)
     violations.extend(statement_violations)
 
     # Starred companions of specialized names must be fresh.
@@ -225,13 +242,19 @@ def resolved_definitions(kb: KnowledgeBase) -> dict[str, ConceptExpr]:
     Specializations ``A < C`` contribute the definition ``A = C and A*``
     with a fresh starred atomic concept.  This is the one validity gate
     of the reasoner: an invalid KB raises ``ValueError`` naming its first
-    violation.
+    violation.  The unfolding is cached on the KB; every call validates
+    it (from the cached check) and returns a fresh dict.
     """
     problems = validate(kb)
     if problems:
         raise ValueError("invalid KB: " + problems[0].message)
+    return dict(kb._resolved)
+
+
+def _unfold_definitions(terminology) -> dict[str, ConceptExpr]:
+    """The unfolded definitions of a terminology that ``validate`` passes."""
     definitions: dict[str, ConceptExpr] = {}
-    for axiom in kb.terminology:
+    for axiom in terminology:
         if axiom.kind is AxiomKind.SPECIALIZATION:
             definitions[axiom.lhs] = And(axiom.rhs, Atomic(axiom.lhs + "*"))
         else:
@@ -346,7 +369,7 @@ def embed_fuzzy(fkb: FuzzyKb) -> KnowledgeBase:
 def _project(kb: KnowledgeBase, truth_side: bool) -> FuzzyKb:
     assertions = []
     for constraint in kb.assertions:
-        if constraint.form not in (Form.GEQ_LEQ, Form.LEQ_GEQ):
+        if not constraint.nonstrict:
             raise ValueError(f"projections are defined on nonstrict assertions: {constraint}")
         bound = constraint.tbound if truth_side else constraint.fbound
         rel = FuzzyRel.GEQ if bound.rel is Rel.GE else FuzzyRel.LEQ

@@ -93,18 +93,27 @@ class KbSyntaxError(ValueError):
         self.errors = errors
 
 
-# One named alternative per token kind, after skipping blanks.  ``end``
-# stops at a comment or at the end of the text; ``bad`` is the first
-# character no token starts with.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<op>[<>]=|[<>=])"
-    rf"|(?P<number>{NUMBER_RE.pattern})|(?P<ident>{IDENT_RE.pattern})"
-    r"|(?P<end>#|\Z)|(?P<bad>.))",
-    re.DOTALL,
-)
+# One alternative per token after blanks, so that ``findall`` gives each
+# token's text: a two-character operator, a number, an identifier, or any
+# other non-blank character (a bracket, a comma, a one-character operator
+# or a bad character).  A comment is cut off before the scan.
+_TOKEN_RE = re.compile(rf"[ \t\r]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.pattern}|[^ \t\r])")
+
+# A token's kind is read from its first character; ``str.isdecimal`` is
+# what ``\d`` matches, so a number starts with a decimal digit.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCT = frozenset("(),<>=")
+_HEADS = frozenset(("and", "or", "not", "all", "some"))
 
 
-_Tok = tuple[str, str, int]  # kind, text, column
+def _is_bad(token: str) -> bool:
+    first = token[0]
+    return not (first in _IDENT_START or first in _PUNCT or first.isdecimal())
+
+
+def _token_columns(line: str) -> list[tuple[str, int]]:
+    """(text, 1-based column) of each token of a line, for error spans."""
+    return [(m[1], m.start(1) + 1) for m in _TOKEN_RE.finditer(line.partition("#")[0])]
 
 
 # A wide KB repeats a handful of degree literals, so each distinct text
@@ -122,90 +131,99 @@ def _bound(op: str, text: str) -> Bound:
     return Bound(Rel(op), _degree_literal(text)[0])
 
 
-def _tokenize(text: str, line_no: int) -> list[_Tok]:
-    """(kind, text, column) tokens of one line, ending in an ``eof`` token."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "end":
-            break
-        if kind == "bad":
-            span = SourceSpan(line_no, m.start(kind) + 1, 1)
-            raise ConceptSyntaxError(ParseError(span, f"unexpected character {m[kind]!r}", "lex"))
-        tokens.append((kind, m[kind], m.start(kind) + 1))
-    tokens.append(("eof", "", max(1, len(text.rstrip()) + 1)))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Tok], line_no: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.pos = 0
+    """Recursive descent over the tokens of one line at a time.
 
-    def peek(self) -> _Tok:
-        return self.tokens[self.pos]
+    ``tokens`` holds the texts of the line's tokens and then ``""`` for
+    the end of line; ``pos`` indexes it.  Columns are worked out only for
+    an error.  A parser serves one call, and interns concept and
+    individual names in its own dicts, so a wide KB builds and hashes
+    each distinct leaf once.
+    """
 
-    def next(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def __init__(self):
+        self.atoms: dict[str, Atomic] = {}
+        self.individuals: dict[str, Individual] = {}
 
-    def fail(self, message: str, kind: str = "syntax", tok=None):
-        _, text, column = tok or self.peek()
+    def located(self, pos: int) -> tuple[str, int]:
+        """The text and column of token ``pos``; the end of line sits past
+        the line's last non-blank character, comment included."""
+        columns = _token_columns(self.line)
+        if pos < len(columns):
+            return columns[pos]
+        return "", max(1, len(self.line.rstrip()) + 1)
+
+    def fail(self, message: str, kind: str = "syntax", pos: int | None = None):
+        """Raise an error at token ``pos``, the current one by default.  A
+        bad character anywhere on the line is reported instead, as a lex
+        error: no rule accepts one, so every line that holds one fails."""
+        for text, column in _token_columns(self.line):
+            if _is_bad(text):
+                span = SourceSpan(self.line_no, column, 1)
+                raise ConceptSyntaxError(ParseError(span, f"unexpected character {text!r}", "lex"))
+        text, column = self.located(self.pos if pos is None else pos)
         span = SourceSpan(self.line_no, column, len(text) or 1)
         raise ConceptSyntaxError(ParseError(span, message, kind))
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        tok = self.peek()
-        if tok[0] != kind:
-            self.fail(f"expected {what}, found {tok[1] or 'end of line'!r}")
-        return self.next()
+    def expect(self, text: str, what: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self.fail(f"expected {what}, found {tok or 'end of line'!r}")
+        self.pos += 1
 
-    def ident(self, what: str) -> _Tok:
-        tok = self.peek()
-        if tok[0] != "ident" or tok[1] in _KEYWORDS:
-            self.fail(f"expected {what}, found {tok[1] or 'end of line'!r}")
-        return self.next()
+    def name(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _IDENT_START or tok in _KEYWORDS:
+            self.fail(f"expected {what}, found {tok or 'end of line'!r}")
+        self.pos += 1
+        return tok
+
+    def individual(self) -> Individual:
+        name = self.name("an individual name")
+        individual = self.individuals.get(name)
+        if individual is None:
+            individual = self.individuals[name] = Individual(name)
+        return individual
 
     def concept(self) -> ConceptExpr:
-        kind, text, _ = self.peek()
-        if kind == "ident":
-            if text == "top":
-                self.next()
-                return TOP
-            if text == "bot":
-                self.next()
-                return BOT
-            if text in _KEYWORDS:
-                self.fail(f"keyword {text!r} is not a concept")
-            self.next()
-            return Atomic(text)
-        if kind != "lparen":
-            self.fail(f"expected a concept, found {text or 'end of line'!r}")
-        self.next()
-        kind, head, _ = self.peek()
-        if kind != "ident" or head not in ("and", "or", "not", "all", "some"):
-            self.fail("expected one of and/or/not/all/some after '('")
-        self.next()
-        if head in ("and", "or"):
+        tok = self.tokens[self.pos]
+        if tok[:1] in _IDENT_START:
+            if tok in _KEYWORDS:
+                if tok == "top":
+                    self.pos += 1
+                    return TOP
+                if tok == "bot":
+                    self.pos += 1
+                    return BOT
+                self.fail(f"keyword {tok!r} is not a concept")
+            self.pos += 1
+            atom = self.atoms.get(tok)
+            if atom is None:
+                atom = self.atoms[tok] = Atomic(tok)
+            return atom
+        if tok != "(":
+            self.fail(f"expected a concept, found {tok or 'end of line'!r}")
+        head = self.tokens[self.pos + 1]
+        if head not in _HEADS:
+            self.fail("expected one of and/or/not/all/some after '('", pos=self.pos + 1)
+        self.pos += 2
+        if head == "and" or head == "or":
             left = self.concept()
             right = self.concept()
             result: ConceptExpr = (And if head == "and" else Or)(left, right)
         elif head == "not":
             result = Not(self.concept())
         else:
-            role = self.ident("a role name")[1]
+            role = self.name("a role name")
             filler = self.concept()
             result = (Forall if head == "all" else Exists)(role, filler)
-        self.expect("rparen", "')'")
+        self.expect(")", "')'")
         return result
 
     def degree(self) -> str:
         """The text of a degree literal in [0, 1]."""
-        kind, text, _ = self.peek()
-        if kind != "number":
+        text = self.tokens[self.pos]
+        if not text[:1].isdecimal():
             self.fail("expected a degree literal")
         try:
             in_range = _degree_literal(text)[1]
@@ -213,76 +231,86 @@ class _Parser:
             self.fail(f"bad degree literal {text!r}")
         if not in_range:
             self.fail(f"degree {text} outside [0, 1]", "degree-range")
-        self.next()
+        self.pos += 1
         return text
 
     def bounds(self) -> tuple[Bound, Bound]:
         """Parse ``>= n <= m`` or ``<= n >= m`` into (tbound, fbound)."""
-        kind, first, _ = self.peek()
-        if kind != "op" or first not in (">=", "<="):
+        first = self.tokens[self.pos]
+        if first != ">=" and first != "<=":
             self.fail("expected '>=' or '<='")
-        self.next()
+        self.pos += 1
         n = self.degree()
         wanted = "<=" if first == ">=" else ">="
-        if self.peek()[:2] != ("op", wanted):
+        if self.tokens[self.pos] != wanted:
             self.fail(f"expected {wanted!r} after the first bound")
-        self.next()
+        self.pos += 1
         m = self.degree()
         return _bound(first, n), _bound(wanted, m)
 
     def bare_assertion(self):
         """``<concept>(<ind>)`` or ``<role>(<ind>,<ind>)``, no bounds."""
-        first = self.peek()
+        first = self.pos
         expr = self.concept()
-        self.expect("lparen", "'('")
-        subject = Individual(self.ident("an individual name")[1])
-        if self.peek()[0] == "comma":
+        self.expect("(", "'('")
+        subject = self.individual()
+        if self.tokens[self.pos] == ",":
             if not isinstance(expr, Atomic):
-                self.fail("role assertions need a plain role name", tok=first)
-            self.next()
-            target = Individual(self.ident("an individual name")[1])
-            self.expect("rparen", "')'")
+                self.fail("role assertions need a plain role name", pos=first)
+            self.pos += 1
+            target = self.individual()
+            self.expect(")", "')'")
             return RoleAssertion(expr.name, subject, target)
-        self.expect("rparen", "')'")
+        self.expect(")", "')'")
         return ConceptAssertion(expr, subject)
 
     def statement(self):
         """A constraint, or an axiom with the (line, column, length) of its name."""
-        kind, text, _ = self.peek()
-        if kind == "ident" and text == "assert":
-            self.next()
+        tok = self.tokens[self.pos]
+        if tok == "assert":
+            self.pos += 1
             assertion = self.bare_assertion()
             tb, fb = self.bounds()
             return Constraint(assertion, tb, fb)
-        if kind == "ident" and text in ("spec", "define"):
-            self.next()
-            _, lhs, column = self.ident("an atomic concept name")
-            op = "<" if text == "spec" else "="
-            if self.peek()[:2] != ("op", op):
+        if tok == "spec" or tok == "define":
+            self.pos += 1
+            lhs = self.name("an atomic concept name")
+            column = self.located(self.pos - 1)[1]
+            op = "<" if tok == "spec" else "="
+            if self.tokens[self.pos] != op:
                 self.fail(f"expected {op!r} after {lhs!r}")
-            self.next()
+            self.pos += 1
             rhs = self.concept()
-            kind = AxiomKind.SPECIALIZATION if text == "spec" else AxiomKind.DEFINITION
+            kind = AxiomKind.SPECIALIZATION if tok == "spec" else AxiomKind.DEFINITION
             return TerminologicalAxiom(lhs, kind, rhs), (self.line_no, column, len(lhs))
         self.fail("expected 'assert', 'spec' or 'define'")
 
+    def line_of(self, line: str, line_no: int, rule, end: str):
+        """Run one rule on a whole line and expect the end after it."""
+        self.line = line
+        self.line_no = line_no
+        self.tokens = _TOKEN_RE.findall(line.partition("#")[0])
+        self.tokens.append("")
+        self.pos = 0
+        result = rule(self)
+        if self.tokens[self.pos]:
+            self.fail(f"expected {end}, found {self.tokens[self.pos]!r}")
+        return result
 
-def _parse(text: str, line_no: int, rule, end: str):
-    """Tokenize ``text``, run one ``_Parser`` rule on it and expect the end."""
-    parser = _Parser(_tokenize(text, line_no), line_no)
-    result = rule(parser)
-    parser.expect("eof", end)
-    return result
+
+def _parse(text: str, rule, end: str):
+    """Run one ``_Parser`` rule on a single-line text and expect the end."""
+    return _Parser().line_of(text, 1, rule, end)
 
 
 def parse_concept(text: str) -> ConceptExpr:
     """Parse a single concept expression; raises ConceptSyntaxError."""
-    return _parse(text, 1, _Parser.concept, "end of input")
+    return _parse(text, _Parser.concept, "end of input")
 
 
 def parse_query(text: str) -> Constraint:
     """Parse a single ``assert ...`` line into a nonstrict constraint."""
-    statement = _parse(text, 1, _Parser.statement, "end of line")
+    statement = _parse(text, _Parser.statement, "end of line")
     if not isinstance(statement, Constraint):
         raise ConceptSyntaxError(
             ParseError(SourceSpan(1, 1, 1), "expected an 'assert' statement", "syntax")
@@ -292,7 +320,7 @@ def parse_query(text: str) -> Constraint:
 
 def parse_assertion(text: str):
     """Parse a bare assertion ``C(a)`` / ``R(a,b)`` without bounds."""
-    return _parse(text, 1, _Parser.bare_assertion, "end of input")
+    return _parse(text, _Parser.bare_assertion, "end of input")
 
 
 def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
@@ -303,12 +331,13 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     # for an error.
     axiom_spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
+    parser = _Parser()
     for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            statement = _parse(line, line_no, _Parser.statement, "end of line")
+            statement = parser.line_of(line, line_no, _Parser.statement, "end of line")
         except ConceptSyntaxError as exc:
             errors.append(exc.error)
             continue

@@ -1,12 +1,12 @@
 """Top-level decision procedures over knowledge bases.
 
 Every procedure reaches one expanded KB the same way: each call passes
-the KB through ``kb.resolved_definitions``, the one validity gate, whose
-``validate`` reads the KB's cached statement facts and checks only its
-terminology.  The KB is prepared once, on its first call: its assertions
-are unfolded through the resolved map, added to one hypothesis set and
-saturated there under the deterministic rules, and that set is kept for
-as long as the KB object lives.  So a call on a prepared KB neither
+the KB through ``kb.resolved_definitions``, the one validity gate, which
+reads the check and the unfolded definitions that the KB caches.  The
+KB is prepared once, on its first call: its assertions are unfolded
+through the resolved map, added to one hypothesis set and saturated
+there under the deterministic rules, and that set is kept for as long as
+the KB object lives.  So a call on a prepared KB neither
 walks its statements nor re-derives their deterministic closure, except
 in the one copy of that set a run starts from.
 
@@ -85,8 +85,8 @@ def _prepared(kb: KnowledgeBase):
     """The KB's entry in ``_PREPARED`` and the name-unfolding map for
     queries.
 
-    Every call validates the KB, and validate reads the KB's cached
-    statement facts, so it costs the size of the terminology.  The entry
+    Every call validates the KB, which caches its check and its unfolded
+    definitions, so on a prepared KB that costs two copies.  The entry
     is built on the first call and shared by every later one; the lookup
     reads the KB's cached hash.  Building it saturates the hypotheses
     under the deterministic rules, within ``DEFAULT_MAX_STEPS`` steps of

@@ -1,5 +1,6 @@
 """Surface language: concepts, assertions, KB files, round-tripping."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from nalc import (
     parse_query,
     try_parse_kb,
 )
+from genutil import rand_assertional_kb
 from test_syntax import concepts
 
 EXAMPLE_KB = """\
@@ -134,6 +136,16 @@ class TestRoundTrip:
             assert parse_query(format_statement(constraint)) == constraint
 
 
+class TestWholeKbRoundTrip:
+    @pytest.mark.parametrize("seed", range(300))
+    def test_rendered_kb_parses_to_the_constructed_one(self, seed):
+        kb = rand_assertional_kb(random.Random(seed))
+        text = "\n".join(format_statement(c) for c in kb.assertions)
+        parsed = parse_kb(text)
+        assert parsed == kb
+        assert hash(parsed) == hash(kb)
+
+
 class TestBareAssertions:
     def test_concept_assertion(self):
         assertion = parse_assertion("(or A B)(alice)")
@@ -187,3 +199,25 @@ class TestBadInputIsAnError:
                 parse(text)
             except ConceptSyntaxError:
                 pass
+
+    @pytest.mark.parametrize(
+        "text, errors",
+        [
+            # A bad character is reported before an earlier syntax error.
+            ("assert (A(a) >= 1 <= 0 $", ["1:24: lex: unexpected character '$'"]),
+            # The end-of-line column counts the comment.
+            ("assert A(a) >= 1 # no second bound",
+             ["1:35: syntax: expected '<=' after the first bound"]),
+            ("assert A(a) >= ² <= 0", ["1:16: lex: unexpected character '²'"]),
+            ("assert (and A B)(a,b) >= 1 <= 0",
+             ["1:8: syntax: role assertions need a plain role name"]),
+            ("spec A < B\n  define  A = C",
+             ["2:11: duplicate-definition: 'A' already defined on an earlier axiom"]),
+            ("assert A(a) >= 1 <= 0 )", ["1:23: syntax: expected end of line, found ')'"]),
+            ("define X = (some R", ["1:19: syntax: expected a concept, found 'end of line'"]),
+        ],
+    )
+    def test_error_text(self, text, errors):
+        kb, found = try_parse_kb(text)
+        assert kb is None
+        assert [str(e) for e in found] == errors

@@ -14,6 +14,8 @@ import sys
 import weakref
 from pathlib import Path
 
+import pytest
+
 from nalc import (
     And,
     Atomic,
@@ -97,6 +99,46 @@ class TestStatementFacts:
         assert self.rows(second) == self.expected()
         second.append(second[0])
         assert self.rows(validate(kb)) == self.expected()
+
+
+class TestCachedGate:
+    """Every call passes the validity gate, and a KB is frozen, so its
+    check and its unfolded definitions are computed once and cached."""
+
+    QUERY = "assert (some Support War)(p1) >= 0.5 <= 0.5"
+
+    def test_a_second_call_checks_and_unfolds_nothing_again(self, monkeypatch):
+        import nalc.kb
+
+        calls = {"validate": 0, "_find_violations": 0, "_unfold_definitions": 0}
+        for name in calls:
+            def counting(*args, _name=name, _wrapped=getattr(nalc.kb, name)):
+                calls[_name] += 1
+                return _wrapped(*args)
+            monkeypatch.setattr(nalc.kb, name, counting)
+        parsed = parse_kb(EXAMPLE_KB)
+        # A KB built apart from the parser, which has validated its own.
+        kb = KnowledgeBase(parsed.assertions, parsed.terminology)
+        calls.update(dict.fromkeys(calls, 0))
+        query = parse_query(self.QUERY)
+        first = entails(kb, query)
+        assert calls == {"validate": 1, "_find_violations": 1, "_unfold_definitions": 1}
+        assert entails(kb, query) == first
+        assert calls == {"validate": 2, "_find_violations": 1, "_unfold_definitions": 1}
+
+    def test_an_invalid_kb_raises_on_every_call(self):
+        kb = KnowledgeBase((), TestStatementFacts.TERMINOLOGY)
+        query = parse_query(self.QUERY)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^invalid KB: 'B' appears on the left-hand side"):
+                entails(kb, query)
+        assert kb not in _PREPARED
+
+    def test_the_resolved_map_is_fresh(self):
+        kb = parse_kb(EXAMPLE_KB)
+        first = resolved_definitions(kb)
+        first.clear()
+        assert sorted(resolved_definitions(kb)) == ["war_x", "war_y"]
 
 
 class TestKbHashAndPickle:
