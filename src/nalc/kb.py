@@ -10,6 +10,7 @@ the form the tableau works on.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -135,27 +136,67 @@ def _statement_facts(assertions) -> tuple[list[Violation], frozenset[str]]:
     return violations, frozenset().union(*map(atomic_names, concepts))
 
 
+def redefinitions(terminology) -> Iterator[tuple[int, str]]:
+    """The index and name of each axiom whose left-hand side an earlier
+    axiom already has."""
+    seen: set[str] = set()
+    for idx, axiom in enumerate(terminology):
+        if axiom.lhs in seen:
+            yield idx, axiom.lhs
+        seen.add(axiom.lhs)
+
+
+def _walk(deps: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
+    """One depth-first walk of a definition graph: the defined names in
+    post-order, and for each back edge the cycle it closes.
+
+    Roots are taken in the order of ``deps`` and each body's names in
+    sorted order; names ``deps`` does not define are skipped.  The walk
+    keeps its own stack, so a long chain needs no recursion, and it
+    enters every name once.
+    """
+    finished: dict[str, None] = {}
+    place: dict[str, int] = {}  # a name on the path -> its index there
+    path: list[str] = []
+    todo: list[Iterator[str]] = []
+    cycles: list[list[str]] = []
+    for root in deps:
+        if root in finished:
+            continue
+        place[root] = 0
+        path.append(root)
+        todo.append(iter(sorted(deps[root])))
+        while todo:
+            dep = next(todo[-1], None)
+            if dep is None:
+                todo.pop()
+                name = path.pop()
+                del place[name]
+                finished[name] = None
+            elif dep in place:
+                cycles.append(path[place[dep]:] + [dep])
+            elif dep in deps and dep not in finished:
+                place[dep] = len(path)
+                path.append(dep)
+                todo.append(iter(sorted(deps[dep])))
+    return list(finished), cycles
+
+
 def _find_violations(kb: KnowledgeBase) -> list[Violation]:
     """Every violation of the KB, for ``validate`` to cache."""
-    violations: list[Violation] = []
-    seen: dict[str, int] = {}
-    for idx, axiom in enumerate(kb.terminology):
-        if axiom.lhs in seen:
-            violations.append(
-                Violation(
-                    "duplicate-lhs",
-                    f"{axiom.lhs!r} appears on the left-hand side of more than one axiom",
-                    idx,
-                )
-            )
-        else:
-            seen[axiom.lhs] = idx
+    violations = [
+        Violation("duplicate-lhs", f"{name!r} appears on the left-hand side of more than one axiom", idx)
+        for idx, name in redefinitions(kb.terminology)
+    ]
 
     statement_violations, assertion_concepts = _statement_facts(kb.assertions)
     violations.extend(statement_violations)
 
-    # Starred companions of specialized names must be fresh.
-    used_concepts = assertion_concepts.union(*(atomic_names(axiom.rhs) for axiom in kb.terminology))
+    # Starred companions of specialized names must be fresh: no
+    # statement may use one and no axiom may define one.
+    lhs = [axiom.lhs for axiom in kb.terminology]
+    body_names = [atomic_names(axiom.rhs) for axiom in kb.terminology]
+    used_concepts = assertion_concepts.union(lhs, *body_names)
     for idx, axiom in enumerate(kb.terminology):
         if axiom.kind is AxiomKind.SPECIALIZATION and axiom.lhs + "*" in used_concepts:
             violations.append(
@@ -166,51 +207,13 @@ def _find_violations(kb: KnowledgeBase) -> list[Violation]:
                 )
             )
 
-    # Cycle check over the definition dependency graph.
-    deps = {axiom.lhs: atomic_names(axiom.rhs) for axiom in kb.terminology}
-    index_of = {axiom.lhs: idx for idx, axiom in enumerate(kb.terminology)}
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-    stack: list[str] = []
-
-    def visit(name: str) -> list[str] | None:
-        """The first cycle a depth-first walk from ``name`` meets, taking
-        dependencies in sorted order.  A loop, so a long chain needs no
-        recursion; on a cycle it leaves ``stack`` and ``state`` as they
-        stand."""
-        todo = [iter((name,))]
-        while todo:
-            dep = next(todo[-1], None)
-            if dep is None:
-                todo.pop()
-                if todo:
-                    state[stack.pop()] = 1
-            elif dep in deps and state.get(dep) != 1:
-                if state.get(dep) == 0:
-                    return stack[stack.index(dep):] + [dep]
-                state[dep] = 0
-                stack.append(dep)
-                todo.append(iter(sorted(deps[dep])))
-        return None
-
-    reported: set[frozenset[str]] = set()
-    for name in deps:
-        cycle = visit(name)
-        if cycle is not None and frozenset(cycle) not in reported:
-            reported.add(frozenset(cycle))
-            # A walk that meets a cycle reported before leaves its path
-            # marked, so a later walk can stop on a stale path that is no
-            # cycle of the terminology; only a path along definitions is
-            # reported.
-            if all(b in deps[a] for a, b in zip(cycle, cycle[1:])):
-                violations.append(
-                    Violation(
-                        "cycle",
-                        "cyclic definitions: " + " -> ".join(cycle),
-                        index_of[cycle[0]],
-                    )
-                )
-            state.clear()
-            stack.clear()
+    # One cycle per back edge of the definition dependency graph.
+    index_of = {name: idx for idx, name in enumerate(lhs)}
+    _, cycles = _walk(dict(zip(lhs, body_names)))
+    violations.extend(
+        Violation("cycle", "cyclic definitions: " + " -> ".join(cycle), index_of[cycle[0]])
+        for cycle in cycles
+    )
     return violations
 
 
@@ -260,24 +263,11 @@ def _unfold_definitions(terminology) -> dict[str, ConceptExpr]:
         else:
             definitions[axiom.lhs] = axiom.rhs
 
-    # Each name after the names its body uses, in the body's order; the
-    # walk keeps its own stack, so a long chain needs no recursion.
+    # In post-order each name comes after the names its body uses.
+    order, _ = _walk({name: atomic_names(body) for name, body in definitions.items()})
     resolved: dict[str, ConceptExpr] = {}
-    for root in definitions:
-        todo = [root]
-        while todo:
-            name = todo[-1]
-            if name in resolved:
-                todo.pop()
-                continue
-            body = definitions[name]
-            deps = [dep for dep in atomic_names(body) if dep in definitions]
-            pending = [dep for dep in deps if dep not in resolved]
-            if pending:
-                todo.extend(reversed(pending))
-                continue
-            todo.pop()
-            resolved[name] = _substitute(body, {dep: resolved[dep] for dep in deps})
+    for name in order:
+        resolved[name] = _substitute(definitions[name], resolved)
     return resolved
 
 

@@ -32,7 +32,7 @@ from .constraints import (
     Rel,
     RoleAssertion,
 )
-from .kb import KnowledgeBase, AxiomKind, TerminologicalAxiom, validate
+from .kb import KnowledgeBase, AxiomKind, TerminologicalAxiom, redefinitions, validate
 from .syntax import (
     And,
     Atomic,
@@ -347,18 +347,14 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
             axiom, span = statement
             axiom_spans[len(axioms)] = span
             axioms.append(axiom)
-    seen: dict[str, int] = {}
-    for idx, axiom in enumerate(axioms):
-        if axiom.lhs in seen:
-            errors.append(
-                ParseError(
-                    SourceSpan(*axiom_spans[idx]),
-                    f"{axiom.lhs!r} already defined on an earlier axiom",
-                    "duplicate-definition",
-                )
+    for idx, name in redefinitions(axioms):
+        errors.append(
+            ParseError(
+                SourceSpan(*axiom_spans[idx]),
+                f"{name!r} already defined on an earlier axiom",
+                "duplicate-definition",
             )
-        else:
-            seen[axiom.lhs] = idx
+        )
     if errors:
         return None, errors
     kb = KnowledgeBase(tuple(assertions), tuple(axioms))

@@ -46,7 +46,6 @@ a new successor opens new edge choices.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import itertools
 import os
@@ -54,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import (
-    _BOUND_PAIRS,
     Assertion,
     Bound,
     ConceptAssertion,
@@ -741,15 +739,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@functools.lru_cache(maxsize=_BOUND_PAIRS)
-def _tighter(b: Bound, than: Bound) -> bool:
-    """Does ``b`` bound more tightly than ``than``, a bound in the same
-    direction, or as tightly and strictly?"""
-    if b.value == than.value:
-        return b.rel.is_strict
-    return (b.value > than.value) == b.rel.is_lower
-
-
 def _pick(bounds, low: bool) -> Fraction:
     """The value nearest one end of [0, 1] that the bounds allow
     (``None`` entries, the channel a half constraint leaves open, are
@@ -767,9 +756,9 @@ def _pick(bounds, low: bool) -> Fraction:
         if b is None:
             continue
         if b.rel.is_lower:
-            if lower is None or _tighter(b, lower):
+            if lower is None or not bound_implies(lower, b):
                 lower = b
-        elif upper is None or _tighter(b, upper):
+        elif upper is None or not bound_implies(upper, b):
             upper = b
     near, far = (lower, upper) if low else (upper, lower)
     if near is None:
