@@ -11,11 +11,12 @@ Truth and falsity never meet in a cell, so each channel of a concept
 reads alone as a negation-free fuzzy-ALC term over a doubled signature
 (min, max, and sup/inf over role and filler degrees): negation swaps
 the channel and a universal reads the role in the other channel.  One
-exhaustive search over those terms serves both oracles: it compiles
-every check into one hash-consed DAG with an integer interval per
-node, propagates bounds through min/max/sup/inf in both directions at
-the root and after each assignment, and backtracks over the cells one
-connected component at a time.
+exhaustive search serves both oracles: it compiles the concept of
+every check straight into that reading, one hash-consed DAG where
+constants fold, with an integer interval per node; it propagates
+bounds through min/max in both directions at the root and after each
+assignment, and backtracks over the cells one connected component at
+a time.
 ``exists_model`` gives every (name, channel) its own cell; the
 single-valued ``fuzzy_exists_model`` keeps the truth cells and reads
 falsity as one minus truth.  The search is the ground-truth check for
@@ -242,21 +243,13 @@ QUARTER_GRID = DegreeGrid.containing([Fraction(1, 4), Fraction(1, 2), Fraction(3
 
 # --- exhaustive model search ------------------------------------------
 #
-# Each (concept, channel) translates into a negation-free term:
-#
-#   ("k", top)                      the constant 1 when top, else 0
-#   ("c", name, ch, neg)            the concept cell of the element
-#   ("r", role, target, ch, neg)    the role cell from the element to target
-#   ("min" | "max", left, right)
-#   ("sup", role, ch, neg, filler)  sup over d of min(role cell to d, filler at d)
-#   ("inf", role, ch, neg, filler)  inf over d of max(role cell to d, filler at d)
-#
-# A literal reads the cell of channel ``ch``, or one minus it when ``neg``.
-# The search compiles the terms at their elements into one ``_Dag``: a
-# node per distinct (term, element), where a sup is the max of its
-# per-successor min parts and an inf the min of its max parts, so every
+# The search compiles each (concept, channel) at its elements straight
+# into one ``_Dag``.  A literal reads the cell of its channel, or one
+# minus the truth cell in the single-valued search; a binary concept is
+# the min or max of its parts, and a quantifier the min (inf) or max
+# (sup) of its per-successor ``(role literal, filler)`` parts, so every
 # node is a cell, one minus a cell, a constant, a min or a max.  A bound
-# narrows its term's node and an axiom becomes node inequalities.
+# narrows its concept's node and an axiom becomes node inequalities.
 
 class _Budget:
     def __init__(self, ceiling: int):
@@ -267,15 +260,6 @@ class _Budget:
         self.nodes += 1
         if self.nodes > self.ceiling:
             raise SearchExhausted(self.nodes)
-
-
-def _literal(ch: str, single: bool) -> tuple[str, bool]:
-    """(cell channel, negated) of a ``ch`` literal.
-
-    The single-valued search keeps truth cells only and reads falsity
-    as one minus truth.
-    """
-    return ("t", True) if single and ch == "f" else (ch, False)
 
 
 def takes_min(c: ConceptExpr, ch: str) -> bool:
@@ -290,39 +274,6 @@ def takes_min(c: ConceptExpr, ch: str) -> bool:
     return isinstance(c, (And, Forall)) == (ch == "t")
 
 
-def _term(c: ConceptExpr, ch: str, single: bool) -> tuple:
-    """Translate one channel of a concept into a negation-free term.
-
-    Negation swaps the channel; ``takes_min`` picks every other operator.
-    Subterms that are constant whatever the cells hold fold to
-    constants, so they read no cells and the search never enumerates
-    degrees that prune nothing.
-    """
-    if isinstance(c, Atomic):
-        return ("c", c.name) + _literal(ch, single)
-    if isinstance(c, Not):
-        return _term(c.inner, "f" if ch == "t" else "t", single)
-    if isinstance(c, (And, Or)):
-        low = takes_min(c, ch)
-        left = _term(c.left, ch, single)
-        right = _term(c.right, ch, single)
-        for const, other in ((left, right), (right, left)):
-            if const[0] == "k":
-                # 0 absorbs min and 1 absorbs max; the other constant is neutral
-                return const if const[1] != low else other
-        return ("min" if low else "max", left, right)
-    if isinstance(c, (Exists, Forall)):
-        low = takes_min(c, ch)
-        filler = _term(c.filler, ch, single)
-        if filler == ("k", low):
-            # inf over max(role, 1) is 1 and sup over min(role, 0) is 0
-            return filler
-        return ("inf" if low else "sup", c.role) + _literal("f" if low else "t", single) + (filler,)
-    if isinstance(c, (Top, Bottom)):
-        return ("k", isinstance(c, Top) == (ch == "t"))
-    raise TypeError(f"not a concept expression: {c!r}")
-
-
 # Node kinds of a _Dag.  A cell node holds the cell's degree; a flip node
 # is one minus its one child (a falsity literal of the single-valued
 # search).
@@ -330,11 +281,13 @@ _CELL, _FLIP, _MIN, _MAX, _CONST = range(5)
 
 
 class _Dag:
-    """Hash-consed terms over one domain, with an interval per node.
+    """Hash-consed concept channels over one domain, with an interval per
+    node.
 
-    There is one node per distinct (term, element): equal subterms share
-    a node, ``min(x, x)`` and ``max(x, x)`` fold to ``x`` and constants
-    fold into their parents.  ``lo``/``hi`` hold each node's integer-scaled
+    ``node`` compiles a (concept, channel, element) once: equal subterms
+    share a node, ``min(x, x)`` and ``max(x, x)`` fold to ``x`` and
+    constants fold into their parents (``_op``).  A ``single`` DAG keeps
+    truth cells only.  ``lo``/``hi`` hold each node's integer-scaled
     interval, and ``pairs`` the node inequalities (below, above).
 
     In the search the intervals narrow by bounds propagation: a node is
@@ -344,10 +297,11 @@ class _Dag:
     backtracking restores the intervals.
     """
 
-    def __init__(self, domain, scale: int, grid):
+    def __init__(self, domain, scale: int, grid, single: bool):
         self.domain = domain
         self.scale = scale
         self.grid = grid  # the ascending integer degrees a cell may take
+        self.single = single
         self.kind: list[int] = []
         self.kids: list[tuple] = []
         self.lo: list[int] = []
@@ -360,7 +314,7 @@ class _Dag:
         self.cells: dict = {}  # cell key -> its node
         self.key: dict = {}  # cell node -> its key
         self._nodes: dict = {}  # structural key -> node
-        self._built: dict = {}  # (id(term), element) -> (term, node)
+        self._built: dict = {}  # (concept, channel, element) -> node
 
     def _new(self, kind: int, kids: tuple, lo: int, hi: int) -> int:
         n = len(self.kind)
@@ -379,8 +333,12 @@ class _Dag:
             n = self._nodes[key] = self._new(kind, kids, lo, hi)
         return n
 
-    def _leaf(self, key: tuple, neg: bool) -> int:
-        """The node of cell ``key``, or of one minus it when ``neg``."""
+    def literal(self, key: tuple, ch: str) -> int:
+        """The node that reads channel ``ch`` of cell ``key``: one minus
+        the truth cell when the search is single-valued and ``ch`` is
+        falsity."""
+        neg = self.single and ch == "f"
+        key += ("t",) if neg else (ch,)
         n = self.cells.get(key)
         if n is None:
             n = self.cells[key] = self._new(_CELL, (), 0, self.scale)
@@ -406,29 +364,36 @@ class _Dag:
         kids = tuple(sorted(distinct))
         return self._add((low, kids), _MIN if low else _MAX, kids, 0, self.scale)
 
-    def node(self, t: tuple, e: str) -> int:
-        """The node of term ``t`` at element ``e``."""
-        tag = t[0]
-        if tag == "c":
-            return self._leaf(("c", t[1], e, t[2]), t[3])
-        if tag == "r":
-            return self._leaf(("r", t[1], e, t[2], t[3]), t[4])
-        if tag == "k":
-            return self._const(t[1])
-        hit = self._built.get((id(t), e))
-        if hit is not None:
-            return hit[1]
-        if tag == "min" or tag == "max":
-            n = self._op(tag == "min", (self.node(t[1], e), self.node(t[2], e)))
-        else:
-            _, role, ch, neg, filler = t
-            low = tag == "inf"
+    def node(self, c: ConceptExpr, ch: str, e: str) -> int:
+        """The node of channel ``ch`` of concept ``c`` at element ``e``.
+
+        Negation swaps the channel; ``takes_min`` picks every other
+        operator, and a quantifier's role literal is in the falsity
+        channel under a minimum and in the truth channel under a maximum.
+        """
+        memo = (c, ch, e)
+        n = self._built.get(memo)
+        if n is not None:
+            return n
+        if isinstance(c, Atomic):
+            n = self.literal(("c", c.name, e), ch)
+        elif isinstance(c, Not):
+            n = self.node(c.inner, "f" if ch == "t" else "t", e)
+        elif isinstance(c, (And, Or)):
+            n = self._op(takes_min(c, ch), (self.node(c.left, ch, e), self.node(c.right, ch, e)))
+        elif isinstance(c, (Exists, Forall)):
+            low = takes_min(c, ch)
+            role_ch = "f" if low else "t"
             n = self._op(low, [
-                self._op(not low, (self._leaf(("r", role, e, d, ch), neg), self.node(filler, d)))
+                self._op(not low, (self.literal(("r", c.role, e, d), role_ch),
+                                   self.node(c.filler, ch, d)))
                 for d in self.domain
             ])
-        # the entry keeps the term alive, so its id is not reused
-        self._built[(id(t), e)] = (t, n)
+        elif isinstance(c, (Top, Bottom)):
+            n = self._const(isinstance(c, Top) == (ch == "t"))
+        else:
+            raise TypeError(f"not a concept expression: {c!r}")
+        self._built[memo] = n
         return n
 
     def reads(self, roots) -> set:
@@ -570,20 +535,21 @@ class _Dag:
         return ok
 
 
-def _interval(t: tuple, e: str, cells, domain, scale: int):
-    """Reachable [lo, hi] of a term at element ``e``, integer scaled.
+def _interval(c: ConceptExpr, ch: str, single: bool, e: str, cells, domain, scale: int):
+    """Reachable [lo, hi] of channel ``ch`` of ``c`` at element ``e``,
+    integer scaled, in the two-channel or the ``single``-valued reading.
 
     ``cells[key]`` is an assigned integer or None (free, meaning the
     whole [0, scale] range).  When every cell occurs with one sign, as
     in the two-channel search, the all-low / all-high corners are
     attained and the interval is exact; a cell read both ways makes it
     a sound over-approximation.  It is the search's propagation on the
-    term's DAG with no bound: from the assigned cells it only narrows
+    concept's DAG with no bound: from the assigned cells it only narrows
     upward, so it reaches the intervals evaluated from the leaves.
     """
     values = {v for v in cells.values() if v is not None}
-    dag = _Dag(domain, scale, sorted(values | {0, scale}))
-    root = dag.node(t, e)
+    dag = _Dag(domain, scale, sorted(values | {0, scale}), single)
+    root = dag.node(c, ch, e)
     dag.propagate([(n, cells[k], cells[k]) for k, n in dag.cells.items()
                    if cells.get(k) is not None])
     return dag.lo[root], dag.hi[root]
@@ -613,35 +579,32 @@ def _compile(bounded, axioms, element, domain, scale: int, grid, single: bool):
     """Compile the checks into one DAG.
 
     ``bounded`` holds (assertion, bound, channel) triples; each narrows
-    its term's node.  Each axiom gives one check per element, an
+    its assertion's node.  Each axiom gives one check per element, an
     inequality per channel the search keeps: the name's truth may not
     exceed the right-hand side's and its falsity may not fall below it;
     a definition needs both directions.  Returns the DAG, the node
     narrowings and, per check, the nodes it reads from.
     """
-    dag = _Dag(domain, scale, grid)
+    dag = _Dag(domain, scale, grid, single)
     narrowings = []
     checks = []
     for assertion, bound, ch in bounded:
+        subject = element(assertion.subject)
         if isinstance(assertion, RoleAssertion):
-            term = ("r", assertion.role, element(assertion.target)) + _literal(ch, single)
+            n = dag.literal(("r", assertion.role, subject, element(assertion.target)), ch)
         else:
-            term = _term(assertion.concept, ch, single)
-        n = dag.node(term, element(assertion.subject))
+            n = dag.node(assertion.concept, ch, subject)
         narrowings.append((n,) + _scaled(bound, scale))
         checks.append((n,))
 
     for ax in axioms:
-        terms = []
-        for ch in ("t",) if single else ("t", "f"):
-            name = ("c", ax.lhs) + _literal(ch, single)
-            rhs = _term(ax.rhs, ch, single)
-            terms.append((name, rhs) if ch == "t" else (rhs, name))
         both = ax.kind is not AxiomKind.SPECIALIZATION
         for d in domain:
             nodes = []
-            for below, above in terms:
-                below, above = dag.node(below, d), dag.node(above, d)
+            for ch in ("t",) if single else ("t", "f"):
+                name = dag.literal(("c", ax.lhs, d), ch)
+                rhs = dag.node(ax.rhs, ch, d)
+                below, above = (name, rhs) if ch == "t" else (rhs, name)
                 dag.below(below, above)
                 if both:
                     dag.below(above, below)
@@ -691,7 +654,12 @@ def _backtrack(dag: _Dag, order, budget) -> bool:
 
 def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
     """Assign the cells the checks read, one independent component at a
-    time, after propagating the bounds and inequalities at the root."""
+    time, after propagating the bounds and inequalities at the root.
+
+    Returns the degree of each cell some check reads.  A cell whose
+    parent folded to a constant reaches no check, so propagation never
+    narrows it and it is left out.
+    """
     if not dag.propagate(narrowings, [~i for i in range(len(dag.pairs))]):
         return None
     reads = [dag.reads(roots) for roots in checks]
@@ -721,7 +689,8 @@ def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
         ))
         if not _backtrack(dag, order, budget):
             return None
-    return {k: dag.lo[n] for k, n in dag.cells.items()}
+    read = set().union(*reads)
+    return {k: dag.lo[n] for k, n in dag.cells.items() if n in read}
 
 
 def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,

@@ -151,34 +151,26 @@ def nnf(c: ConceptExpr) -> ConceptExpr:
     De Morgan and role dualities, which preserve both the truth and the
     falsity component of the semantics.
     """
-    if isinstance(c, (Top, Bottom, Atomic)):
-        return c
-    if isinstance(c, And):
-        return And(nnf(c.left), nnf(c.right))
-    if isinstance(c, Or):
-        return Or(nnf(c.left), nnf(c.right))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.filler))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.filler))
+    return _nnf(c, False)
+
+
+_DUAL = {And: Or, Or: And, Forall: Exists, Exists: Forall}
+
+
+def _nnf(c: ConceptExpr, negated: bool) -> ConceptExpr:
+    """The negation normal form of ``c``, or of its negation when ``negated``."""
     if isinstance(c, Not):
-        inner = c.inner
-        if isinstance(inner, Top):
-            return BOT
-        if isinstance(inner, Bottom):
-            return TOP
-        if isinstance(inner, Atomic):
-            return c
-        if isinstance(inner, Not):
-            return nnf(inner.inner)
-        if isinstance(inner, And):
-            return Or(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Or):
-            return And(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Forall):
-            return Exists(inner.role, nnf(Not(inner.filler)))
-        if isinstance(inner, Exists):
-            return Forall(inner.role, nnf(Not(inner.filler)))
+        return _nnf(c.inner, not negated)
+    if isinstance(c, (Top, Bottom)):
+        return (BOT if isinstance(c, Top) else TOP) if negated else c
+    if isinstance(c, Atomic):
+        return Not(c) if negated else c
+    if isinstance(c, (And, Or)):
+        op = _DUAL[type(c)] if negated else type(c)
+        return op(_nnf(c.left, negated), _nnf(c.right, negated))
+    if isinstance(c, (Forall, Exists)):
+        op = _DUAL[type(c)] if negated else type(c)
+        return op(c.role, _nnf(c.filler, negated))
     raise TypeError(f"not a concept expression: {c!r}")
 
 

@@ -156,7 +156,6 @@ class ConstraintSet:
         self.splits: list[int] = []
         self.gens: list[int] = []
         self.fresh_counter = 0
-        self.processed: set = set()
         self.clash: ClashInfo | None = None
 
     @staticmethod
@@ -178,7 +177,6 @@ class ConstraintSet:
         s.splits = list(self.splits)
         s.gens = list(self.gens)
         s.fresh_counter = self.fresh_counter
-        s.processed = set(self.processed)
         s.clash = self.clash
         return s
 
@@ -537,8 +535,9 @@ class _Engine:
         return self._first(s, s.splits, self.choice)
 
     def choice(self, s: ConstraintSet, c: Constraint):
-        """The open choice of one constraint, as (constraint, label, key,
-        premises, branches), or None."""
+        """The open choice of one constraint, as (constraint, label,
+        premises, branches), or None.  A choice is closed once the branch
+        holds one of its outcomes."""
         if not isinstance(c.assertion, ConceptAssertion):
             return None
         concept = c.assertion.concept
@@ -546,9 +545,6 @@ class _Engine:
         if isinstance(concept, (And, Or)):
             halves = _halves(c, every=False)
             if not halves:
-                return None
-            key = ("split", c)
-            if key in s.processed:
                 return None
             # Each half picks the part that realises it.
             parts = (ConceptAssertion(concept.left, subject),
@@ -560,20 +556,16 @@ class _Engine:
                     by_part.setdefault(part, []).append(half)
                 branches.append([_make(part, hs) for part, hs in by_part.items()])
             if any(all(a in s for a in branch) for branch in branches):
-                s.processed.add(key)
                 return None
-            return c, _label(concept, c, halves), key, [s.step_of[c]], branches
+            return c, _label(concept, c, halves), [s.step_of[c]], branches
         if isinstance(concept, (Exists, Forall)):
             for action in self._universal_actions(s, c):
                 bound, ch, role_ch, target, edge, filler, decided = action
                 if decided is not None:
                     continue
-                key = ("edge", c, ch, target)
-                if key in s.processed:
-                    continue
                 branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
                 label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
-                return c, label, key, [s.step_of[c]], branches
+                return c, label, [s.step_of[c]], branches
         return None
 
     def find_generation(self, s: ConstraintSet):
@@ -625,12 +617,11 @@ def _children(s: ConstraintSet, engine: _Engine):
     """
     found = engine.find_branches(s)
     if found is not None:
-        c, label, key, premises, branches = found
+        c, label, premises, branches = found
         last = len(branches) - 1
         out = []
         for i, additions in enumerate(branches):
             child = s if i == last else s.copy()
-            child.processed.add(key)
             child.add(additions, label, premises)
             out.append(child)
         return out

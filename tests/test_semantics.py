@@ -39,13 +39,15 @@ from nalc import (
     satisfies_axiom,
     expand,
 )
-from nalc.semantics import _interval, _term, default_domain_size
+from nalc.semantics import _interval, default_domain_size
 from genutil import (
     QUARTERS,
     QUARTER_GRID,
+    rand_assertional_kb,
     rand_concept,
     rand_fuzzy_kb,
     rand_interpretation,
+    rand_query,
     stable_seed,
 )
 
@@ -185,6 +187,48 @@ class TestExistsModel:
         with pytest.raises(ValueError):
             exists_model([constraint], 1, QUARTER_GRID)
 
+    def test_a_model_holds_only_the_cells_it_reads(self):
+        """Each channel of the concept folds to a constant (truth 1,
+        falsity 0), so no check reads a cell of R or B, and neither
+        search puts one in its model."""
+        concept = Or(Forall("R", TOP), B)
+        constraint = Constraint.geq_leq(ConceptAssertion(concept, a), F(1), F(0))
+        model = exists_model([constraint], 2, QUARTER_GRID)
+        assert model is not None
+        assert model.concept_table == {} and model.role_table == {}
+        model = fuzzy_exists_model([(constraint.assertion, constraint.tbound)], (), 2,
+                                   QUARTER_GRID)
+        assert model is not None
+        assert model.concept_table == {} and model.role_table == {}
+
+
+class TestChannelSwap:
+    """The map ``t' = 1 - f``, ``f' = 1 - t`` on every cell commutes with
+    every connective, so it carries models to models; on bounds it maps
+    ``>= n <= m`` to ``>= 1-m <= 1-n``, and the default grid, the bound
+    degrees plus midpoints, maps onto itself under ``x -> 1 - x``."""
+
+    MIRROR = {Rel.GE: Rel.LE, Rel.LE: Rel.GE, Rel.GT: Rel.LT, Rel.LT: Rel.GT}
+
+    def swapped(self, c: Constraint) -> Constraint:
+        def mirror(bound):
+            return None if bound is None else Bound(self.MIRROR[bound.rel], 1 - bound.value)
+
+        return Constraint(c.assertion, mirror(c.fbound), mirror(c.tbound))
+
+    def test_swapped_kb_and_query_have_the_same_answer(self):
+        entailed = 0
+        for seed in range(400):
+            rng = random.Random(seed)
+            constraints = list(rand_assertional_kb(rng, depth=2).assertions)
+            query = rand_query(rng, depth=1)
+            answer = oracle_entails(constraints, query)
+            entailed += answer
+            swapped = oracle_entails([self.swapped(c) for c in constraints],
+                                     self.swapped(query))
+            assert swapped == answer, (seed, constraints, query)
+        assert 0 < entailed < 400
+
 
 class TestOracleEntails:
     def test_tautology_from_nothing(self):
@@ -303,9 +347,9 @@ class TestSingleChannelTerms:
                 pair = eval_concept(interp, c, d)
                 single = fuzzy_eval(fuzzy, c, d)
                 for ch, two_valued, one_valued in (("t", pair.n, single), ("f", pair.m, 1 - single)):
-                    point = _interval(_term(c, ch, False), d, cells, interp.domain, scale)
+                    point = _interval(c, ch, False, d, cells, interp.domain, scale)
                     assert point == (two_valued * scale,) * 2, (c, ch)
-                    point = _interval(_term(c, ch, True), d, truth_cells, interp.domain, scale)
+                    point = _interval(c, ch, True, d, truth_cells, interp.domain, scale)
                     assert point == (one_valued * scale,) * 2, (c, ch)
 
 

@@ -615,7 +615,7 @@ def test_only_the_first_clash_is_kept():
 def _state(s: ConstraintSet):
     return (list(s.constraints), dict(s.step_of), list(s.steps), sorted(s.agenda),
             dict(s.by_assertion), dict(s.successors), dict(s.watchers),
-            set(s.processed), s.fresh_counter, s.clash)
+            s.fresh_counter, s.clash)
 
 
 def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
