@@ -349,15 +349,19 @@ class _Dag:
         v = self.scale if top else 0
         return self._add(("k", v), _CONST, (), v, v)
 
+    def _absorbs(self, low: bool, k: int) -> bool:
+        """Is node ``k`` the constant that decides a min (``low``: 0) or
+        a max (1) on its own?"""
+        return self.kind[k] == _CONST and self.lo[k] == (0 if low else self.scale)
+
     def _op(self, low: bool, kids) -> int:
         """The min (``low``) or max of ``kids``: an absorbing constant
         (0 for min, 1 for max) is the result, a neutral one drops out."""
-        absorbing = 0 if low else self.scale
         distinct = set()
         for k in kids:
             if self.kind[k] != _CONST:
                 distinct.add(k)
-            elif self.lo[k] == absorbing:
+            elif self._absorbs(low, k):
                 return k
         if len(distinct) < 2:
             return distinct.pop() if distinct else self._const(low)
@@ -370,6 +374,9 @@ class _Dag:
         Negation swaps the channel; ``takes_min`` picks every other
         operator, and a quantifier's role literal is in the falsity
         channel under a minimum and in the truth channel under a maximum.
+        A part of a min or max is built only while no earlier part is
+        the absorbing constant, and a quantifier's filler before its role
+        literal, so no subterm that an earlier constant decides is built.
         """
         memo = (c, ch, e)
         n = self._built.get(memo)
@@ -380,15 +387,22 @@ class _Dag:
         elif isinstance(c, Not):
             n = self.node(c.inner, "f" if ch == "t" else "t", e)
         elif isinstance(c, (And, Or)):
-            n = self._op(takes_min(c, ch), (self.node(c.left, ch, e), self.node(c.right, ch, e)))
+            low = takes_min(c, ch)
+            n = self.node(c.left, ch, e)
+            if not self._absorbs(low, n):
+                n = self._op(low, (n, self.node(c.right, ch, e)))
         elif isinstance(c, (Exists, Forall)):
             low = takes_min(c, ch)
             role_ch = "f" if low else "t"
-            n = self._op(low, [
-                self._op(not low, (self.literal(("r", c.role, e, d), role_ch),
-                                   self.node(c.filler, ch, d)))
-                for d in self.domain
-            ])
+            parts = []
+            for d in self.domain:
+                part = self.node(c.filler, ch, d)
+                if not self._absorbs(not low, part):
+                    part = self._op(not low, (self.literal(("r", c.role, e, d), role_ch), part))
+                parts.append(part)
+                if self._absorbs(low, part):
+                    break
+            n = self._op(low, parts)
         elif isinstance(c, (Top, Bottom)):
             n = self._const(isinstance(c, Top) == (ch == "t"))
         else:

@@ -41,6 +41,14 @@ successor, because a branch only grows: a split is closed for good once
 one of its branches is present, an edge choice once either side is
 implied or refuted, and a witness demand once a successor meets it; only
 a new successor opens new edge choices.
+
+Search.  ``complete`` searches depth-first on one constraint set: a
+choice marks the set and takes its first branch, and a clash undoes the
+set back to the mark of the innermost choice with a branch left
+(``ConstraintSet.mark``/``undo``).  A run from a shared base, such as a
+KB's saturated hypotheses, works on the base itself when it is wide and
+undoes everything it added when it ends, also when it raises; runs from
+one base take its lock, so they run one at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ import enum
 import heapq
 import itertools
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,6 +152,13 @@ class ConstraintSet:
     a new successor of the pair also puts them back on ``splits``, the
     only event that gives a settled constraint new choices.  The buckets
     and the index entries are tuples, so a branch copy shares them.
+
+    While a search needs to backtrack, ``trail`` records the value each
+    bucket, successor-index or watch-list entry held before it was
+    replaced, and ``mark`` saves the lengths of the constraints, the
+    steps and the four dicts, the fresh-variable counter, the clash and
+    the three heaps; ``undo`` restores all of that.  ``lock`` is held by
+    every run from the set as a base.
     """
 
     def __init__(self):
@@ -157,6 +173,8 @@ class ConstraintSet:
         self.gens: list[int] = []
         self.fresh_counter = 0
         self.clash: ClashInfo | None = None
+        self.trail: list | None = None
+        self.lock = threading.Lock()
 
     @staticmethod
     def from_constraints(constraints) -> "ConstraintSet":
@@ -178,14 +196,52 @@ class ConstraintSet:
         s.gens = list(self.gens)
         s.fresh_counter = self.fresh_counter
         s.clash = self.clash
+        s.trail = None
+        s.lock = threading.Lock()
         return s
+
+    def __getstate__(self) -> dict:
+        # A lock cannot be pickled: an unpickled set gets a lock of its own.
+        state = dict(self.__dict__)
+        del state["lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.lock = threading.Lock()
+
+    def mark(self) -> tuple:
+        """A point to ``undo`` back to; the trail must be on."""
+        return (len(self.trail), len(self.constraints), len(self.steps), len(self.step_of),
+                len(self.by_assertion), len(self.successors), len(self.watchers),
+                self.fresh_counter, self.clash, self.agenda[:], self.splits[:], self.gens[:])
+
+    def undo(self, mark: tuple) -> None:
+        """Restore the set as it was at ``mark``, which stays usable.
+
+        The trail restores the entries that existed at the mark.  Keys
+        added since are the last ones of their dicts, so ``popitem``
+        removes them and leaves no hole: a dict with holes takes the slow
+        path when it is copied.
+        """
+        (n, n_constraints, n_steps, n_step_of, n_buckets, n_successors, n_watchers,
+         self.fresh_counter, self.clash, agenda, splits, gens) = mark
+        trail = self.trail
+        while len(trail) > n:
+            table, key, old = trail.pop()
+            table[key] = old
+        for table, size in ((self.step_of, n_step_of), (self.by_assertion, n_buckets),
+                            (self.successors, n_successors), (self.watchers, n_watchers)):
+            while len(table) > size:
+                table.popitem()
+        del self.constraints[n_constraints:]
+        del self.steps[n_steps:]
+        self.agenda[:] = agenda
+        self.splits[:] = splits
+        self.gens[:] = gens
 
     def __contains__(self, c: Constraint) -> bool:
         return c in self.step_of
-
-    def fresh_variable(self) -> Variable:
-        self.fresh_counter += 1
-        return Variable(self.fresh_counter)
 
     def objects(self):
         seen: dict = {}
@@ -263,12 +319,20 @@ class ConstraintSet:
             return False
         number = len(self.steps) + 1
         by_assertion = self.by_assertion
+        trail = self.trail
         for c in new:
             self._index(c, len(self.constraints))
             self.constraints.append(c)
             step_of[c] = number
             a = c.assertion
-            by_assertion[a] = by_assertion.get(a, ()) + (c,)
+            bucket = by_assertion.get(a)
+            if bucket is None:
+                by_assertion[a] = (c,)
+            else:
+                # ``_set`` inlined: this runs once per hypothesis of a wide KB
+                if trail is not None:
+                    trail.append((by_assertion, a, bucket))
+                by_assertion[a] = bucket + (c,)
         self.steps.append(Step(number, new, rule, tuple(sorted(set(premises)))))
         if self.clash is None:
             for c in new:
@@ -293,7 +357,7 @@ class ConstraintSet:
             targets = self.successors.get(key, ())
             watching = self.watchers.get(key, ())
             if a.target not in targets:
-                self.successors[key] = targets + (a.target,)
+                self._set(self.successors, key, targets + (a.target,))
                 for p in watching:
                     filler = self.constraints[p].assertion.concept.filler
                     self._watch(ConceptAssertion(filler, a.target), p)
@@ -320,7 +384,15 @@ class ConstraintSet:
             heapq.heappush(self.agenda, p)
 
     def _watch(self, key, pos: int) -> None:
-        self.watchers[key] = self.watchers.get(key, ()) + (pos,)
+        self._set(self.watchers, key, self.watchers.get(key, ()) + (pos,))
+
+    def _set(self, table: dict, key, value) -> None:
+        """Set one index entry, recording the value it replaces while the
+        trail is on."""
+        old = table.get(key)
+        if old is not None and self.trail is not None:
+            self.trail.append((table, key, old))
+        table[key] = value
 
     def trace_lines(self) -> list[str]:
         lines = [step.render() for step in self.steps]
@@ -606,40 +678,38 @@ def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
     ]
 
 
-def _children(s: ConstraintSet, engine: _Engine):
-    """Branches of a set at its deterministic fixpoint, or None when complete.
+def _branches(s: ConstraintSet, engine: _Engine):
+    """The branches of a set at its deterministic fixpoint, or None when
+    it is complete.
 
-    Decomposition choices come before witness generation.  Paired witness
-    halves branch between one shared witness and a witness per half.  The
-    input set is consumed: every child but the last is copied from it
-    first, and the last (the only one of a single witness, the split one
-    of a paired witness) is the input set itself, grown in place.
+    A branch is (additions, label, premises, fresh): the constraints it
+    adds, with the number of fresh variables they take after the set's
+    last one.  Decomposition choices come before witness generation.
+    Paired witness halves branch between one shared witness and a
+    witness per half.
     """
     found = engine.find_branches(s)
     if found is not None:
         c, label, premises, branches = found
-        last = len(branches) - 1
-        out = []
-        for i, additions in enumerate(branches):
-            child = s if i == last else s.copy()
-            child.add(additions, label, premises)
-            out.append(child)
-        return out
+        return [(additions, label, premises, 0) for additions in branches]
     found = engine.find_generation(s)
     if found is not None:
         c, label, premises, pending = found
-        paired = len(pending) == 2
-        shared = s.copy() if paired else s
-        shared.add(_witness(c, shared.fresh_variable(), pending), label, premises)
-        out = [shared]
-        if paired:
-            x1 = s.fresh_variable()
-            x2 = s.fresh_variable()
+        x1 = Variable(s.fresh_counter + 1)
+        out = [(_witness(c, x1, pending), label, premises, 1)]
+        if len(pending) == 2:
+            x2 = Variable(s.fresh_counter + 2)
             additions = _witness(c, x1, pending[:1]) + _witness(c, x2, pending[1:])
-            s.add(additions, label + " split", premises)
-            out.append(s)
+            out.append((additions, label + " split", premises, 2))
         return out
     return None
+
+
+def _grow(s: ConstraintSet, branch) -> None:
+    """Take one branch of ``_branches`` in the set it was found in."""
+    additions, label, premises, fresh = branch
+    s.fresh_counter += fresh
+    s.add(additions, label, premises)
 
 
 def apply_rules(s: ConstraintSet):
@@ -647,13 +717,19 @@ def apply_rules(s: ConstraintSet):
 
     The input set is not modified: the rules run on a copy of it.
     Deterministic rules return a single branch; decomposition choices and
-    witness generation return several.
+    witness generation return several, each a set of its own.
     """
     engine = _Engine(DEFAULT_MAX_STEPS)
     work = s.copy()
     if engine.apply_deterministic(work):
         return [work]
-    return _children(work, engine)
+    branches = _branches(work, engine)
+    if branches is None:
+        return None
+    children = [work.copy() for _ in branches[1:]] + [work]
+    for child, branch in zip(children, branches):
+        _grow(child, branch)
+    return children
 
 
 def complete(
@@ -668,43 +744,92 @@ def complete(
     deterministic rules before any choice is made.  Returns the first
     clash-free completion, or, when there is none, the first clashed
     branch with its clash (the one ``CompletionResult.trace`` renders);
-    ``branch_count`` counts every branch explored.  A branch is never read
-    again once it has been split, so the last child of each choice grows
-    in the parent's set and only the others are copies.
+    ``branch_count`` counts every branch explored.  The search works on
+    one constraint set: a choice marks it and takes its first branch, and
+    a clash undoes the set back to the mark of the innermost choice with
+    a branch left and takes that branch.  Besides a narrow base's start
+    copy (below), the witness and the first clashed branch are the only
+    sets it copies.
 
     ``base`` is a constraint set built once and shared by many runs, such
-    as a KB's hypotheses: the search starts from a copy of it with each
-    of ``constraints`` added as one more hypothesis, and ``base`` itself
-    is never modified.  For ``base = ConstraintSet.from_constraints(h)``
-    that start is ``from_constraints(h + constraints)``, so every step,
-    branch and model is the one the longer list gives.  A base may also
-    come already saturated under the deterministic rules; the steps that
-    took are not counted against ``max_steps``.
+    as a KB's hypotheses: the search starts from it with each of
+    ``constraints`` added as one more hypothesis, and ``base`` is left as
+    it was, also when the run raises.  A wide base (``_WIDE``
+    constraints or more) is searched in place and undone at the end; a
+    narrower one is copied, which costs no more.  Runs from one base hold
+    its lock, so they run one at a time.  For
+    ``base = ConstraintSet.from_constraints(h)`` that start is
+    ``from_constraints(h + constraints)``, so every step, branch and model
+    is the one the longer list gives.  A base may also come already
+    saturated under the deterministic rules; the steps that took are not
+    counted against ``max_steps``.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
+    if base is None:
+        return _search(None, constraints, max_branches, max_steps)
+    with base.lock:
+        return _search(base, constraints, max_branches, max_steps)
+
+
+# A run from a base of at least this many constraints works on the base
+# itself and undoes its changes when it ends.  A narrower base is copied:
+# there a copy costs about what the start mark and the final undo cost,
+# and a satisfiable run then needs no second copy for its witness.
+_WIDE = 256
+
+
+def _search(base: ConstraintSet | None, constraints, max_branches: int, max_steps: int,
+            keep_clash: bool = True) -> CompletionResult:
+    """``complete`` from ``base``, whose lock the caller holds.
+
+    Without ``keep_clash`` an unsatisfiable result names no clashed
+    branch, so nothing is copied for it.  Undoing starts at the first
+    choice, or at once on a wide base, so a run on a copy that never
+    branches records nothing to undo.
+    """
     engine = _Engine(max_steps)
-    root = ConstraintSet() if base is None else base.copy()
-    for c in constraints:
-        root.add([c], "hypothesis", [])
-    stack = [root]
-    clashes: tuple[tuple[ConstraintSet, ClashInfo], ...] = ()
-    branch_count = 0
-    while stack:
-        s = stack.pop()
-        branch_count += 1
-        if branch_count > max_branches:
-            raise ResourceExhausted(f"branch ceiling {max_branches} exceeded")
-        engine.saturate(s)
-        if s.clash is not None:
-            if not clashes:
-                clashes = ((s, s.clash),)
-            continue
-        children = _children(s, engine)
-        if children is None:
-            return CompletionResult(Status.SATISFIABLE, s, clashes, branch_count)
-        stack.extend(reversed(children))
-    return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
+    restore = base is not None and len(base.constraints) >= _WIDE
+    if restore:
+        s = base
+        s.trail = []
+        start = s.mark()
+    else:
+        s = ConstraintSet() if base is None else base.copy()
+    try:
+        for c in constraints:
+            s.add([c], "hypothesis", [])
+        # One entry per open choice: its mark and the branches not taken yet.
+        choices: list[tuple[tuple, list]] = []
+        clashes: tuple[tuple[ConstraintSet, ClashInfo], ...] = ()
+        branch_count = 1
+        while True:
+            if branch_count > max_branches:
+                raise ResourceExhausted(f"branch ceiling {max_branches} exceeded")
+            engine.saturate(s)
+            if s.clash is None:
+                branches = _branches(s, engine)
+                if branches is None:
+                    witness = s.copy() if restore else s
+                    return CompletionResult(Status.SATISFIABLE, witness, clashes, branch_count)
+                if s.trail is None:
+                    s.trail = []
+                choices.append((s.mark(), branches))
+            else:
+                while choices and not choices[-1][1]:
+                    choices.pop()
+                if keep_clash and not clashes:
+                    # kept as it is when nothing will undo it
+                    clashes = ((s.copy() if restore or choices else s, s.clash),)
+                if not choices:
+                    return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
+                s.undo(choices[-1][0])
+            branch_count += 1
+            _grow(s, choices[-1][1].pop(0))
+    finally:
+        if restore:
+            s.undo(start)
+        s.trail = None
 
 
 def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None = None) -> bool:
@@ -712,16 +837,17 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
     completion?
 
     The same answer, with the same ceilings, but when ``c`` clashes with
-    ``base`` as it is added no run is made: that start set clashes before
-    any rule fires, so the run would explore that one branch and build
-    nothing but its copy of ``base``, which on a wide KB is most of what a
-    run costs.
+    ``base`` as it is added no run is made: that run would explore one
+    branch, which clashes before any rule fires.  Nothing is copied for a
+    clashed branch, since only the status is read.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
-    if max_branches >= 1 and base._clashes_with(c):
-        return True
-    return complete([c], max_branches=max_branches, base=base).status is Status.UNSATISFIABLE
+    with base.lock:
+        if max_branches >= 1 and base._clashes_with(c):
+            return True
+        result = _search(base, [c], max_branches, DEFAULT_MAX_STEPS, keep_clash=False)
+    return result.status is Status.UNSATISFIABLE
 
 
 # --- model extraction ---------------------------------------------------

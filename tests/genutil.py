@@ -158,3 +158,17 @@ def rand_fuzzy_kb(rng: random.Random, size: int | None = None, depth: int = 2,
 def rand_query(rng: random.Random, depth: int = 2, atoms=ATOMS, roles=ROLES,
                individuals=INDIVIDUALS, degrees=QUARTERS) -> Constraint:
     return rand_kb_constraint(rng, depth, atoms, roles, individuals, degrees)
+
+
+def ring_abox_text(individuals: int) -> str:
+    """Four statements per individual ``a<i>``, whose R-successor is the
+    next one around a ring.  Each individual opens a disjunction choice
+    and an edge choice, so a run branches once per individual, and a
+    prepared KB of 64 or more individuals is wide."""
+    return "".join(
+        f"assert A(a{i}) >= 0.5 <= 0.25\n"
+        f"assert R(a{i}, a{(i + 1) % individuals}) >= 0.75 <= 0.25\n"
+        f"assert (or B (some R C))(a{i}) >= 0.5 <= 0.5\n"
+        f"assert (all R (or A D))(a{i}) >= 0.25 <= 0.75\n"
+        for i in range(individuals)
+    )

@@ -1,8 +1,9 @@
 """A prepared KB pays for its statements once.
 
 The KB caches its hash and its statement facts, unfolding shares every
-part it does not change, and ``complete`` grows the last child of a
-choice in its parent's set.  None of that may change an answer.
+part it does not change, and ``complete`` searches on one constraint set,
+undoing a branch instead of copying the set for it.  None of that may
+change an answer.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import random
 import subprocess
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,16 +38,18 @@ from nalc import (
     TerminologicalAxiom,
     Variable,
     apply_rules,
+    check_satisfiable,
     complete,
     entails,
     expand,
+    glb,
     parse_kb,
     parse_query,
     validate,
 )
 from nalc.kb import resolved_definitions, unfold_assertion, unfold_constraint
 from nalc.reasoner import _PREPARED
-from genutil import rand_assertional_kb, rand_kb_constraint, rand_query
+from genutil import rand_assertional_kb, rand_kb_constraint, rand_query, ring_abox_text
 
 from test_parser import EXAMPLE_KB
 
@@ -291,3 +295,52 @@ class TestCompleteAgainstReference:
             if status is Status.SATISFIABLE:
                 assert result.witness.constraints == reference.constraints
         assert statuses == {Status.SATISFIABLE, Status.UNSATISFIABLE}
+
+
+class TestCopies:
+    """A search works on one constraint set: it copies the witness it
+    returns and the first clashed branch it reports, and nothing else."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        counted = []
+        copy = ConstraintSet.copy
+        monkeypatch.setattr(ConstraintSet, "copy", lambda s: counted.append(s) or copy(s))
+        return counted
+
+    def test_a_chain_check_copies_its_witness_only(self, copies):
+        n = 160
+        kb = parse_kb("".join(
+            f"assert R(a{i}, a{i + 1}) >= 1 <= 0\n"
+            f"assert (all R (and A (some S B)))(a{i}) >= 0.5 <= 0.5\n"
+            for i in range(n)
+        ))
+        result = check_satisfiable(kb)
+        assert result.status is Status.SATISFIABLE
+        assert result.branch_count == n + 1
+        assert len(copies) == 1
+
+    def test_a_refuted_point_query_on_a_wide_kb_copies_its_witness_only(self, copies):
+        kb = parse_kb(ring_abox_text(500))
+        query = parse_query("assert D(a3) >= 0.75 <= 0.25")
+        assert len(kb.assertions) == 2000
+        assert entails(kb, query) is False
+        assert len(copies) == 1
+
+    def test_a_bound_search_copies_one_witness_per_refuted_probe(self, copies, monkeypatch):
+        import nalc.reasoner
+        import nalc.tableau
+
+        kb = parse_kb(ring_abox_text(500))
+        target = ConceptAssertion(Or(A, Atomic("E")), Individual("a3"))
+        probes, runs = [], []
+        half_entailed, search = nalc.reasoner._half_entailed, nalc.tableau._search
+        monkeypatch.setattr(nalc.reasoner, "_half_entailed",
+                            lambda *args: probes.append(half_entailed(*args)) or probes[-1])
+        monkeypatch.setattr(nalc.tableau, "_search",
+                            lambda *args, **kw: runs.append(search(*args, **kw)) or runs[-1])
+        result = glb(kb, target)
+        assert (result.bound.n, result.bound.m) == (Fraction(1, 2), Fraction(1, 4))
+        # Some entailed probes are decided by a run, which copies nothing.
+        assert any(r.status is Status.UNSATISFIABLE for r in runs)
+        assert 0 < len(copies) <= probes.count(False)

@@ -34,7 +34,7 @@ from nalc import (
     satisfies,
     subsumes,
 )
-from genutil import QUARTERS, rand_assertional_kb, rand_concept, rand_query
+from genutil import QUARTERS, rand_assertional_kb, rand_concept, rand_query, ring_abox_text
 
 F = Fraction
 A, B, C, D = Atomic("A"), Atomic("B"), Atomic("C"), Atomic("D")
@@ -92,7 +92,7 @@ class TestValidityGate:
 
 
 class TestPreparedKb:
-    """A KB is prepared once and every run starts from a copy of it."""
+    """A KB is prepared once and every run leaves it as built."""
 
     @staticmethod
     def _root(kb):
@@ -103,8 +103,8 @@ class TestPreparedKb:
     @staticmethod
     def _state(s):
         return (list(s.constraints), dict(s.step_of), list(s.steps), sorted(s.agenda),
-                dict(s.by_assertion), dict(s.successors), dict(s.watchers),
-                s.fresh_counter, s.clash)
+                sorted(s.splits), sorted(s.gens), dict(s.by_assertion), dict(s.successors),
+                dict(s.watchers), s.fresh_counter, s.clash)
 
     def test_runs_leave_the_prepared_set_unchanged(self):
         rng = random.Random(61)
@@ -119,6 +119,64 @@ class TestPreparedKb:
             lub(kb, target)
             assert self._root(kb) is root
             assert self._state(root) == before
+
+    def test_runs_leave_a_wide_prepared_set_unchanged(self):
+        import nalc.tableau
+
+        # Runs from a wide set work on the set itself and undo.
+        kb = parse_kb(ring_abox_text(70))
+        check_satisfiable(kb)
+        root = self._root(kb)
+        assert len(root.constraints) >= nalc.tableau._WIDE
+        before = self._state(root)
+        target = ConceptAssertion(Or(A, Atomic("E")), Individual("a3"))
+        assert entails(kb, parse_query("assert D(a3) >= 0.75 <= 0.25"), with_result=True)[0] is False
+        assert entails(kb, parse_query("assert (or A E)(a3) >= 0.5 <= 0.75"))
+        assert glb(kb, target).bound == DegreePair(F(1, 2), F(1, 4))
+        lub(kb, target)
+        assert self._state(root) == before
+
+    def test_concurrent_queries_on_one_kb_give_the_sequential_answers(self):
+        import sys
+        import threading
+
+        import nalc.tableau
+
+        kb = parse_kb(ring_abox_text(70))
+        target = ConceptAssertion(Or(A, Atomic("E")), Individual("a3"))
+        queries = [
+            lambda: entails(kb, parse_query("assert D(a3) >= 0.75 <= 0.25")),
+            lambda: entails(kb, parse_query("assert (or A E)(a5) >= 0.5 <= 0.75")),
+            lambda: glb(kb, target),
+            lambda: lub(kb, target),
+            lambda: check_satisfiable(kb).branch_count,
+        ]
+        expected = [query() for query in queries]
+        assert len(self._root(kb).constraints) >= nalc.tableau._WIDE
+        answers, errors = [], []
+
+        def worker(shift):
+            try:
+                for k in range(len(queries)):
+                    i = (k + shift) % len(queries)
+                    answers.append((i, queries[i]()))
+            except Exception as error:  # reported below with its type
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(shift,)) for shift in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(answers) == 4 * len(queries)
+        assert all(answer == expected[i] for i, answer in answers)
 
     def test_repeated_and_equal_kbs_give_the_same_answers(self):
         rng = random.Random(67)

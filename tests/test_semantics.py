@@ -39,7 +39,7 @@ from nalc import (
     satisfies_axiom,
     expand,
 )
-from nalc.semantics import _interval, default_domain_size
+from nalc.semantics import _Dag, _interval, default_domain_size
 from genutil import (
     QUARTERS,
     QUARTER_GRID,
@@ -351,6 +351,22 @@ class TestSingleChannelTerms:
                     assert point == (two_valued * scale,) * 2, (c, ch)
                     point = _interval(c, ch, True, d, truth_cells, interp.domain, scale)
                     assert point == (one_valued * scale,) * 2, (c, ch)
+
+
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("ch", ["t", "f"])
+    @pytest.mark.parametrize("concept", [
+        And(BOT, Exists("R", A)),
+        Or(TOP, Forall("R", A)),
+        And(Forall("R", TOP), Exists("S", BOT)),
+    ])
+    def test_a_constant_that_decides_a_term_builds_no_cell(self, concept, ch, single):
+        dag = _Dag(("d0", "d1"), 4, [0, 1, 2, 3, 4], single)
+        n = dag.node(concept, ch, "d0")
+        assert dag.cells == {}
+        value = eval_concept(FiniteInterpretation(("d0",), {}), concept, "d0")
+        value = value.n if ch == "t" else value.m
+        assert dag.lo[n] == dag.hi[n] == value * 4
 
 
 class TestFuzzyEval:

@@ -1,10 +1,12 @@
 """The constraint-propagation calculus: clashes, rules, completions."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+import nalc.tableau
 from nalc import (
     And,
     Atomic,
@@ -593,6 +595,16 @@ def test_branch_copies_leave_the_parent_unchanged():
     assert ca(C, b) not in parent.by_assertion
 
 
+def test_a_completion_pickles_and_its_witness_serves_as_a_base():
+    kb = parse_kb("assert (or A B)(a) >= 1 <= 0\nassert A(a) <= 0.5 >= 0.5\n")
+    result = complete(list(kb.assertions))
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy.trace == result.trace
+    assert copy.witness.constraints == result.witness.constraints
+    extra = [Constraint.geq_leq(ca(C), 1, 0)]
+    assert complete(extra, base=copy.witness).trace == complete(extra, base=result.witness).trace
+
+
 def test_only_the_first_clash_is_kept():
     kb = parse_kb(
         "assert (or A B)(a) >= 1 <= 0\n"
@@ -613,23 +625,65 @@ def test_only_the_first_clash_is_kept():
 
 
 def _state(s: ConstraintSet):
-    return (list(s.constraints), dict(s.step_of), list(s.steps), sorted(s.agenda),
-            dict(s.by_assertion), dict(s.successors), dict(s.watchers),
-            s.fresh_counter, s.clash)
+    return (list(s.constraints), list(s.step_of.items()), list(s.steps), sorted(s.agenda),
+            sorted(s.splits), sorted(s.gens), list(s.by_assertion.items()),
+            list(s.successors.items()), list(s.watchers.items()),
+            s.fresh_counter, s.clash, s.trail)
 
 
-def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
-    rng = random.Random(stable_seed("complete-from-base"))
+@pytest.fixture(params=["narrow", "wide"])
+def base_width(request, monkeypatch):
+    """Runs from a base on a copy of it, or, with every base counted as
+    wide, on the base itself, undone when the run ends."""
+    if request.param == "wide":
+        monkeypatch.setattr(nalc.tableau, "_WIDE", 0)
+    return request.param
+
+
+def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses(monkeypatch):
+    # First on a copy of each base, then with every base counted as wide.
+    for wide in (nalc.tableau._WIDE, 0):
+        monkeypatch.setattr(nalc.tableau, "_WIDE", wide)
+        rng = random.Random(stable_seed("complete-from-base"))
+        for _ in range(200):
+            hypotheses = list(rand_assertional_kb(rng).assertions)
+            extra = list(rand_assertional_kb(rng, size=rng.randint(0, 2)).assertions)
+            base = ConstraintSet.from_constraints(hypotheses)
+            before = _state(base)
+            shared = complete(extra, base=base)
+            whole = complete(hypotheses + extra)
+            assert _state(base) == before
+            assert shared.status is whole.status
+            assert shared.branch_count == whole.branch_count
+            assert shared.trace == whole.trace
+            if whole.witness is not None:
+                assert extract_model(shared.witness) == extract_model(whole.witness)
+
+
+@pytest.mark.parametrize("ceiling", [{"max_branches": 2}, {"max_steps": 1}])
+def test_a_failed_run_leaves_its_base_as_built(base_width, ceiling):
+    """A run that hits a ceiling undoes what it added to its base, and
+    the next run from that base is the run from its hypotheses."""
+    def prepared(hypotheses):
+        base = ConstraintSet.from_constraints(hypotheses)
+        _Engine(DEFAULT_MAX_STEPS).saturate(base)
+        return base
+
+    rng = random.Random(stable_seed("failed-run-restores"))
+    failed = 0
     for _ in range(200):
         hypotheses = list(rand_assertional_kb(rng).assertions)
-        extra = list(rand_assertional_kb(rng, size=rng.randint(0, 2)).assertions)
-        base = ConstraintSet.from_constraints(hypotheses)
+        extra = list(rand_assertional_kb(rng, size=rng.randint(1, 2)).assertions)
+        base = prepared(hypotheses)
         before = _state(base)
-        shared = complete(extra, base=base)
-        whole = complete(hypotheses + extra)
+        try:
+            complete(extra, base=base, **ceiling)
+        except ResourceExhausted:
+            failed += 1
         assert _state(base) == before
-        assert shared.status is whole.status
-        assert shared.branch_count == whole.branch_count
-        assert shared.trace == whole.trace
-        if whole.witness is not None:
-            assert extract_model(shared.witness) == extract_model(whole.witness)
+        again = complete(extra, base=base)
+        fresh = complete(extra, base=prepared(hypotheses))
+        assert again.status is fresh.status
+        assert again.branch_count == fresh.branch_count
+        assert again.trace == fresh.trace
+    assert failed > 20
