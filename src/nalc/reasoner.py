@@ -7,9 +7,9 @@ KB is prepared once, on its first call: its assertions are unfolded
 through the resolved map, added to one hypothesis set and saturated
 there under the deterministic rules, and that set is kept for as long as
 the KB object lives.  So a call on a prepared KB neither
-walks its statements nor re-derives their deterministic closure: a run
-on a wide KB works on that set itself and undoes what it added when it
-ends (``tableau.complete``).
+walks its statements nor re-derives their deterministic closure: every
+run works on that set itself and undoes what it added when it ends
+(``tableau.complete``).
 
 Every question is decided by one kind of run, ``_half_entailed``: it
 refutes a single bound on one component of an assertion, truth or
@@ -29,9 +29,8 @@ falsity) needs no run:
 
 A complement that clashes with the saturated set as it is added needs
 no run either (``tableau._unsatisfiable``): that run would clash before
-any rule fired.  A run that only decides a half copies no clashed
-branch, so on a wide KB an entailed half copies nothing, and a refuted
-one copies only its witness.
+any rule fired.  A run that only decides a half copies nothing: neither
+a witness nor a clashed branch.
 
 Refuting both halves of a query at once (``Constraint.negated``) would
 accept a query as soon as every model violates one side or the other;
@@ -93,10 +92,10 @@ def _prepared(kb: KnowledgeBase):
     reads the KB's cached hash.  Building it saturates the hypotheses
     under the deterministic rules, within ``DEFAULT_MAX_STEPS`` steps of
     its own; past that ``ResourceExhausted`` propagates and no entry is
-    kept.  Runs start from the saturated set (``complete(...,
-    base=root)``), which each run leaves as built, also when it raises;
-    runs from one set hold its lock, so concurrent queries on one KB run
-    one at a time.  Queries are posed against the same terminology as
+    kept.  Every run works on the saturated set itself (``complete(...,
+    base=root)``) and leaves it as built, also when it raises; runs from
+    one set hold its lock, so concurrent queries on one KB run one at a
+    time.  Queries are posed against the same terminology as
     the KB, so any defined name they mention unfolds the same way.
     """
     resolved = resolved_definitions(kb)

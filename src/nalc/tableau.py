@@ -45,15 +45,16 @@ a new successor opens new edge choices.
 Search.  ``complete`` searches depth-first on one constraint set: a
 choice marks the set and takes its first branch, and a clash undoes the
 set back to the mark of the innermost choice with a branch left
-(``ConstraintSet.mark``/``undo``).  A run from a shared base, such as a
-KB's saturated hypotheses, works on the base itself when it is wide and
-undoes everything it added when it ends, also when it raises; runs from
-one base take its lock, so they run one at a time.
+(``ConstraintSet.mark``/``undo``).  Every run starts that way, on a
+fresh set or on a shared base such as a KB's saturated hypotheses, and
+undoes everything it added when it ends, also when it raises; a run
+holds its set's lock, so runs from one base run one at a time.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import os
@@ -93,7 +94,16 @@ DEFAULT_MAX_STEPS = 100_000
 
 def _env_max_branches() -> int:
     """The branch ceiling from ``NALC_MAX_BRANCHES``, else the default."""
-    text = os.environ.get("NALC_MAX_BRANCHES", str(DEFAULT_MAX_BRANCHES))
+    return _parse_ceiling(os.environ.get("NALC_MAX_BRANCHES"))
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_ceiling(text: str | None) -> int:
+    """The ceiling ``text`` sets, None meaning unset.  The last text parsed
+    is kept with its value; a malformed one raises on every call, since an
+    exception is never cached."""
+    if text is None:
+        return DEFAULT_MAX_BRANCHES
     if not text.strip().isdecimal() or int(text) < 1:
         raise ValueError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
     return int(text)
@@ -153,12 +163,12 @@ class ConstraintSet:
     only event that gives a settled constraint new choices.  The buckets
     and the index entries are tuples, so a branch copy shares them.
 
-    While a search needs to backtrack, ``trail`` records the value each
+    While a search runs on the set, ``trail`` records the value each
     bucket, successor-index or watch-list entry held before it was
     replaced, and ``mark`` saves the lengths of the constraints, the
     steps and the four dicts, the fresh-variable counter, the clash and
     the three heaps; ``undo`` restores all of that.  ``lock`` is held by
-    every run from the set as a base.
+    every run on the set.
     """
 
     def __init__(self):
@@ -741,17 +751,15 @@ def complete(
     ``branch_count`` counts every branch explored.  The search works on
     one constraint set: a choice marks it and takes its first branch, and
     a clash undoes the set back to the mark of the innermost choice with
-    a branch left and takes that branch.  Besides a narrow base's start
-    copy (below), the witness and the first clashed branch are the only
-    sets it copies.
+    a branch left and takes that branch.  The witness and the first
+    clashed branch are the only sets it copies.
 
     ``base`` is a constraint set built once and shared by many runs, such
     as a KB's hypotheses: the search starts from it with each of
-    ``constraints`` added as one more hypothesis, and ``base`` is left as
-    it was, also when the run raises.  A wide base (``_WIDE``
-    constraints or more) is searched in place and undone at the end; a
-    narrower one is copied, which costs no more.  Runs from one base hold
-    its lock, so they run one at a time.  For
+    ``constraints`` added as one more hypothesis.  The search works on
+    ``base`` itself and undoes what it added when it ends, so ``base`` is
+    left as it was, also when the run raises; runs from one base hold its
+    lock, so they run one at a time.  For
     ``base = ConstraintSet.from_constraints(h)`` that start is
     ``from_constraints(h + constraints)``, so every step, branch and model
     is the one the longer list gives.  A base may also come already
@@ -760,36 +768,23 @@ def complete(
     """
     if max_branches is None:
         max_branches = _env_max_branches()
-    if base is None:
-        return _search(None, constraints, max_branches, max_steps)
-    with base.lock:
-        return _search(base, constraints, max_branches, max_steps)
+    s = ConstraintSet() if base is None else base
+    with s.lock:
+        return _search(s, constraints, max_branches, max_steps)
 
 
-# A run from a base of at least this many constraints works on the base
-# itself and undoes its changes when it ends.  A narrower base is copied:
-# there a copy costs about what the start mark and the final undo cost,
-# and a satisfiable run then needs no second copy for its witness.
-_WIDE = 256
+def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
+            keep: bool = True) -> CompletionResult:
+    """``complete`` on ``s``, whose lock the caller holds.
 
-
-def _search(base: ConstraintSet | None, constraints, max_branches: int, max_steps: int,
-            keep_clash: bool = True) -> CompletionResult:
-    """``complete`` from ``base``, whose lock the caller holds.
-
-    Without ``keep_clash`` an unsatisfiable result names no clashed
-    branch, so nothing is copied for it.  Undoing starts at the first
-    choice, or at once on a wide base, so a run on a copy that never
-    branches records nothing to undo.
+    Every run starts the same way, with the trail on and a mark of ``s``
+    as it came, and ends by undoing to that mark, also when it raises.
+    Without ``keep`` the caller reads only the status, so the result
+    names no witness and no clashed branch and nothing is copied.
     """
     engine = _Engine(max_steps)
-    restore = base is not None and len(base.constraints) >= _WIDE
-    if restore:
-        s = base
-        s.trail = []
-        start = s.mark()
-    else:
-        s = ConstraintSet() if base is None else base.copy()
+    s.trail = []
+    start = s.mark()
     try:
         for c in constraints:
             s.add([c], "hypothesis", [])
@@ -804,17 +799,14 @@ def _search(base: ConstraintSet | None, constraints, max_branches: int, max_step
             if s.clash is None:
                 branches = _branches(s, engine)
                 if branches is None:
-                    witness = s.copy() if restore else s
+                    witness = s.copy() if keep else None
                     return CompletionResult(Status.SATISFIABLE, witness, clashes, branch_count)
-                if s.trail is None:
-                    s.trail = []
                 choices.append((s.mark(), branches))
             else:
                 while choices and not choices[-1][1]:
                     choices.pop()
-                if keep_clash and not clashes:
-                    # kept as it is when nothing will undo it
-                    clashes = ((s.copy() if restore or choices else s, s.clash),)
+                if keep and not clashes:
+                    clashes = ((s.copy(), s.clash),)
                 if not choices:
                     return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
                 s.undo(choices[-1][0])
@@ -823,8 +815,7 @@ def _search(base: ConstraintSet | None, constraints, max_branches: int, max_step
             s.fresh_counter += fresh
             s.add(additions, label, premises)
     finally:
-        if restore:
-            s.undo(start)
+        s.undo(start)
         s.trail = None
 
 
@@ -834,8 +825,8 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
 
     The same answer, with the same ceilings, but when ``c`` clashes with
     ``base`` as it is added no run is made: that run would explore one
-    branch, which clashes before any rule fires.  Nothing is copied for a
-    clashed branch, since only the status is read.
+    branch, which clashes before any rule fires.  Only the status is
+    read, so the run copies nothing: no witness and no clashed branch.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
@@ -843,7 +834,7 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
     try:
         if max_branches >= 1 and base._clashes_with(c):
             return True
-        result = _search(base, [c], max_branches, DEFAULT_MAX_STEPS, keep_clash=False)
+        result = _search(base, [c], max_branches, DEFAULT_MAX_STEPS, keep=False)
     finally:
         base.lock.release()
     return result.status is Status.UNSATISFIABLE

@@ -163,8 +163,7 @@ def rand_query(rng: random.Random, depth: int = 2, atoms=ATOMS, roles=ROLES,
 def ring_abox_text(individuals: int) -> str:
     """Four statements per individual ``a<i>``, whose R-successor is the
     next one around a ring.  Each individual opens a disjunction choice
-    and an edge choice, so a run branches once per individual, and a
-    prepared KB of 64 or more individuals is wide."""
+    and an edge choice, so a run branches once per individual."""
     return "".join(
         f"assert A(a{i}) >= 0.5 <= 0.25\n"
         f"assert R(a{i}, a{(i + 1) % individuals}) >= 0.75 <= 0.25\n"

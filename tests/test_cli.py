@@ -203,6 +203,15 @@ class TestOtherCommands:
                     "assert (some Support War)(p1) >= 0.6 <= 0.5"]) == 3
         assert "branch ceiling 1" in capsys.readouterr().err
 
+    def test_a_changed_branch_ceiling_is_read_again(self, poll_kb, monkeypatch):
+        argv = ["entails", poll_kb, "--query", "assert (some Support War)(p1) >= 0.6 <= 0.5"]
+        for value, code in (("1", 3), ("abc", 2), ("abc", 2), (None, 0), ("1", 3)):
+            if value is None:
+                monkeypatch.delenv("NALC_MAX_BRANCHES")
+            else:
+                monkeypatch.setenv("NALC_MAX_BRANCHES", value)
+            assert run(argv) == code, value
+
 
 class TestNoTracebackExits:
     def test_bad_degree_literal_in_a_query_exits_two(self, poll_kb, capsys):

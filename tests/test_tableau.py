@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import nalc.tableau
 from nalc import (
     And,
     Atomic,
@@ -631,37 +630,25 @@ def _state(s: ConstraintSet):
             s.fresh_counter, s.clash, s.trail)
 
 
-@pytest.fixture(params=["narrow", "wide"])
-def base_width(request, monkeypatch):
-    """Runs from a base on a copy of it, or, with every base counted as
-    wide, on the base itself, undone when the run ends."""
-    if request.param == "wide":
-        monkeypatch.setattr(nalc.tableau, "_WIDE", 0)
-    return request.param
-
-
-def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses(monkeypatch):
-    # First on a copy of each base, then with every base counted as wide.
-    for wide in (nalc.tableau._WIDE, 0):
-        monkeypatch.setattr(nalc.tableau, "_WIDE", wide)
-        rng = random.Random(stable_seed("complete-from-base"))
-        for _ in range(200):
-            hypotheses = list(rand_assertional_kb(rng).assertions)
-            extra = list(rand_assertional_kb(rng, size=rng.randint(0, 2)).assertions)
-            base = ConstraintSet.from_constraints(hypotheses)
-            before = _state(base)
-            shared = complete(extra, base=base)
-            whole = complete(hypotheses + extra)
-            assert _state(base) == before
-            assert shared.status is whole.status
-            assert shared.branch_count == whole.branch_count
-            assert shared.trace == whole.trace
-            if whole.witness is not None:
-                assert extract_model(shared.witness) == extract_model(whole.witness)
+def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
+    rng = random.Random(stable_seed("complete-from-base"))
+    for _ in range(200):
+        hypotheses = list(rand_assertional_kb(rng).assertions)
+        extra = list(rand_assertional_kb(rng, size=rng.randint(0, 2)).assertions)
+        base = ConstraintSet.from_constraints(hypotheses)
+        before = _state(base)
+        shared = complete(extra, base=base)
+        whole = complete(hypotheses + extra)
+        assert _state(base) == before
+        assert shared.status is whole.status
+        assert shared.branch_count == whole.branch_count
+        assert shared.trace == whole.trace
+        if whole.witness is not None:
+            assert extract_model(shared.witness) == extract_model(whole.witness)
 
 
 @pytest.mark.parametrize("ceiling", [{"max_branches": 2}, {"max_steps": 1}])
-def test_a_failed_run_leaves_its_base_as_built(base_width, ceiling):
+def test_a_failed_run_leaves_its_base_as_built(ceiling):
     """A run that hits a ceiling undoes what it added to its base, and
     the next run from that base is the run from its hypotheses."""
     def prepared(hypotheses):
