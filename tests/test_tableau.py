@@ -647,12 +647,23 @@ def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
             assert extract_model(shared.witness) == extract_model(whole.witness)
 
 
+@pytest.fixture(params=["narrow", "wide"])
+def base_padding(request):
+    """Facts put in each base next to its hypotheses: none, or 300 on
+    individuals of their own, so a run's undo also has to leave a base
+    of hundreds of constraints as it was built."""
+    if request.param == "narrow":
+        return []
+    return [Constraint(ca(A, Individual(f"w{i}")), Bound(Rel.GE, F(1, 2)), Bound(Rel.LE, F(1, 4)))
+            for i in range(300)]
+
+
 @pytest.mark.parametrize("ceiling", [{"max_branches": 2}, {"max_steps": 1}])
-def test_a_failed_run_leaves_its_base_as_built(ceiling):
+def test_a_failed_run_leaves_its_base_as_built(base_padding, ceiling):
     """A run that hits a ceiling undoes what it added to its base, and
     the next run from that base is the run from its hypotheses."""
     def prepared(hypotheses):
-        base = ConstraintSet.from_constraints(hypotheses)
+        base = ConstraintSet.from_constraints(base_padding + hypotheses)
         _Engine(DEFAULT_MAX_STEPS).saturate(base)
         return base
 
