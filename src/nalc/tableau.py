@@ -133,6 +133,14 @@ class Step:
         return f"({self.number}) {body}   {self.rule} : {refs}"
 
 
+# The slot setters of ``Step``.  The bulk build sets a hypothesis step's
+# fields through them: the frozen ``__init__`` goes through
+# ``object.__setattr__`` per field, which costs about five times as much,
+# and a wide KB makes one step per statement.
+_STEP_FIELDS = tuple(Step.__dict__[name].__set__
+                     for name in ("number", "constraints", "rule", "premises"))
+
+
 @dataclass(frozen=True)
 class ClashInfo:
     message: str
@@ -163,6 +171,13 @@ class ConstraintSet:
     only event that gives a settled constraint new choices.  The buckets
     and the index entries are tuples, so a branch copy shares them.
 
+    ``from_constraints`` builds a set of hypotheses in one pass.  It
+    gives what ``add`` gives when it records each hypothesis in turn:
+    the same constraints, steps, buckets, index, watch lists and first
+    clash.  Its heaps hold the same positions, each once: ``add`` pushes
+    a watcher again each time what it watches grows, which during the
+    build only repeats a position already there.
+
     While a search runs on the set, ``trail`` records the value each
     bucket, successor-index or watch-list entry held before it was
     replaced, and ``mark`` saves the lengths of the constraints, the
@@ -188,9 +203,54 @@ class ConstraintSet:
 
     @staticmethod
     def from_constraints(constraints) -> "ConstraintSet":
+        """The set that adding each constraint in turn as one hypothesis
+        (``add((c,), "hypothesis", ())``) gives, built in one pass.
+
+        A repeated constraint takes no step.  Where a clash can occur it
+        is checked as ``add`` checks it, against the constraints before
+        it in its bucket, so the first clash is the one of the earliest
+        step: at a constraint that is not the first of its bucket, at a
+        strict bound at 0 or 1, and at a ``top`` or ``bottom`` fact.
+        Only role assertions and non-atomic concepts are indexed: an
+        atomic fact's index would only wake watchers that are on the
+        heaps already, and nothing pops a heap during the build.
+        """
         s = ConstraintSet()
+        step_of, steps, by_assertion = s.step_of, s.steps, s.by_assertion
+        set_number, set_constraints, set_rule, set_premises = _STEP_FIELDS
+        indexed = []
+        clash = None
         for c in constraints:
-            s.add((c,), "hypothesis", ())
+            number = len(steps) + 1
+            if step_of.setdefault(c, number) != number:
+                continue
+            one = (c,)
+            step = object.__new__(Step)
+            set_number(step, number)
+            set_constraints(step, one)
+            set_rule(step, "hypothesis")
+            set_premises(step, ())
+            steps.append(step)
+            a = c.assertion
+            bucket = by_assertion.setdefault(a, one)
+            check = bucket is not one
+            if check:
+                by_assertion[a] = bucket + one
+            if type(a) is RoleAssertion:
+                indexed.append(number - 1)
+            elif type(a.concept) is not Atomic:
+                indexed.append(number - 1)
+                check = check or type(a.concept) in (Top, Bottom)
+            if clash is None:
+                t, f = c.tbound, c.fbound
+                if (check or (t is not None and t.rel.is_strict)
+                        or (f is not None and f.rel.is_strict)):
+                    clash = s._check_clash(c, number)
+        s.constraints = list(step_of)
+        for pos in indexed:
+            s._index(s.constraints[pos], pos)
+        s.agenda, s.splits, s.gens = (sorted(set(heap)) for heap in (s.agenda, s.splits, s.gens))
+        s.clash = clash
         return s
 
     def copy(self) -> "ConstraintSet":
@@ -339,7 +399,8 @@ class ConstraintSet:
             if bucket is None:
                 by_assertion[a] = (c,)
             else:
-                # ``_set`` inlined: this runs once per hypothesis of a wide KB
+                # ``_set`` inlined: this runs for every constraint a search
+                # adds, and the call costs a desk-scale refutation 1-2%
                 if trail is not None:
                     trail.append((by_assertion, a, bucket))
                 by_assertion[a] = bucket + (c,)
@@ -764,13 +825,15 @@ def complete(
     ``from_constraints(h + constraints)``, so every step, branch and model
     is the one the longer list gives.  A base may also come already
     saturated under the deterministic rules; the steps that took are not
-    counted against ``max_steps``.
+    counted against ``max_steps``.  Without ``base`` the search starts
+    from ``from_constraints(constraints)`` with nothing more to add.
     """
     if max_branches is None:
         max_branches = _env_max_branches()
-    s = ConstraintSet() if base is None else base
-    with s.lock:
-        return _search(s, constraints, max_branches, max_steps)
+    if base is None:
+        base, constraints = ConstraintSet.from_constraints(constraints), ()
+    with base.lock:
+        return _search(base, constraints, max_branches, max_steps)
 
 
 def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
@@ -882,36 +945,49 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     bounds move to the midpoint of the remaining interval); falsity
     entries take the greatest value the upper bounds allow.  Entries
     nobody constrains stay at the (0, 1) default, so unconstrained
-    successors can never break a successor-wide bound.
+    successors can never break a successor-wide bound.  Each bucket is
+    read once, and its entry is shared by every bucket with the same
+    bounds, of which a KB has few.
     """
     if s.clash is not None:
         raise ValueError("cannot extract a model from a clashed constraint set")
-    objects = s.objects()
-    individuals = sorted(
-        (o.name for o in objects if isinstance(o, Individual))
-    )
-    variables = sorted(
-        (o for o in objects if isinstance(o, Variable)), key=lambda v: v.index
-    )
     # '?' cannot occur in identifiers, so variable elements never
     # collide with individual names.
-    domain = tuple(individuals) + tuple(f"?{v}" for v in variables)
-    if not domain:
-        domain = ("d0",)
-    interp = FiniteInterpretation(tuple(domain), {name: name for name in individuals})
-    element = {o: o.name if isinstance(o, Individual) else f"?{o}" for o in objects}
-    concepts, roles = interp.concept_table, interp.role_table
+    element: dict = {}
+    concepts: dict = {}
+    roles: dict = {}
+    pairs: dict = {}
     for a, bucket in s.by_assertion.items():
-        if isinstance(a, ConceptAssertion):
-            if not isinstance(a.concept, Atomic):
+        subject = a.subject
+        e = element.get(subject)
+        if e is None:
+            e = element[subject] = subject.name if type(subject) is Individual else f"?{subject}"
+        if type(a) is ConceptAssertion:
+            if type(a.concept) is not Atomic:
                 continue
-            table, key = concepts, (a.concept.name, element[a.subject])
+            table, key = concepts, (a.concept.name, e)
         else:
-            table, key = roles, (a.role, element[a.subject], element[a.target])
-        # Each pick lies in [0, 1] already (``_pick``).
-        table[key] = DegreePair._unchecked(_pick([c.tbound for c in bucket], low=True),
-                                           _pick([c.fbound for c in bucket], low=False))
-    return interp
+            target = a.target
+            t = element.get(target)
+            if t is None:
+                t = element[target] = target.name if type(target) is Individual else f"?{target}"
+            table, key = roles, (a.role, e, t)
+        # The truth and the falsity bound of each constraint, in turn.
+        if len(bucket) == 1:
+            bounds = (bucket[0].tbound, bucket[0].fbound)
+        else:
+            bounds = tuple([b for c in bucket for b in (c.tbound, c.fbound)])
+        pair = pairs.get(bounds)
+        if pair is None:
+            # Each pick lies in [0, 1] already (``_pick``).
+            pair = pairs[bounds] = DegreePair._unchecked(_pick(bounds[0::2], low=True),
+                                                         _pick(bounds[1::2], low=False))
+        table[key] = pair
+    individuals = sorted(e for o, e in element.items() if type(o) is Individual)
+    variables = sorted((o for o in element if type(o) is Variable), key=lambda v: v.index)
+    domain = tuple(individuals) + tuple(element[v] for v in variables)
+    return FiniteInterpretation(domain or ("d0",), {name: name for name in individuals},
+                                concepts, roles)
 
 
 def variable_assignment(s: ConstraintSet) -> dict:
