@@ -122,9 +122,8 @@ class Bound(FrozenValue):
     rel: Rel
     value: Fraction
 
-    def __post_init__(self):
+    def _check(self):
         _check_degree(self.value, "bound")
-        FrozenValue.__post_init__(self)
 
     def holds(self, v: Fraction) -> bool:
         if self.rel is Rel.GE:
@@ -214,10 +213,9 @@ class Constraint(FrozenValue):
     tbound: Bound | None
     fbound: Bound | None
 
-    def __post_init__(self):
+    def _check(self):
         if self.tbound is None and self.fbound is None:
             raise ValueError("constraint must bound at least one component")
-        FrozenValue.__post_init__(self)
 
     @staticmethod
     def of_form(assertion: Assertion, form: Form, bounds: DegreePair) -> "Constraint":

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -796,16 +797,25 @@ def _checked(interp: FiniteInterpretation, constraints, assignment, axioms) -> F
 def constraint_degrees(constraints) -> set[Fraction]:
     """The degrees the constraints' bounds mention.
 
-    Equal degrees are found by their (numerator, denominator) pair, which
-    hashes several times faster than a ``Fraction`` does.
+    A parse shares one ``Bound`` object among the statements that repeat
+    it, so the bounds are first told apart by identity, which takes no
+    Python-level call per bound.  Equal degrees are then found by their
+    (numerator, denominator) pair, which hashes several times faster than
+    a ``Fraction`` does.
     """
+    constraints = list(constraints)
+    bounds = [*map(_TBOUND, constraints), *map(_FBOUND, constraints)]
+    distinct = dict(zip(map(id, bounds), bounds))
+    distinct.pop(id(None), None)
     seen: dict[tuple[int, int], Fraction] = {}
-    for c in constraints:
-        for bound in (c.tbound, c.fbound):
-            if bound is not None:
-                v = bound.value
-                seen.setdefault((v.numerator, v.denominator), v)
+    for bound in distinct.values():
+        v = bound.value
+        seen.setdefault((v.numerator, v.denominator), v)
     return set(seen.values())
+
+
+_TBOUND = operator.attrgetter("tbound")
+_FBOUND = operator.attrgetter("fbound")
 
 
 def default_domain_size(constraints) -> int:

@@ -18,15 +18,12 @@ class FrozenValue:
 
     Each is a slotted frozen dataclass (see ``frozen_value``) whose hash
     is the one ``dataclass(frozen=True)`` defines, the hash of its field
-    tuple.  It is computed once, at construction, and kept in a slot: a
+    tuple.  Its constructor computes it once and keeps it in a slot: a
     tableau run hashes the same concepts, assertions and bounds millions
     of times, and a recursive hash would walk the whole concept each time.
     """
 
     __slots__ = ("_hash",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", self._field_hash())
 
     def __hash__(self):
         return self._hash
@@ -38,10 +35,31 @@ class FrozenValue:
 
 
 def frozen_value(cls):
-    """Make a ``FrozenValue`` subclass a slotted frozen dataclass."""
+    """Make a class a slotted frozen dataclass built in one call.
+
+    Its ``__init__`` is generated in place of the dataclass one.  It sets
+    each field's slot through the slot's descriptor, runs the class's
+    ``_check`` when it has one, and, for a ``FrozenValue``, stores the
+    hash of the field tuple.  The dataclass ``__init__`` would take one
+    ``object.__setattr__`` call per field and a ``__post_init__`` chain on
+    top, and the tableau builds values by the million.  Fields take no
+    defaults.
+    """
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = FrozenValue.__hash__
+    names = [f.name for f in fields(cls)]
+    env = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    body = [f"_set_{name}(self, {name})" for name in names]
+    if hasattr(cls, "_check"):
+        env["_check"] = cls._check
+        body.append("_check(self)")
+    if issubclass(cls, FrozenValue):
+        env["_set_hash"] = FrozenValue._hash.__set__
+        body.append(f"_set_hash(self, hash(({''.join(f'{name}, ' for name in names)})))")
+        cls.__hash__ = FrozenValue.__hash__
+    exec(f"def __init__({', '.join(['self', *names])}):\n    " + "\n    ".join(body), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
     # Before Python 3.12 the generated guards of a slotted class refer to
     # the class it replaced and raise TypeError for a non-field name.
     cls.__setattr__ = _refuse_setattr
@@ -77,10 +95,9 @@ class Bottom(ConceptExpr):
 class Atomic(ConceptExpr):
     name: str
 
-    def __post_init__(self):
+    def _check(self):
         if not self.name:
             raise ValueError("atomic concept name must be nonempty")
-        FrozenValue.__post_init__(self)
 
 
 @frozen_value

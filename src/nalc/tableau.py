@@ -86,6 +86,7 @@ from .syntax import (
     Or,
     Top,
     Variable,
+    frozen_value,
 )
 
 DEFAULT_MAX_BRANCHES = 10**6
@@ -118,7 +119,7 @@ class Status(enum.Enum):
     UNSATISFIABLE = "unsatisfiable"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Step:
     number: int
     constraints: tuple[Constraint, ...]
@@ -131,14 +132,6 @@ class Step:
             return f"({self.number}) {body}   [hypothesis]"
         refs = ", ".join(f"({p})" for p in self.premises)
         return f"({self.number}) {body}   {self.rule} : {refs}"
-
-
-# The slot setters of ``Step``.  The bulk build sets a hypothesis step's
-# fields through them: the frozen ``__init__`` goes through
-# ``object.__setattr__`` per field, which costs about five times as much,
-# and a wide KB makes one step per statement.
-_STEP_FIELDS = tuple(Step.__dict__[name].__set__
-                     for name in ("number", "constraints", "rule", "premises"))
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,6 @@ class ConstraintSet:
         """
         s = ConstraintSet()
         step_of, steps, by_assertion = s.step_of, s.steps, s.by_assertion
-        set_number, set_constraints, set_rule, set_premises = _STEP_FIELDS
         indexed = []
         clash = None
         for c in constraints:
@@ -225,12 +217,7 @@ class ConstraintSet:
             if step_of.setdefault(c, number) != number:
                 continue
             one = (c,)
-            step = object.__new__(Step)
-            set_number(step, number)
-            set_constraints(step, one)
-            set_rule(step, "hypothesis")
-            set_premises(step, ())
-            steps.append(step)
+            steps.append(Step(number, one, "hypothesis", ()))
             a = c.assertion
             bucket = by_assertion.setdefault(a, one)
             check = bucket is not one
@@ -749,6 +736,13 @@ def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
     ]
 
 
+def _split_witness(c: Constraint, fresh: int, pending) -> list[Constraint]:
+    """The constraints of a paired witness demand split between two fresh
+    variables, numbered after ``fresh``: one witness per half."""
+    return (_witness(c, Variable(fresh + 1), pending[:1])
+            + _witness(c, Variable(fresh + 2), pending[1:]))
+
+
 def _branches(s: ConstraintSet, engine: _Engine):
     """The branches of a set at its deterministic fixpoint, or None when
     it is complete.
@@ -757,7 +751,8 @@ def _branches(s: ConstraintSet, engine: _Engine):
     adds, with the number of fresh variables they take after the set's
     last one.  Decomposition choices come before witness generation.
     Paired witness halves branch between one shared witness and a
-    witness per half.
+    witness per half.  The search seldom takes the second, so its
+    additions are left as a call that builds them (``_take``).
     """
     found = engine.find_branches(s)
     if found is not None:
@@ -766,14 +761,22 @@ def _branches(s: ConstraintSet, engine: _Engine):
     found = engine.find_generation(s)
     if found is not None:
         c, label, premises, pending = found
-        x1 = Variable(s.fresh_counter + 1)
-        out = [(_witness(c, x1, pending), label, premises, 1)]
+        out = [(_witness(c, Variable(s.fresh_counter + 1), pending), label, premises, 1)]
         if len(pending) == 2:
-            x2 = Variable(s.fresh_counter + 2)
-            additions = _witness(c, x1, pending[:1]) + _witness(c, x2, pending[1:])
-            out.append((additions, label + " split", premises, 2))
+            split = functools.partial(_split_witness, c, s.fresh_counter, pending)
+            out.append((split, label + " split", premises, 2))
         return out
     return None
+
+
+def _take(s: ConstraintSet, branch) -> None:
+    """Add one branch of ``_branches`` to ``s``, building its additions
+    first when they are left as a call."""
+    additions, label, premises, fresh = branch
+    if callable(additions):
+        additions = additions()
+    s.fresh_counter += fresh
+    s.add(additions, label, premises)
 
 
 def apply_rules(s: ConstraintSet):
@@ -791,9 +794,8 @@ def apply_rules(s: ConstraintSet):
     if branches is None:
         return None
     children = [work.copy() for _ in branches[1:]] + [work]
-    for child, (additions, label, premises, fresh) in zip(children, branches):
-        child.fresh_counter += fresh
-        child.add(additions, label, premises)
+    for child, branch in zip(children, branches):
+        _take(child, branch)
     return children
 
 
@@ -874,9 +876,7 @@ def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
                     return CompletionResult(Status.UNSATISFIABLE, None, clashes, branch_count)
                 s.undo(choices[-1][0])
             branch_count += 1
-            additions, label, premises, fresh = choices[-1][1].pop(0)
-            s.fresh_counter += fresh
-            s.add(additions, label, premises)
+            _take(s, choices[-1][1].pop(0))
     finally:
         s.undo(start)
         s.trail = None

@@ -2,7 +2,7 @@
 
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +28,7 @@ from nalc import (
     nnf,
     subconcepts,
 )
+from nalc.tableau import Step
 from genutil import rand_concept, rand_interpretation
 
 A, B, C, D = Atomic("A"), Atomic("B"), Atomic("C"), Atomic("D")
@@ -212,3 +213,52 @@ class TestFrozenValues:
             RoleAssertion: ["role", "subject", "target"],
             Bound: ["rel", "value"], Constraint: ["assertion", "tbound", "fbound"],
         }
+
+
+def _step():
+    a = Individual("a")
+    c = Constraint.geq_leq(ConceptAssertion(Atomic("A"), a), Fraction(1, 2), 0)
+    return Step(2, (c,), "(and>=<=)", (1,))
+
+
+class TestGeneratedConstructors:
+    @pytest.mark.parametrize("build", _values() + [_step])
+    def test_keyword_construction_and_replace(self, build):
+        x = build()
+        by_name = {f.name: getattr(x, f.name) for f in fields(x)}
+        for y in (type(x)(**by_name), replace(x)):
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x)
+
+    def test_replace_builds_a_new_value(self):
+        x = replace(Atomic("A"), name="B")
+        assert x == Atomic("B") and hash(x) == hash(Atomic("B"))
+        step = replace(_step(), number=5)
+        assert step.number == 5 and step.render().startswith("(5) A(a) >= 0.5 <= 0")
+
+    def test_a_step_hashes_its_field_tuple(self):
+        step = _step()
+        assert hash(step) == hash(tuple(getattr(step, f.name) for f in fields(step)))
+        assert not hasattr(step, "_hash")
+
+    def test_the_checks_raise_their_messages(self):
+        a = ConceptAssertion(Atomic("A"), Individual("a"))
+        with pytest.raises(ValueError, match=r"^atomic concept name must be nonempty$"):
+            Atomic("")
+        with pytest.raises(ValueError, match=r"^atomic concept name must be nonempty$"):
+            replace(Atomic("A"), name="")
+        with pytest.raises(ValueError, match=r"^bound 3/2 outside \[0, 1\]$"):
+            Bound(Rel.GE, Fraction(3, 2))
+        with pytest.raises(ValueError, match=r"^constraint must bound at least one component$"):
+            Constraint(a, None, None)
+
+    def test_a_wrong_arity_names_the_class(self):
+        with pytest.raises(TypeError, match=r"^Atomic\.__init__\(\) takes 2 positional "
+                                            r"arguments but 3 were given$"):
+            Atomic("A", "B")
+        with pytest.raises(TypeError, match=r"^Step\.__init__\(\) missing 1 required "
+                                            r"positional argument: 'premises'$"):
+            Step(1, (), "hypothesis")
+
+    def test_a_value_without_fields_hashes_the_empty_tuple(self):
+        assert hash(TOP) == hash(()) == hash(BOT)

@@ -685,3 +685,26 @@ def test_a_failed_run_leaves_its_base_as_built(base_padding, ceiling):
         assert again.branch_count == fresh.branch_count
         assert again.trace == fresh.trace
     assert failed > 20
+
+
+def test_a_paired_witness_demand_offers_a_shared_and_a_split_witness():
+    s = ConstraintSet.from_constraints([Constraint.geq_leq(ca(Exists("R", A)), F(1, 2), F(1, 2))])
+    children = apply_rules(s)
+    assert [child.fresh_counter for child in children] == [1, 2]
+    assert [child.trace_lines()[1:] for child in children] == [
+        ["(2) R(a,x1) >= 0.5 <= 0.5, A(x1) >= 0.5 <= 0.5   (some>=<=) : (1)"],
+        ["(2) R(a,x1) t>= 0.5, A(x1) t>= 0.5, R(a,x2) f<= 0.5, A(x2) f<= 0.5"
+         "   (some>=<=) split : (1)"],
+    ]
+    assert s.fresh_counter == 0 and len(s.steps) == 1
+
+
+def test_the_search_takes_the_split_witness_when_the_shared_one_clashes():
+    result = check_satisfiable(parse_kb("assert (some S bot)(b) >= 0.5 <= 0.25"))
+    assert result.status is Status.UNSATISFIABLE
+    # The start, the shared witness, whose clash the trace shows, and the split.
+    assert result.branch_count == 3
+    assert result.trace[1:] == [
+        "(2) S(b,x1) >= 0.5 <= 0.25, bot(x1) >= 0.5 <= 0.25   (some>=<=) : (1)",
+        "clash : (2) : bottom concept has t-value 0, violating >= 0.5",
+    ]
