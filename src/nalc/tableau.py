@@ -39,8 +39,8 @@ choose or generate: the first one that does is the one an in-order
 rescan would return.  There a constraint needs no wake-up but a new
 successor, because a branch only grows: a split is closed for good once
 one of its branches is present, an edge choice once either side is
-implied or refuted, and a witness demand once a successor meets it; only
-a new successor opens new edge choices.
+implied, and a witness demand once a successor meets it; only a new
+successor opens new edge choices.
 
 Search.  ``complete`` searches depth-first on one constraint set: a
 choice marks the set and takes its first branch, and a clash undoes the
@@ -173,10 +173,10 @@ class ConstraintSet:
 
     While a search runs on the set, ``trail`` records the value each
     bucket, successor-index or watch-list entry held before it was
-    replaced, and ``mark`` saves the lengths of the constraints, the
-    steps and the four dicts, the fresh-variable counter, the clash and
-    the three heaps; ``undo`` restores all of that.  ``lock`` is held by
-    every run on the set.
+    replaced, and ``mark`` saves the lengths of the constraints (and so
+    of ``step_of``), the steps and the other three dicts, the
+    fresh-variable counter, the clash and the three heaps; ``undo``
+    restores all of that.  ``lock`` is held by every run on the set.
     """
 
     def __init__(self):
@@ -269,7 +269,7 @@ class ConstraintSet:
 
     def mark(self) -> tuple:
         """A point to ``undo`` back to; the trail must be on."""
-        return (len(self.trail), len(self.constraints), len(self.steps), len(self.step_of),
+        return (len(self.trail), len(self.constraints), len(self.steps),
                 len(self.by_assertion), len(self.successors), len(self.watchers),
                 self.fresh_counter, self.clash, self.agenda[:], self.splits[:], self.gens[:])
 
@@ -281,13 +281,13 @@ class ConstraintSet:
         removes them and leaves no hole: a dict with holes takes the slow
         path when it is copied.
         """
-        (n, n_constraints, n_steps, n_step_of, n_buckets, n_successors, n_watchers,
+        (n, n_constraints, n_steps, n_buckets, n_successors, n_watchers,
          self.fresh_counter, self.clash, agenda, splits, gens) = mark
         trail = self.trail
         while len(trail) > n:
             table, key, old = trail.pop()
             table[key] = old
-        for table, size in ((self.step_of, n_step_of), (self.by_assertion, n_buckets),
+        for table, size in ((self.step_of, n_constraints), (self.by_assertion, n_buckets),
                             (self.successors, n_successors), (self.watchers, n_watchers)):
             while len(table) > size:
                 table.popitem()
@@ -309,9 +309,7 @@ class ConstraintSet:
         return list(seen)
 
     def implied(self, assertion: Assertion, ch: str, wanted: Bound) -> bool:
-        """Does some bound on channel ``ch`` of the assertion force ``wanted``?"""
-        if vacuous(wanted):
-            return True
+        """Does a bound on channel ``ch`` of the assertion force ``wanted`` (not vacuous)?"""
         truth = ch == "t"
         for c in self.by_assertion.get(assertion, ()):
             bound = c.tbound if truth else c.fbound
@@ -378,6 +376,8 @@ class ConstraintSet:
         by_assertion = self.by_assertion
         trail = self.trail
         for c in new:
+            if c in step_of:
+                continue  # listed twice in this step, as ``(and A A)`` lists its part
             self._index(c, len(self.constraints))
             self.constraints.append(c)
             step_of[c] = number
@@ -585,15 +585,13 @@ class _Engine:
         return False
 
     def _universal_actions(self, s: ConstraintSet, c: Constraint):
-        """Pending per-successor decisions of successor-wide bounds.
+        """Open per-successor decisions of successor-wide bounds.
 
         Per successor a successor-wide half holds when the role side or
         the filler side meets the very same bound, each in its own
-        channel.  Yields (bound, ch, role_ch, target, edge, filler,
-        decided) where ``decided`` is the forced (side, refuter) or None:
-        a refuted role side forces the filler side, and otherwise a
-        refuted filler side forces the role side.  When both are refuted
-        the branch is doomed and the filler side lets the clash surface.
+        channel.  Yields (bound, ch, role_ch, target, edge, filler),
+        halves major, for each successor where neither side is implied
+        yet.
         """
         concept = c.assertion.concept
         subject = c.assertion.subject
@@ -602,43 +600,38 @@ class _Engine:
             for target in s.successors.get((subject, concept.role), ()):
                 edge = RoleAssertion(concept.role, subject, target)
                 filler = ConceptAssertion(concept.filler, target)
-                if s.implied(filler, ch, bound) or s.implied(edge, role_ch, bound):
-                    continue
-                decided = None
-                refuter = s.refuter(edge, role_ch, bound)
-                if refuter is not None:
-                    decided = ("filler", refuter)
-                else:
-                    refuter = s.refuter(filler, ch, bound)
-                    if refuter is not None:
-                        decided = ("role", refuter)
-                yield (bound, ch, role_ch, target, edge, filler, decided)
+                if not (s.implied(filler, ch, bound) or s.implied(edge, role_ch, bound)):
+                    yield bound, ch, role_ch, target, edge, filler
 
     def _universal_det(self, s: ConstraintSet, c: Constraint) -> bool:
-        concept = c.assertion.concept
-        decided_by_target: dict = {}
-        for action in self._universal_actions(s, c):
-            if action[-1] is not None:
-                decided_by_target.setdefault(action[3], []).append(action)
-        for actions in decided_by_target.values():
-            additions = []
-            premises = [s.step_of[c]]
-            halves = []
-            for bound, ch, role_ch, _, edge, filler, (side, refuter) in actions:
-                premises.append(s.step_of[refuter])
-                if side == "filler":
-                    halves.append((bound, ch))
-                else:
-                    additions.append(_make(edge, [(bound, role_ch)]))
-            if halves:
-                additions.append(_make(filler, halves))
-            additions = [a for a in additions if a not in s]
-            if not additions:
+        """Fire the forced sides of the first successor that has any,
+        halves major: a refuted role side forces the filler side, else a
+        refuted filler side forces the role side (when both are refuted,
+        the filler side lets the clash surface).  ``c`` and each refuter
+        are the premises; the filler halves make one constraint."""
+        first = None
+        premises = [s.step_of[c]]
+        additions, halves = [], []
+        for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
+            if first is not None and target is not first:
                 continue
-            self.tick()
-            s.add(additions, _label(concept, c, halves or None), premises)
-            return True
-        return False
+            refuter = s.refuter(edge, role_ch, bound)
+            if refuter is not None:
+                halves.append((bound, ch))
+            else:
+                refuter = s.refuter(filler, ch, bound)
+                if refuter is None:
+                    continue
+                additions.append(_make(edge, [(bound, role_ch)]))
+            first, forced_filler = target, filler
+            premises.append(s.step_of[refuter])
+        if first is None:
+            return False
+        if halves:
+            additions.append(_make(forced_filler, halves))
+        self.tick()
+        s.add(additions, _label(c.assertion.concept, c, halves or None), premises)
+        return True
 
     # -- branching and generating passes --------------------------------
 
@@ -667,7 +660,8 @@ class _Engine:
     def choice(self, s: ConstraintSet, c: Constraint):
         """The open choice of one constraint, as (constraint, label,
         premises, branches), or None.  A choice is closed once the branch
-        holds one of its outcomes."""
+        holds one of its outcomes.  At a deterministic fixpoint no
+        per-successor decision is forced, so a quantifier takes its first."""
         if not isinstance(c.assertion, ConceptAssertion):
             return None
         concept = c.assertion.concept
@@ -689,10 +683,7 @@ class _Engine:
                 return None
             return c, _label(concept, c, halves), [s.step_of[c]], branches
         if isinstance(concept, (Exists, Forall)):
-            for action in self._universal_actions(s, c):
-                bound, ch, role_ch, target, edge, filler, decided = action
-                if decided is not None:
-                    continue
+            for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
                 branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
                 label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
                 return c, label, [s.step_of[c]], branches

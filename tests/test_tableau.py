@@ -568,6 +568,92 @@ def test_a_chain_decides_each_link_a_bounded_number_of_times(monkeypatch):
     assert len(calls) <= 4 * n
 
 
+def test_where_the_agenda_fires_nothing_no_rule_fires():
+    """The agenda misses no deterministic rule at any state a search can
+    reach, completed or not, so a choice made there finds every
+    per-successor decision open, none forced.  Eight statements give a
+    quantifier successors that other rules give bounds after it ran."""
+    rng = random.Random(stable_seed("deterministic fixpoint"))
+    engine = _Engine(DEFAULT_MAX_STEPS)
+    fixpoints = 0
+    for _ in range(400):
+        kb = rand_assertional_kb(rng, size=8)
+        s = ConstraintSet.from_constraints(list(kb.assertions))
+        for _ in range(60):
+            if not engine.apply_deterministic(s.copy()):
+                fixpoints += 1
+                # A rule that does not fire leaves the set as it was.
+                idle = s.copy()
+                for c in list(idle.constraints):
+                    assert not engine.fire(idle, c), (str(c), s.trace_lines())
+            children = apply_rules(s)
+            if children is None:
+                break
+            s = rng.choice(children)
+    assert fixpoints > 1000
+
+
+_PER_SUCCESSOR_EDGES = (
+    "assert R(a,b) >= 1 <= 0\nassert R(a,c) >= 0.5 <= 0.5\nassert R(a,d) >= 0.5 <= 0.5\n"
+)
+
+
+@pytest.mark.parametrize("text, steps", [
+    # b's edge refutes the role side, d's filler the filler side: both
+    # are forced, in successor order; c is open in each half.
+    ("assert (all R A)(a) >= 0.5 <= 0.5\n" + _PER_SUCCESSOR_EDGES
+     + "assert A(d) <= 0.25 >= 0.75\n", [
+         "(6) A(b) >= 0.5 <= 0.5   (all>=<=) : (1), (2)",
+         "(7) R(a,d) f>= 0.5, R(a,d) t<= 0.5   (all>=<=) : (1), (5)",
+         "(8) R(a,c) f>= 0.5   (all t>= ?) : (1)",
+         "(9) R(a,c) t<= 0.5   (all f<= ?) : (1)",
+     ]),
+    ("assert (some R A)(a) <= 0.5 >= 0.5\n" + _PER_SUCCESSOR_EDGES
+     + "assert A(d) >= 0.75 <= 0.25\n", [
+         "(6) A(b) <= 0.5 >= 0.5   (some<=>=) : (1), (2)",
+         "(7) R(a,d) t<= 0.5, R(a,d) f>= 0.5   (some<=>=) : (1), (5)",
+         "(8) R(a,c) t<= 0.5   (some t<= ?) : (1)",
+         "(9) R(a,c) f>= 0.5   (some f>= ?) : (1)",
+     ]),
+    # Each edge refutes the role side of one half only: the truth half
+    # is forced at c before the falsity half at b, and each forced
+    # successor leaves the other half open there.
+    ("assert (all R A)(a) >= 0.5 <= 0.5\nassert R(a,b) >= 0.75 <= 0.5\n"
+     "assert R(a,c) >= 0 <= 0\n", [
+         "(4) A(c) t>= 0.5   (all t>=) : (1), (3)",
+         "(5) A(b) f<= 0.5   (all f<=) : (1), (2)",
+         "(6) R(a,b) f>= 0.5   (all t>= ?) : (1)",
+         "(7) R(a,c) t<= 0.5   (all f<= ?) : (1)",
+     ]),
+])
+def test_a_successor_wide_bound_fires_forced_sides_and_then_branches(text, steps):
+    """Forced sides fire one successor per step, halves major, the filler
+    halves of a successor as one constraint; the open decisions then
+    branch one half at a time."""
+    result = check_satisfiable(parse_kb(text))
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == 3
+    assert result.trace[text.count("\n"):] == steps
+
+
+def test_a_step_that_lists_a_constraint_twice_holds_it_once():
+    """``(and A A)`` lists its part twice in one step; the branch holds it
+    once, as a set built from hypotheses does, so ``step_of`` keys the
+    constraints one for one."""
+    kb = parse_kb("assert (and A A)(a) >= 1 <= 0.5\nassert (or B C)(a) >= 1 <= 0\n")
+    base = ConstraintSet.from_constraints(list(kb.assertions))
+    before = _state(base)
+    result = complete([], base=base)
+    assert _state(base) == before
+    assert result.trace[2:4] == [
+        "(3) A(a) >= 1 <= 0.5, A(a) >= 1 <= 0.5   (and>=<=) : (1)",
+        "(4) B(a) >= 1 <= 0   (or>=<=) : (2)",
+    ]
+    s = result.witness
+    assert s.constraints == list(s.step_of)
+    assert s.by_assertion[ca(A)] == (Constraint.geq_leq(ca(A), 1, F(1, 2)),)
+
+
 def test_branch_copies_leave_the_parent_unchanged():
     premises = [
         Constraint.geq_leq(ca(Forall("R", C)), F(1, 2), F(1, 4)),
