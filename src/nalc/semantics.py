@@ -63,6 +63,7 @@ from .syntax import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FALSE = DegreePair(ZERO, ONE)  # what a missing table entry reads
 
 
 class SearchExhausted(RuntimeError):
@@ -98,10 +99,10 @@ class FiniteInterpretation:
                 raise ValueError(f"unknown element {e!r} in individual map")
 
     def concept_value(self, name: str, element: str) -> DegreePair:
-        return self.concept_table.get((name, element), DegreePair(ZERO, ONE))
+        return self.concept_table.get((name, element), _FALSE)
 
     def role_value(self, role: str, e1: str, e2: str) -> DegreePair:
-        return self.role_table.get((role, e1, e2), DegreePair(ZERO, ONE))
+        return self.role_table.get((role, e1, e2), _FALSE)
 
 
 def eval_concept(interp: FiniteInterpretation, c: ConceptExpr, element: str) -> DegreePair:
@@ -375,9 +376,12 @@ class _Dag:
         Negation swaps the channel; ``takes_min`` picks every other
         operator, and a quantifier's role literal is in the falsity
         channel under a minimum and in the truth channel under a maximum.
-        A part of a min or max is built only while no earlier part is
-        the absorbing constant, and a quantifier's filler before its role
-        literal, so no subterm that an earlier constant decides is built.
+        A binary concept's right part is built only when its left one is
+        not the absorbing constant, and a quantifier's filler before its
+        role literal, so no subterm that an earlier constant decides is
+        built.  A quantifier part is never the outer absorbing constant:
+        it is a role literal, holds one, or is the inner absorbing (outer
+        neutral) constant.
         """
         memo = (c, ch, e)
         n = self._built.get(memo)
@@ -401,8 +405,6 @@ class _Dag:
                 if not self._absorbs(not low, part):
                     part = self._op(not low, (self.literal(("r", c.role, e, d), role_ch), part))
                 parts.append(part)
-                if self._absorbs(low, part):
-                    break
             n = self._op(low, parts)
         elif isinstance(c, (Top, Bottom)):
             n = self._const(isinstance(c, Top) == (ch == "t"))
@@ -524,29 +526,29 @@ class _Dag:
                 continue
             # Down: every child of a min is at least its lower end, and
             # the upper end needs one child that reaches it; dually for max.
+            # No narrowing here empties a child: the up step left a <= b <=
+            # hi[c] under a min (lo[c] <= a <= b under a max) and a cell's
+            # ends are grid degrees.  The one conflict is no child reaching.
             reach = last = -1
             if k == _MIN:
                 for c in ks:
-                    if lo[c] < a and not narrow(c, a, hi[c]):
-                        ok = False
-                        break
+                    if lo[c] < a:
+                        narrow(c, a, hi[c])
                     if lo[c] <= b:
                         reach += 1
                         last = c
-                if ok and reach == 0 and hi[last] > b:
-                    ok = narrow(last, lo[last], b)
+                if reach == 0 and hi[last] > b:
+                    narrow(last, lo[last], b)
             else:
                 for c in ks:
-                    if hi[c] > b and not narrow(c, lo[c], b):
-                        ok = False
-                        break
+                    if hi[c] > b:
+                        narrow(c, lo[c], b)
                     if hi[c] >= a:
                         reach += 1
                         last = c
-                if ok and reach == 0 and lo[last] < a:
-                    ok = narrow(last, a, hi[last])
-            if ok and last < 0:
-                ok = False
+                if reach == 0 and lo[last] < a:
+                    narrow(last, a, hi[last])
+            ok = last >= 0
         return ok
 
 
@@ -761,8 +763,10 @@ def exists_model(
     Every (name, channel) has its own cell.  Individuals map injectively
     onto the first elements; variables are taken existentially over the
     whole domain.  Terminological axioms, if given, are enforced
-    pointwise at every element.  Raises SearchExhausted when the search
-    exceeds ``max_nodes`` nodes.
+    pointwise at every element.  The model holds the cells the search
+    read, in the order it compiled them; every other entry reads the
+    fully-false default.  Raises SearchExhausted when the search exceeds
+    ``max_nodes`` nodes.
     """
     constraints = list(constraints)
     axioms = list(axioms)
@@ -771,16 +775,10 @@ def exists_model(
         return None
     domain, ind_map, assignment, degrees = found
     interp = FiniteInterpretation(domain, ind_map)
-
-    def pair(*key) -> DegreePair:
-        return DegreePair(degrees.get(key + ("t",), ZERO), degrees.get(key + ("f",), ONE))
-
-    for name in {k[1] for k in degrees if k[0] == "c"}:
-        for d in domain:
-            interp.concept_table[(name, d)] = pair("c", name, d)
-    for role in {k[1] for k in degrees if k[0] == "r"}:
-        for d1, d2 in itertools.product(domain, repeat=2):
-            interp.role_table[(role, d1, d2)] = pair("r", role, d1, d2)
+    for key in dict.fromkeys(k[:-1] for k in degrees):
+        table = interp.concept_table if key[0] == "c" else interp.role_table
+        table[key[1:]] = DegreePair(degrees.get(key + ("t",), ZERO),
+                                    degrees.get(key + ("f",), ONE))
     return _checked(interp, constraints, assignment, axioms)
 
 

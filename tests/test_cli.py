@@ -241,3 +241,54 @@ class TestNoTracebackExits:
             f"{query}: false",
             "oracle agreement: true",
         ]
+
+
+class TestGridTraceAndQuerySources:
+    """Exit codes and lines of ``--grid``, ``check --trace`` and the
+    ``entails`` query sources, read through ``run``."""
+
+    def test_a_disjunction_is_not_subsumed_on_any_grid(self):
+        for grid in ("0.25,0.75", "0"):
+            assert run(["subsumes", "--grid", grid, "--sub", "(or A B)", "--super", "A"]) == 1
+
+    def test_a_grid_degree_above_one_is_a_usage_error(self, capsys):
+        assert run(["subsumes", "--grid", "1.5", "--sub", "A", "--super", "A"]) == 2
+        assert capsys.readouterr().err == "grid degree 3/2 outside [0, 1]\n"
+
+    def test_a_grid_that_is_no_number_is_a_usage_error(self, capsys):
+        assert run(["subsumes", "--grid", "abc", "--sub", "A", "--super", "A"]) == 2
+        assert capsys.readouterr().err.startswith("bad grid 'abc': ")
+
+    def test_the_oracle_agrees_on_a_grid_of_its_own(self, poll_kb, capsys):
+        code = run(["entails", poll_kb, "--oracle", "--grid", "0.25,0.75",
+                    "--query", "assert (some Support War)(p1) <= 0 >= 0"])
+        assert code == 1
+        assert "oracle agreement: true" in capsys.readouterr().out.splitlines()
+
+    def test_check_trace_leaves_out_an_undone_branch(self, tmp_path, capsys):
+        path = tmp_path / "undo.nalc"
+        path.write_text("assert (or A B)(a) >= 1 <= 0\nassert A(a) <= 0.5 >= 0.5\n",
+                        encoding="utf-8")
+        assert run(["check", "--trace", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "satisfiable: true",
+            "(1) (or A B)(a) >= 1 <= 0   [hypothesis]",
+            "(2) A(a) <= 0.5 >= 0.5   [hypothesis]",
+            "(3) B(a) >= 1 <= 0   (or>=<=) : (1)",
+        ]
+
+    def test_entails_needs_a_query(self, poll_kb, capsys):
+        assert run(["entails", poll_kb]) == 2
+        assert capsys.readouterr().err == "entails needs --query or --queries\n"
+
+    def test_a_missing_queries_file_is_a_usage_error(self, poll_kb, tmp_path, capsys):
+        assert run(["entails", poll_kb, "--queries", str(tmp_path / "absent.txt")]) == 2
+        assert capsys.readouterr().err.startswith("cannot read ")
+
+    def test_a_statement_other_than_assert_is_a_bad_query(self, poll_kb, tmp_path, capsys):
+        queries = tmp_path / "queries.txt"
+        queries.write_text("spec A < B\n", encoding="utf-8")
+        assert run(["entails", poll_kb, "--queries", str(queries)]) == 2
+        assert capsys.readouterr().err == (
+            "bad query 'spec A < B': 1:1: syntax: expected an 'assert' statement\n"
+        )

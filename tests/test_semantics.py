@@ -142,6 +142,12 @@ class TestSatisfiesAxiom:
             interp, TerminologicalAxiom("A", AxiomKind.SPECIALIZATION, C)
         )
 
+    def test_definition_fails_on_unequal_values(self):
+        interp = tiny_interp(A=(F(1, 2), F(1, 2)), B=(F(1, 4), F(1, 2)))
+        assert not satisfies_axiom(
+            interp, TerminologicalAxiom("A", AxiomKind.DEFINITION, B)
+        )
+
 
 class TestExistsModel:
     def test_point_constraint_has_model(self):
@@ -200,6 +206,47 @@ class TestExistsModel:
                                    QUARTER_GRID)
         assert model is not None
         assert model.concept_table == {} and model.role_table == {}
+
+    def test_a_model_holds_no_entry_for_an_unread_element(self):
+        constraint = Constraint.geq_leq(ConceptAssertion(A, a), F(1, 2), F(1, 2))
+        model = exists_model([constraint], 2, QUARTER_GRID)
+        assert model is not None
+        assert model.concept_table == {("A", "d0"): DegreePair(F(1, 2), F(0))}
+        assert model.role_table == {}
+        assert model.concept_value("A", "d1") == DegreePair(F(0), F(1))
+
+    @pytest.mark.parametrize("names", [("A", "B"), ("B", "A")])
+    def test_table_entries_follow_the_search_order(self, names):
+        constraints = [
+            Constraint.geq_leq(ConceptAssertion(Atomic(name), a), F(1, 4), F(3, 4))
+            for name in names
+        ]
+        model = exists_model(constraints, 1, QUARTER_GRID)
+        assert model is not None
+        assert list(model.concept_table) == [(name, "d0") for name in names]
+
+    def test_a_quantifier_model_holds_only_its_own_successors(self):
+        constraint = Constraint.geq_leq(ConceptAssertion(Exists("R", A), a), F(1, 2), F(1, 2))
+        model = exists_model([constraint], 2, QUARTER_GRID)
+        assert model is not None
+        assert set(model.role_table) == {("R", "d0", "d0"), ("R", "d0", "d1")}
+        assert satisfies(model, constraint)
+
+    def test_a_min_no_child_can_reach_has_no_model(self):
+        """Truth of (and A B) strictly between 0 and 1/2 needs A and B
+        above 0 and one of them below 1/2: no degree of (0, 1/2, 1).  C's
+        bound puts 1/4 on the search's integer scale, so the bounds leave
+        the conjunction an interval and the down pass finds the conflict."""
+        conj = ConceptAssertion(And(A, B), a)
+        constraints = [
+            Constraint(conj, Bound(Rel.GT, F(0)), None),
+            Constraint(conj, Bound(Rel.LT, F(1, 2)), None),
+            Constraint(ConceptAssertion(C, a), Bound(Rel.GE, F(1, 4)), None),
+        ]
+        assert exists_model(constraints, 1, DegreeGrid((F(0), F(1, 2), F(1)))) is None
+        model = exists_model(constraints, 1, DegreeGrid((F(0), F(1, 4), F(1, 2), F(1))))
+        assert model is not None
+        assert model.concept_value("A", "d0").n == model.concept_value("B", "d0").n == F(1, 4)
 
 
 class TestChannelSwap:
@@ -456,6 +503,13 @@ class TestPropagation:
                              max_nodes=10_000)
         assert model is None
         assert complete(constraints).status is Status.UNSATISFIABLE
+
+    def test_a_min_no_child_can_reach_is_a_conflict(self):
+        """Pinned to 1/4 (scale 4) on the grid 0, 1/2, 1, the minimum of
+        two cells pushes both to 1/2, and then neither reaches 1/4."""
+        dag = _Dag(("d0",), 4, [0, 2, 4], False)
+        n = dag.node(And(A, B), "t", "d0")
+        assert not dag.propagate([(n, 1, 1)])
 
     def test_definition_and_bound_meet_in_a_shared_term(self):
         X = Atomic("X")
