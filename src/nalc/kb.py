@@ -112,10 +112,8 @@ def _statement_facts(assertions) -> tuple[list[Violation], frozenset[str]]:
     """The violations of single statements, in statement order, and the
     concept names the assertions use."""
     violations = []
-    # A wide ABox repeats a few concepts over many individuals, and a
-    # parsed KB shares its leaves, so concepts are gathered by identity
-    # first and each distinct one is read once.
-    by_id = {}
+    # A wide ABox repeats a few concepts: each distinct one is read once.
+    concepts = set()
     for constraint in assertions:
         if not constraint.nonstrict:
             violations.append(
@@ -123,7 +121,7 @@ def _statement_facts(assertions) -> tuple[list[Violation], frozenset[str]]:
             )
         a = constraint.assertion
         if isinstance(a, ConceptAssertion):
-            by_id[id(a.concept)] = a.concept
+            concepts.add(a.concept)
             subjects = (a.subject,)
         else:
             subjects = (a.subject, a.target)
@@ -132,7 +130,6 @@ def _statement_facts(assertions) -> tuple[list[Violation], frozenset[str]]:
                 violations.append(
                     Violation("bad-assertion", f"KB assertions range over individuals: {constraint}")
                 )
-    concepts = set(by_id.values())
     return violations, frozenset().union(*map(atomic_names, concepts))
 
 
@@ -197,15 +194,11 @@ def _find_violations(kb: KnowledgeBase) -> list[Violation]:
     lhs = [axiom.lhs for axiom in kb.terminology]
     body_names = [atomic_names(axiom.rhs) for axiom in kb.terminology]
     used_concepts = assertion_concepts.union(lhs, *body_names)
-    for idx, axiom in enumerate(kb.terminology):
-        if axiom.kind is AxiomKind.SPECIALIZATION and axiom.lhs + "*" in used_concepts:
-            violations.append(
-                Violation(
-                    "name-collision",
-                    f"{axiom.lhs + '*'!r} is reserved for expanding 'spec {axiom.lhs} < ...'",
-                    idx,
-                )
-            )
+    violations.extend(
+        Violation("name-collision", message, idx)
+        for idx, name, message in _reserved_names(kb.terminology)
+        if name in used_concepts
+    )
 
     # One cycle per back edge of the definition dependency graph.
     index_of = {name: idx for idx, name in enumerate(lhs)}
@@ -215,6 +208,26 @@ def _find_violations(kb: KnowledgeBase) -> list[Violation]:
         for cycle in cycles
     )
     return violations
+
+
+def _reserved_names(terminology) -> Iterator[tuple[int, str, str]]:
+    """The index, starred companion ``A*`` and refusal message of each
+    specialization ``A < C``, whose expansion introduces ``A*`` fresh."""
+    for idx, axiom in enumerate(terminology):
+        if axiom.kind is AxiomKind.SPECIALIZATION:
+            name = axiom.lhs + "*"
+            yield idx, name, f"{name!r} is reserved for expanding 'spec {axiom.lhs} < ...'"
+
+
+def _check_query(kb: KnowledgeBase, assertion: Assertion) -> None:
+    """Refuse a query naming a starred companion ``A*``: unfolded through
+    the expansion, it would be answered about a name the KB never states.
+    A KB without a terminology costs one test."""
+    if kb.terminology and isinstance(assertion, ConceptAssertion):
+        names = atomic_names(assertion.concept)
+        for _, name, message in _reserved_names(kb.terminology):
+            if name in names:
+                raise ValueError("invalid query: " + message)
 
 
 def _substitute(c: ConceptExpr, mapping: dict[str, ConceptExpr]) -> ConceptExpr:

@@ -57,7 +57,8 @@ from .constraints import (
     _refutation,
     vacuous,
 )
-from .kb import KnowledgeBase, resolved_definitions, unfold_assertion, unfold_constraint
+from .kb import (KnowledgeBase, _check_query, resolved_definitions, unfold_assertion,
+                 unfold_constraint)
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not
 from .tableau import (
@@ -126,6 +127,7 @@ def entails(
     which clashes whenever each half's run does.
     """
     (_, root, _), resolved = _prepared(kb)
+    _check_query(kb, query.assertion)
     query = unfold_constraint(query, resolved)
     halves = _query_halves(query)
     if not with_result:
@@ -198,6 +200,7 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     candidates, and with O(log k) runs over k candidates.
     """
     prepared, resolved = _prepared(kb)
+    _check_query(kb, assertion)
     assertion = unfold_assertion(assertion, resolved)
     root, degrees = prepared[1], _candidate_degrees(prepared)
     best, examined = [], 0

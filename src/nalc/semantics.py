@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -528,7 +527,8 @@ class _Dag:
             # the upper end needs one child that reaches it; dually for max.
             # No narrowing here empties a child: the up step left a <= b <=
             # hi[c] under a min (lo[c] <= a <= b under a max) and a cell's
-            # ends are grid degrees.  The one conflict is no child reaching.
+            # ends are grid degrees.  No child reaches only when a cell's snap
+            # to the grid passed b (a); it re-queues this node to find a > b.
             reach = last = -1
             if k == _MIN:
                 for c in ks:
@@ -548,7 +548,6 @@ class _Dag:
                         last = c
                 if reach == 0 and lo[last] < a:
                     narrow(last, a, hi[last])
-            ok = last >= 0
         return ok
 
 
@@ -795,25 +794,13 @@ def _checked(interp: FiniteInterpretation, constraints, assignment, axioms) -> F
 def constraint_degrees(constraints) -> set[Fraction]:
     """The degrees the constraints' bounds mention.
 
-    A parse shares one ``Bound`` object among the statements that repeat
-    it, so the bounds are first told apart by identity, which takes no
-    Python-level call per bound.  Equal degrees are then found by their
-    (numerator, denominator) pair, which hashes several times faster than
-    a ``Fraction`` does.
+    A parse shares one ``Bound`` per literal, so few ``Fraction``s are hashed.
     """
-    constraints = list(constraints)
-    bounds = [*map(_TBOUND, constraints), *map(_FBOUND, constraints)]
-    distinct = dict(zip(map(id, bounds), bounds))
-    distinct.pop(id(None), None)
-    seen: dict[tuple[int, int], Fraction] = {}
-    for bound in distinct.values():
-        v = bound.value
-        seen.setdefault((v.numerator, v.denominator), v)
-    return set(seen.values())
-
-
-_TBOUND = operator.attrgetter("tbound")
-_FBOUND = operator.attrgetter("fbound")
+    bounds = set()
+    for c in constraints:
+        bounds.add(c.tbound)
+        bounds.add(c.fbound)
+    return {bound.value for bound in bounds if bound is not None}
 
 
 def default_domain_size(constraints) -> int:

@@ -489,35 +489,32 @@ def _label(concept, c: Constraint, halves=None) -> str:
     form = c.form
     if form is not None and (halves is None or len(halves) == 2):
         return f"({word}{''.join(rel.value for rel in form.value)})"
-    (bound, ch) = halves[0] if halves else (c.tbound or c.fbound, "t" if c.tbound else "f")
+    bound, ch = halves[0][:2] if halves else (c.tbound or c.fbound, "t" if c.tbound else "f")
     return f"({word} {ch}{bound.rel.value})"
 
 
 def _make(assertion: Assertion, halves) -> Constraint:
     """The constraint putting each (bound, channel) half on its channel."""
-    parts = {ch: bound for bound, ch in halves}
+    parts = {half[1]: half[0] for half in halves}
     return Constraint(assertion, parts.get("t"), parts.get("f"))
 
 
-def _halves(c: Constraint, every: bool) -> list[tuple[Bound, str]]:
-    """The (bound, channel) halves of a binary or quantified concept
-    constraint that go to every part (``every``) or to some part.
+def _halves(c: Constraint, every: bool) -> list[tuple[Bound, str, str]]:
+    """The (bound, channel, role channel) halves of a binary or quantified
+    concept constraint that go to every part (``every``) or to some part.
 
     A half goes to every part exactly when its channel takes a minimum
     and it bounds from below, or takes a maximum and bounds from above
-    (``takes_min``).  Vacuous halves take no rule.
+    (``takes_min``).  A quantifier reads its role in falsity when that
+    channel takes a minimum, else in truth.  Vacuous halves take no rule.
     """
     concept = c.assertion.concept
     return [
-        (bound, ch) for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
+        (bound, ch, "f" if least else "t")
+        for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
         if bound is not None and not vacuous(bound)
-        and (takes_min(concept, ch) == bound.rel.is_lower) == every
+        and ((least := takes_min(concept, ch)) == bound.rel.is_lower) == every
     ]
-
-
-def _role_channel(concept, ch: str) -> str:
-    """The channel in which channel ``ch`` of a quantifier reads the role."""
-    return "f" if takes_min(concept, ch) else "t"
 
 
 class _Engine:
@@ -595,8 +592,7 @@ class _Engine:
         """
         concept = c.assertion.concept
         subject = c.assertion.subject
-        for bound, ch in _halves(c, every=True):
-            role_ch = _role_channel(concept, ch)
+        for bound, ch, role_ch in _halves(c, every=True):
             for target in s.successors.get((subject, concept.role), ()):
                 edge = RoleAssertion(concept.role, subject, target)
                 filler = ConceptAssertion(concept.filler, target)
@@ -704,10 +700,9 @@ class _Engine:
             return None
         subject = c.assertion.subject
         pending = [
-            (bound, ch) for bound, ch in _halves(c, every=False)
+            (bound, ch, role_ch) for bound, ch, role_ch in _halves(c, every=False)
             if not any(
-                s.implied(RoleAssertion(concept.role, subject, t),
-                          _role_channel(concept, ch), bound)
+                s.implied(RoleAssertion(concept.role, subject, t), role_ch, bound)
                 and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
                 for t in s.successors.get((subject, concept.role), ())
             )
@@ -722,7 +717,7 @@ def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
     concept = c.assertion.concept
     return [
         _make(RoleAssertion(concept.role, c.assertion.subject, var),
-              [(bound, _role_channel(concept, ch)) for bound, ch in halves]),
+              [(bound, role_ch) for bound, _, role_ch in halves]),
         _make(ConceptAssertion(concept.filler, var), halves),
     ]
 

@@ -1,10 +1,15 @@
 """Command-line behaviour: subcommands, exit codes, machine output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nalc import entails, parse_kb, parse_query
 from nalc.cli import run
 
 POLL_KB = (
@@ -292,3 +297,77 @@ class TestGridTraceAndQuerySources:
         assert capsys.readouterr().err == (
             "bad query 'spec A < B': 1:1: syntax: expected an 'assert' statement\n"
         )
+
+
+class TestReservedNamesInQueries:
+    """A query may not name the starred companion ``A*`` that ``spec A < ...``
+    introduces: no statement of the KB as written mentions it."""
+
+    MESSAGE = "invalid query: 'A*' is reserved for expanding 'spec A < ...'\n"
+
+    @pytest.fixture
+    def spec_kb(self, tmp_path):
+        path = tmp_path / "spec.nalc"
+        path.write_text("spec A < B\nassert A(a) >= 1 <= 0\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["entails", "--query", "assert A*(a) >= 1 <= 0"],
+        ["entails", "--oracle", "--query", "assert A*(a) >= 1 <= 0"],
+        ["entails", "--trace", "--query", "assert A*(a) >= 1 <= 0"],
+        ["entails", "--query", "assert (and B A*)(a) >= 1 <= 0"],
+        ["glb", "--assertion", "A*(a)"],
+        ["lub", "--assertion", "A*(a)"],
+    ])
+    def test_a_starred_companion_is_an_invalid_query(self, spec_kb, capsys, argv):
+        assert run([argv[0], spec_kb, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.MESSAGE)
+
+    @pytest.mark.parametrize("with_result", [False, True])
+    def test_entails_raises_in_both_modes(self, with_result):
+        kb = parse_kb("spec A < B\nassert A(a) >= 1 <= 0\n")
+        query = parse_query("assert (or C A*)(a) >= 0.5 <= 0.5")
+        with pytest.raises(ValueError, match=r"^invalid query: 'A\*' is reserved"):
+            entails(kb, query, with_result=with_result)
+
+    def test_the_kb_answers_its_other_queries_as_before(self, spec_kb, capsys):
+        assert run(["entails", spec_kb, "--oracle", "--query", "assert B(a) >= 1 <= 0"]) == 0
+        assert run(["entails", spec_kb, "--query", "assert A(a) >= 1 <= 0"]) == 0
+        assert run(["entails", spec_kb, "--query", "assert C(a) >= 1 <= 0"]) == 1
+        assert run(["glb", spec_kb, "--assertion", "B(a)"]) == 0
+        assert run(["lub", spec_kb, "--assertion", "C(a)"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "assert B(a) >= 1 <= 0: true",
+            "oracle agreement: true",
+            "assert A(a) >= 1 <= 0: true",
+            "assert C(a) >= 1 <= 0: false",
+            "glb: 1/1 0/1 (1 0)",
+            "lub: 1/1 0/1 (1 0)",
+        ]
+
+    def test_a_definition_reserves_no_name(self, tmp_path, capsys):
+        path = tmp_path / "define.nalc"
+        path.write_text("define A = B\nassert A(a) >= 1 <= 0\n", encoding="utf-8")
+        assert run(["entails", str(path), "--query", "assert A*(a) >= 1 <= 0"]) == 1
+        assert capsys.readouterr().out == "assert A*(a) >= 1 <= 0: false\n"
+
+
+class TestModuleEntryPoint:
+    """``python -m nalc.cli`` runs ``main``, which exits with ``run``'s code."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def _main(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "nalc.cli", *argv], env=env,
+                              cwd=self.ROOT, capture_output=True, text=True)
+
+    def test_nnf_prints_and_exits_zero(self):
+        done = self._main("nnf", "(not (and A B))")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "(or (not A) (not B))\n", "")
+
+    def test_a_usage_error_exits_two(self):
+        done = self._main("entails", "tests/data/polls.nalc")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "entails needs --query or --queries\n")

@@ -794,3 +794,36 @@ def test_the_search_takes_the_split_witness_when_the_shared_one_clashes():
         "(2) S(b,x1) >= 0.5 <= 0.25, bot(x1) >= 0.5 <= 0.25   (some>=<=) : (1)",
         "clash : (2) : bottom concept has t-value 0, violating >= 0.5",
     ]
+
+
+# Each half of a quantifier reads its role in the channel ``takes_min``
+# gives it: the steps below pin those role channels on both quantifiers,
+# both channels and both bound directions, with a named successor that
+# witnesses one half or both.
+@pytest.mark.parametrize("statements, branches, steps", [
+    (["(all R A)(a) <= 0.5 >= 0.5"], 2,
+     ["(2) R(a,x1) >= 0.5 <= 0.5, A(x1) <= 0.5 >= 0.5   (all<=>=) : (1)"]),
+    (["(all R A)(a) <= 0.5 >= 0"], 2,
+     ["(2) R(a,x1) f<= 0.5, A(x1) t<= 0.5   (all t<=) : (1)"]),
+    (["(some R A)(a) >= 0.5 <= 1"], 2,
+     ["(2) R(a,x1) t>= 0.5, A(x1) t>= 0.5   (some t>=) : (1)"]),
+    # b witnesses the truth half only.
+    (["(some R A)(a) >= 0.5 <= 0.5", "R(a,b) >= 0.75 <= 1", "A(b) >= 0.5 <= 1"], 2,
+     ["(4) R(a,x1) f<= 0.5, A(x1) f<= 0.5   (some f<=) : (1)"]),
+    # b witnesses both halves.
+    (["(all R A)(a) <= 0.5 >= 0.5", "R(a,b) >= 0.75 <= 0.25", "A(b) <= 0.25 >= 0.75"], 1, []),
+])
+def test_a_witness_reads_each_half_s_role_in_its_own_channel(statements, branches, steps):
+    result = check_satisfiable(parse_kb("".join(f"assert {s}\n" for s in statements)))
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == branches
+    assert result.trace[len(statements):] == steps
+
+
+def test_a_split_universal_witness_reads_each_half_s_role_in_its_own_channel():
+    s = ConstraintSet.from_constraints(
+        list(parse_kb("assert (all R A)(a) <= 0.5 >= 0.5\n").assertions))
+    assert apply_rules(s)[1].trace_lines()[1:] == [
+        "(2) R(a,x1) f<= 0.5, A(x1) t<= 0.5, R(a,x2) t>= 0.5, A(x2) f>= 0.5"
+        "   (all<=>=) split : (1)",
+    ]
