@@ -24,8 +24,10 @@ falsity) needs no run:
   ``<C(o): >= 1, <= 1>`` entails ``<D(o): >= 1, <= 1>``, whose falsity
   half is vacuous, so it is one truth refutation on any grid;
 * the best truth-value bounds search the degrees mentioned in the KB
-  for each component; entailment of a bound is monotone in its degree,
-  so the search gallops and then bisects.
+  for each component, strongest first; entailment of a bound is
+  monotone in its degree, and each refuted probe's countermodel refutes
+  every candidate its value violates, so the search jumps past them to
+  the first candidate that value meets.
 
 A complement that clashes with the saturated set as it is added needs
 no run either (``tableau._unsatisfiable``): that run would clash before
@@ -67,8 +69,10 @@ from .tableau import (
     ConstraintSet,
     Status,
     _Engine,
+    _env_max_branches,
     _unsatisfiable,
     complete,
+    completion_value,
 )
 
 ZERO = Fraction(0)
@@ -130,6 +134,8 @@ def entails(
     _check_query(kb, query.assertion)
     query = unfold_constraint(query, resolved)
     halves = _query_halves(query)
+    if max_branches is None:
+        max_branches = _env_max_branches()
     if not with_result:
         return all(_half_entailed(root, query.assertion, ch, bound, max_branches)
                    for bound, ch in halves)
@@ -149,12 +155,14 @@ def _half_entailed(
     ch: str,
     bound: Bound,
     max_branches: int | None = None,
+    read=None,
 ) -> bool:
     """Is the single-component bound forced in every model of the
-    prepared hypothesis set ``root``?"""
+    prepared hypothesis set ``root``?  ``read`` sees the refuting
+    completion, if there is one (``tableau._unsatisfiable``)."""
     if vacuous(bound):
         return True
-    return _unsatisfiable(_refutation(assertion, ch, bound), root, max_branches)
+    return _unsatisfiable(_refutation(assertion, ch, bound), root, max_branches, read)
 
 
 class BoundKind(enum.Enum):
@@ -189,35 +197,33 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     the kind's form.
 
     A lower bound orders the candidate degrees from the top, an upper one
-    from the bottom, and takes the first entailed one.  Entailment is
-    monotone along that order (a bound implies every weaker one), so the
-    entailed candidates form a tail.  It ends in the last candidate (0 or
-    1), which is vacuous and needs no run.  The search probes offsets 0,
-    1, 2, 4, 8, ... from the start, the last candidate standing in for
-    any offset past it, then bisects the gap between the last refuted
-    probe and the first entailed one.  It finds the answer a linear scan
-    finds, with the same runs when the answer is among the first three
-    candidates, and with O(log k) runs over k candidates.
+    from the bottom, and takes the first entailed one; the last candidate
+    (0 or 1) is vacuous and needs no run.  A refuted probe ends on a
+    clash-free completion, whose model is a model of the KB; its value v
+    of the probed component (``completion_value``) refutes every
+    candidate that v violates, so the search goes on at the first later
+    candidate that v meets.  It finds the answer a linear scan finds and
+    probes no candidate that scan would not.
     """
     prepared, resolved = _prepared(kb)
     _check_query(kb, assertion)
     assertion = unfold_assertion(assertion, resolved)
     root, degrees = prepared[1], _candidate_degrees(prepared)
+    if max_branches is None:
+        max_branches = _env_max_branches()
     best, examined = [], 0
     for rel, ch in zip(_FORM[kind].value, "tf"):
         order = degrees[::-1] if rel.is_lower else degrees
-        refuted, entailed, offset = -1, None, 0
-        while entailed is None or entailed - refuted > 1:
-            if entailed is None:
-                index = min(offset, len(order) - 1)
-            else:
-                index = (refuted + entailed) // 2
-            examined += 1
-            if _half_entailed(root, assertion, ch, Bound(rel, order[index]), max_branches):
-                entailed = index
-            else:
-                refuted, offset = index, 2 * index or 1
-        best.append(order[entailed])
+        values = []  # one per refuted probe: its countermodel's value
+        read = lambda s: values.append(completion_value(s, assertion, ch))
+        index = 0
+        while not _half_entailed(root, assertion, ch, Bound(rel, order[index]), max_branches,
+                                 read):
+            index += 1
+            while not Bound(rel, order[index]).holds(values[-1]):
+                index += 1
+        examined += len(values) + 1
+        best.append(order[index])
     return BtvbResult(DegreePair(*best), kind, examined)
 
 

@@ -4,7 +4,8 @@ The engine saturates a set of signed constraints under decomposition,
 propagation and witness-generating rules, branching where a constraint
 admits several ways to be realised, until every branch either exposes a
 clash or completes clash-free.  A clash-free completion yields an
-explicit finite model (``extract_model``).
+explicit finite model (``extract_model``), and any assertion's value in
+it can be read off the completion directly (``completion_value``).
 
 Rule discipline.  Each channel of a concept reads as a negation-free
 fuzzy term in which a conjunction, disjunction or quantifier takes a
@@ -825,13 +826,15 @@ def complete(
 
 
 def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
-            keep: bool = True) -> CompletionResult:
+            keep: bool = True, read=None) -> CompletionResult:
     """``complete`` on ``s``, whose lock the caller holds.
 
     Every run starts the same way, with the trail on and a mark of ``s``
     as it came, and ends by undoing to that mark, also when it raises.
     Without ``keep`` the caller reads only the status, so the result
     names no witness and no clashed branch and nothing is copied.
+    ``read``, when given, is called with the clash-free completion
+    before it is undone, so it can look at the completion in place.
     """
     engine = _Engine(max_steps)
     s.trail = []
@@ -850,6 +853,8 @@ def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
             if s.clash is None:
                 branches = _branches(s, engine)
                 if branches is None:
+                    if read is not None:
+                        read(s)
                     witness = s.copy() if keep else None
                     return CompletionResult(Status.SATISFIABLE, witness, clashes, branch_count)
                 choices.append((s.mark(), branches))
@@ -868,7 +873,8 @@ def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
         s.trail = None
 
 
-def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None = None) -> bool:
+def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None = None,
+                   read=None) -> bool:
     """Does ``complete([c], max_branches, base=base)`` find no clash-free
     completion?
 
@@ -876,6 +882,8 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
     ``base`` as it is added no run is made: that run would explore one
     branch, which clashes before any rule fires.  Only the status is
     read, so the run copies nothing: no witness and no clashed branch.
+    ``read`` sees the clash-free completion, if there is one, in place
+    (``_search``).
     """
     if max_branches is None:
         max_branches = _env_max_branches()
@@ -883,7 +891,7 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
     try:
         if max_branches >= 1 and base._clashes_with(c):
             return True
-        result = _search(base, [c], max_branches, DEFAULT_MAX_STEPS, keep=False)
+        result = _search(base, [c], max_branches, DEFAULT_MAX_STEPS, keep=False, read=read)
     finally:
         base.lock.release()
     return result.status is Status.UNSATISFIABLE
@@ -974,6 +982,57 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     domain = tuple(individuals) + tuple(element[v] for v in variables)
     return FiniteInterpretation(domain or ("d0",), {name: name for name in individuals},
                                 concepts, roles)
+
+
+def completion_value(s: ConstraintSet, assertion: Assertion, ch: str) -> Fraction:
+    """Channel ``ch`` of the value ``assertion_value(extract_model(s),
+    assertion)`` gives, read off the clash-free completion ``s`` without
+    building the model.
+
+    An atomic fact or a role edge reads the pick ``extract_model`` makes
+    from its bucket; a connective reads its parts.  A quantifier ranges
+    over the recorded successors only: every other edge keeps the
+    default (0, 1), which is neutral for both quantifiers in both
+    channels.
+    """
+    if type(assertion) is RoleAssertion:
+        return _bucket_value(s, assertion, ch)
+    return _concept_value(s, assertion.concept, assertion.subject, ch)
+
+
+def _bucket_value(s: ConstraintSet, assertion: Assertion, ch: str) -> Fraction:
+    truth = ch == "t"
+    bucket = s.by_assertion.get(assertion, ())
+    return _pick([c.tbound if truth else c.fbound for c in bucket], low=truth)
+
+
+def _concept_value(s: ConstraintSet, concept, subject, ch: str) -> Fraction:
+    """Channel ``ch`` of ``concept`` at ``subject`` in the model of ``s``.
+
+    As in the tableau's rules, a binary or quantified concept takes a
+    minimum or a maximum (``takes_min``); a quantifier's part at a
+    successor is the other extreme of its role, read in falsity under a
+    minimum and in truth under a maximum, and its filler.
+    """
+    kind = type(concept)
+    if kind is Atomic:
+        return _bucket_value(s, ConceptAssertion(concept, subject), ch)
+    if kind is Not:
+        return _concept_value(s, concept.inner, subject, "f" if ch == "t" else "t")
+    if kind is Top or kind is Bottom:
+        return ONE if (kind is Top) == (ch == "t") else ZERO
+    least = takes_min(concept, ch)
+    best = min if least else max
+    if kind is And or kind is Or:
+        return best(_concept_value(s, concept.left, subject, ch),
+                    _concept_value(s, concept.right, subject, ch))
+    part, role_ch = (max, "f") if least else (min, "t")
+    value = ONE if least else ZERO
+    for target in s.successors.get((subject, concept.role), ()):
+        edge = RoleAssertion(concept.role, subject, target)
+        value = best(value, part(_bucket_value(s, edge, role_ch),
+                                 _concept_value(s, concept.filler, target, ch)))
+    return value
 
 
 def variable_assignment(s: ConstraintSet) -> dict:

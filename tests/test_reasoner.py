@@ -9,6 +9,7 @@ from nalc import (
     And,
     Atomic,
     AxiomKind,
+    Bound,
     BoundKind,
     ConceptAssertion,
     Constraint,
@@ -32,6 +33,7 @@ from nalc import (
     parse_kb,
     parse_query,
     satisfies,
+    satisfies_all,
     subsumes,
 )
 from genutil import QUARTERS, rand_assertional_kb, rand_concept, rand_query, ring_abox_text
@@ -388,6 +390,138 @@ class TestLub:
                                      atoms=["A", "B"], roles=["R"], individuals=["a"])
             target = ConceptAssertion(rand_concept(rng, 1, ["A", "B"], ["R"]), a)
             assert lub(kb, target).bound == lub_via_negation(kb, target).bound
+
+
+def gallop_bound(kb, assertion, kind):
+    """The bound and probe count of the gallop-and-bisect search that the
+    countermodel jump replaced, kept as a reference: offsets 0, 1, 2, 4,
+    8, ... from the strongest candidate, then a bisection of the gap
+    between the last refuted probe and the first entailed one.  The KBs
+    it serves have no terminology, so the assertion needs no unfolding."""
+    from nalc.reasoner import _FORM, _candidate_degrees, _half_entailed, _prepared
+
+    prepared, _ = _prepared(kb)
+    root, degrees = prepared[1], _candidate_degrees(prepared)
+    best, examined = [], 0
+    for rel, ch in zip(_FORM[kind].value, "tf"):
+        order = degrees[::-1] if rel.is_lower else degrees
+        refuted, entailed, offset = -1, None, 0
+        while entailed is None or entailed - refuted > 1:
+            if entailed is None:
+                index = min(offset, len(order) - 1)
+            else:
+                index = (refuted + entailed) // 2
+            examined += 1
+            if _half_entailed(root, assertion, ch, Bound(rel, order[index])):
+                entailed = index
+            else:
+                refuted, offset = index, 2 * index or 1
+        best.append(order[entailed])
+    return DegreePair(*best), examined
+
+
+TENTHS = [F(k, 10) for k in range(11)]
+
+
+def chain_kb(rng, length):
+    """``R(k_i, k_i+1) >= 1 <= 0`` and ``(all R (and A (some S B)))(k_i)``
+    per link, each link with its own pair of distinct multiples of 1/64
+    (truths above falsities), so ``A(k_i+1)`` has link i's pair as glb."""
+    values = [F(k, 64) for k in sorted(rng.sample(range(1, 64), 2 * length))]
+    truths, falsities = values[length:], values[:length]
+    rng.shuffle(truths)
+    link = Forall("R", And(A, Exists("S", B)))
+    statements, pairs = [], []
+    for i, (n, m) in enumerate(zip(truths, falsities)):
+        here, there = Individual(f"k{i}"), Individual(f"k{i + 1}")
+        statements.append(Constraint.geq_leq(RoleAssertion("R", here, there), F(1), F(0)))
+        statements.append(Constraint.geq_leq(ConceptAssertion(link, here), n, m))
+        pairs.append((there, DegreePair(n, m)))
+    return akb(*statements), pairs
+
+
+class TestCountermodelJump:
+    """Each refuted probe's countermodel refutes every candidate its value
+    violates, and the search jumps past them."""
+
+    @staticmethod
+    def _targets(rng, kb):
+        names = sorted({c.assertion.subject.name for c in kb.assertions})
+        subject = Individual(rng.choice(names))
+        role = RoleAssertion(rng.choice(["R", "S"]), subject, Individual(rng.choice(names)))
+        concept = ConceptAssertion(rand_concept(rng, rng.randint(0, 2)), subject)
+        return [(glb, concept), (lub, concept), (glb, role)]
+
+    def test_each_jump_reads_a_model_of_the_kb_that_violates_the_probe(self, monkeypatch):
+        import nalc.reasoner
+        from nalc.constraints import _refutation
+        from nalc.semantics import assertion_value
+        from nalc.tableau import complete
+
+        probes, reads = [], []
+        half_entailed, read_value = nalc.reasoner._half_entailed, nalc.reasoner.completion_value
+
+        def spy_probe(root, assertion, ch, bound, *rest):
+            entailed = half_entailed(root, assertion, ch, bound, *rest)
+            if not entailed:
+                probes.append((root, assertion, ch, bound))
+            return entailed
+
+        def spy_read(s, assertion, ch):
+            reads.append(read_value(s, assertion, ch))
+            return reads[-1]
+
+        monkeypatch.setattr(nalc.reasoner, "_half_entailed", spy_probe)
+        monkeypatch.setattr(nalc.reasoner, "completion_value", spy_read)
+        refuted = 0
+        for seed in range(320):
+            rng = random.Random(seed)
+            kb = rand_assertional_kb(rng, depth=1 + seed % 2,
+                                     degrees=QUARTERS if seed % 3 else TENTHS)
+            for procedure, target in self._targets(rng, kb):
+                probes.clear()
+                reads.clear()
+                procedure(kb, target)
+                assert len(reads) == len(probes), (kb, target)
+                for (root, assertion, ch, bound), value in zip(probes, reads):
+                    witness = complete([_refutation(assertion, ch, bound)], base=root).witness
+                    model = extract_model(witness)
+                    pair = assertion_value(model, assertion)
+                    assert value == (pair.n if ch == "t" else pair.m), (kb, target, bound)
+                    assert satisfies_all(model, kb.assertions), (kb, target, bound)
+                    assert not bound.holds(value), (kb, target, bound)
+                    refuted += 1
+        assert refuted > 1000
+
+    def test_the_jump_finds_the_gallops_bound_with_no_more_probes(self):
+        calls = fewer = 0
+        for seed in range(700):
+            rng = random.Random(2027 + seed)
+            kb = rand_assertional_kb(rng, depth=2, degrees=QUARTERS if seed % 2 else TENTHS)
+            for procedure, target in self._targets(rng, kb):
+                result = procedure(kb, target)
+                bound, examined = gallop_bound(kb, target, result.kind)
+                assert result.bound == bound, (kb, target)
+                assert result.candidates_examined <= examined, (kb, target)
+                calls += 1
+                fewer += result.candidates_examined < examined
+        assert calls >= 2000
+        assert fewer > 0
+
+    @pytest.mark.parametrize("length", [3, 5, 8])
+    def test_the_jump_finds_the_gallops_bound_on_a_chain(self, length):
+        rng = random.Random(length)
+        kb, pairs = chain_kb(rng, length)
+        targets = [(glb, ConceptAssertion(A, there), pair) for there, pair in pairs]
+        targets.append((lub, ConceptAssertion(A, pairs[length // 2][0]), DegreePair(F(1), F(0))))
+        probes = gallop_probes = 0
+        for procedure, target, expected in targets:
+            result = procedure(kb, target)
+            bound, examined = gallop_bound(kb, target, result.kind)
+            assert result.bound == bound == expected
+            assert result.candidates_examined <= examined
+            probes, gallop_probes = probes + result.candidates_examined, gallop_probes + examined
+        assert probes < gallop_probes
 
 
 class TestSubsumes:
