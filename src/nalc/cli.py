@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from .semantics import (
     oracle_entails,
 )
 from .syntax import nnf
-from .tableau import ResourceExhausted, Status
+from .tableau import DEFAULT_MAX_BRANCHES, ResourceExhausted, Status
 
 OK, NO, USAGE, EXHAUSTED = 0, 1, 2, 3
 
@@ -64,6 +65,17 @@ def _load_kb(path: str) -> KnowledgeBase:
     except KbSyntaxError as exc:
         lines = [f"{path}:{err}" for err in exc.errors]
         raise _CliError("\n".join(lines))
+
+
+def _max_branches() -> int:
+    """The branch ceiling ``NALC_MAX_BRANCHES`` sets, else the default;
+    read before each reasoner call that runs the tableau."""
+    text = os.environ.get("NALC_MAX_BRANCHES")
+    if text is None:
+        return DEFAULT_MAX_BRANCHES
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise _CliError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -101,7 +113,7 @@ def _oracle_check(constraints: list[Constraint], query: Constraint, answer: bool
 
 def _cmd_check(args) -> int:
     kb = _load_kb(args.kb)
-    result = check_satisfiable(kb)
+    result = check_satisfiable(kb, _max_branches())
     sat = result.status is Status.SATISFIABLE
     payload = {"query": "satisfiable", "answer": sat}
     human = [f"satisfiable: {str(sat).lower()}"]
@@ -138,10 +150,11 @@ def _cmd_entails(args) -> int:
             query = parse_query(text)
         except ConceptSyntaxError as exc:
             raise _CliError(f"bad query {text!r}: {exc.error}")
+        max_branches = _max_branches()
         if args.trace:
-            answer, result = entails(kb, query, with_result=True)
+            answer, result = entails(kb, query, max_branches, with_result=True)
         else:
-            answer = entails(kb, query)
+            answer = entails(kb, query, max_branches)
         payload = {"query": text, "answer": answer}
         human = [f"{text}: {str(answer).lower()}"]
         if args.trace:
@@ -165,7 +178,7 @@ def _cmd_subsumes(args) -> int:
     super_ = parse_concept(args.super)
     grid = _parse_grid(args.grid) if args.grid else None
     kwargs = {"grid": grid} if grid else {}
-    answer = subsumes(kb.terminology, sub, super_, **kwargs)
+    answer = subsumes(kb.terminology, sub, super_, max_branches=_max_branches(), **kwargs)
     payload = {"query": f"{args.sub} subsumed-by {args.super}", "answer": answer}
     _emit(args, payload, [f"subsumed: {str(answer).lower()}"])
     return OK if answer else NO
@@ -174,7 +187,7 @@ def _cmd_subsumes(args) -> int:
 def _cmd_bound(args, kind: str) -> int:
     kb = _load_kb(args.kb)
     assertion = parse_assertion(args.assertion)
-    result = glb(kb, assertion) if kind == "glb" else lub(kb, assertion)
+    result = (glb if kind == "glb" else lub)(kb, assertion, _max_branches())
     n, m = result.bound.n, result.bound.m
     payload = {
         "query": f"{kind} {args.assertion}",
@@ -228,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("subsumes", help="concept subsumption w.r.t. a terminology")
     p.add_argument("kb", nargs="?", help="KB file providing the terminology")
-    p.add_argument("--json", action="store_true")
+    common(p, kb=False)
     p.add_argument("--sub", required=True, help="candidate subsumee concept")
     p.add_argument("--super", required=True, help="candidate subsumer concept")
     p.add_argument("--grid", help="comma-separated degrees, each checked to lie in [0, 1];"
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nnf", help="negation normal form of a concept")
     p.add_argument("concept")
-    p.add_argument("--json", action="store_true")
+    common(p, kb=False)
 
     p = sub.add_parser("expand", help="print the purely assertional expansion")
     common(p)

@@ -62,15 +62,6 @@ class DegreePair:
         _check_degree(self.n, "first bound")
         _check_degree(self.m, "second bound")
 
-    @classmethod
-    def _unchecked(cls, n: Fraction, m: Fraction) -> "DegreePair":
-        """The pair of two values the caller knows lie in [0, 1], built
-        without checking them again."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "n", n)
-        object.__setattr__(pair, "m", m)
-        return pair
-
 
 @frozen_value
 class ConceptAssertion(FrozenValue):

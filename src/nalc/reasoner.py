@@ -64,12 +64,12 @@ from .kb import (KnowledgeBase, _check_query, resolved_definitions, unfold_asser
 from .semantics import constraint_degrees
 from .syntax import ConceptExpr, Individual, Not
 from .tableau import (
+    DEFAULT_MAX_BRANCHES,
     DEFAULT_MAX_STEPS,
     CompletionResult,
     ConstraintSet,
     Status,
     _Engine,
-    _env_max_branches,
     _unsatisfiable,
     complete,
     completion_value,
@@ -116,7 +116,7 @@ def _prepared(kb: KnowledgeBase):
 def entails(
     kb: KnowledgeBase,
     query: Constraint,
-    max_branches: int | None = None,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
     with_result: bool = False,
 ):
     """Does every model of the KB satisfy the (nonstrict) query?
@@ -134,8 +134,6 @@ def entails(
     _check_query(kb, query.assertion)
     query = unfold_constraint(query, resolved)
     halves = _query_halves(query)
-    if max_branches is None:
-        max_branches = _env_max_branches()
     if not with_result:
         return all(_half_entailed(root, query.assertion, ch, bound, max_branches)
                    for bound, ch in halves)
@@ -154,7 +152,7 @@ def _half_entailed(
     assertion: Assertion,
     ch: str,
     bound: Bound,
-    max_branches: int | None = None,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
     read=None,
 ) -> bool:
     """Is the single-component bound forced in every model of the
@@ -192,7 +190,7 @@ _FORM = {BoundKind.GLB: Form.GEQ_LEQ, BoundKind.LUB: Form.LEQ_GEQ}
 
 
 def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
-                max_branches: int | None) -> BtvbResult:
+                max_branches: int) -> BtvbResult:
     """The tightest entailed bound of each component, in the relations of
     the kind's form.
 
@@ -209,8 +207,6 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     _check_query(kb, assertion)
     assertion = unfold_assertion(assertion, resolved)
     root, degrees = prepared[1], _candidate_degrees(prepared)
-    if max_branches is None:
-        max_branches = _env_max_branches()
     best, examined = [], 0
     for rel, ch in zip(_FORM[kind].value, "tf"):
         order = degrees[::-1] if rel.is_lower else degrees
@@ -227,7 +223,8 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     return BtvbResult(DegreePair(*best), kind, examined)
 
 
-def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
+def glb(kb: KnowledgeBase, assertion: Assertion,
+        max_branches: int = DEFAULT_MAX_BRANCHES) -> BtvbResult:
     """Greatest entailed lower bound pair for an assertion.
 
     Scans the degrees mentioned in the expanded KB (plus 0 and 1) for
@@ -239,7 +236,8 @@ def glb(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
     return _best_bound(kb, assertion, BoundKind.GLB, max_branches)
 
 
-def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None) -> BtvbResult:
+def lub(kb: KnowledgeBase, assertion: Assertion,
+        max_branches: int = DEFAULT_MAX_BRANCHES) -> BtvbResult:
     """Least entailed upper bound pair for a concept assertion.
 
     Role assertions are rejected: their falsity component has no
@@ -252,7 +250,7 @@ def lub(kb: KnowledgeBase, assertion: Assertion, max_branches: int | None = None
 
 
 def lub_via_negation(kb: KnowledgeBase, assertion: ConceptAssertion,
-                     max_branches: int | None = None) -> BtvbResult:
+                     max_branches: int = DEFAULT_MAX_BRANCHES) -> BtvbResult:
     """The dual route: swap the greatest lower bound of the negation."""
     negated = ConceptAssertion(Not(assertion.concept), assertion.subject)
     result = glb(kb, negated, max_branches)
@@ -268,7 +266,7 @@ def subsumes(
     sub: ConceptExpr,
     super_: ConceptExpr,
     grid=SUBSUMPTION_GRID,
-    max_branches: int | None = None,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
 ) -> bool:
     """Does ``super_`` dominate ``sub`` in every model of the terminology?
 
@@ -309,7 +307,8 @@ def subsumes(
     return entails(probe, Constraint.geq_leq(super_a, ONE, ONE), max_branches)
 
 
-def check_satisfiable(kb: KnowledgeBase, max_branches: int | None = None) -> CompletionResult:
+def check_satisfiable(kb: KnowledgeBase,
+                      max_branches: int = DEFAULT_MAX_BRANCHES) -> CompletionResult:
     """Tableau satisfiability of the expanded assertional part."""
     (_, root, _), _ = _prepared(kb)
     return complete([], max_branches=max_branches, base=root)

@@ -58,7 +58,6 @@ import enum
 import functools
 import heapq
 import itertools
-import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,9 +69,9 @@ from .constraints import (
     Constraint,
     DegreePair,
     RoleAssertion,
+    _BOUND_PAIRS,
     bound_implies,
     bounds_incompatible,
-    conjugated,
     vacuous,
 )
 from .semantics import FiniteInterpretation, takes_min
@@ -92,23 +91,6 @@ from .syntax import (
 
 DEFAULT_MAX_BRANCHES = 10**6
 DEFAULT_MAX_STEPS = 100_000
-
-
-def _env_max_branches() -> int:
-    """The branch ceiling from ``NALC_MAX_BRANCHES``, else the default."""
-    return _parse_ceiling(os.environ.get("NALC_MAX_BRANCHES"))
-
-
-@functools.lru_cache(maxsize=1)
-def _parse_ceiling(text: str | None) -> int:
-    """The ceiling ``text`` sets, None meaning unset.  The last text parsed
-    is kept with its value; a malformed one raises on every call, since an
-    exception is never cached."""
-    if text is None:
-        return DEFAULT_MAX_BRANCHES
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
-    return int(text)
 
 
 class ResourceExhausted(RuntimeError):
@@ -788,7 +770,7 @@ def apply_rules(s: ConstraintSet):
 
 def complete(
     constraints,
-    max_branches: int | None = None,
+    max_branches: int = DEFAULT_MAX_BRANCHES,
     max_steps: int = DEFAULT_MAX_STEPS,
     base: ConstraintSet | None = None,
 ) -> CompletionResult:
@@ -816,9 +798,9 @@ def complete(
     saturated under the deterministic rules; the steps that took are not
     counted against ``max_steps``.  Without ``base`` the search starts
     from ``from_constraints(constraints)`` with nothing more to add.
+    Past ``max_branches`` branches or ``max_steps`` rule firings it
+    raises ``ResourceExhausted``.
     """
-    if max_branches is None:
-        max_branches = _env_max_branches()
     if base is None:
         base, constraints = ConstraintSet.from_constraints(constraints), ()
     with base.lock:
@@ -873,8 +855,8 @@ def _search(s: ConstraintSet, constraints, max_branches: int, max_steps: int,
         s.trail = None
 
 
-def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None = None,
-                   read=None) -> bool:
+def _unsatisfiable(c: Constraint, base: ConstraintSet,
+                   max_branches: int = DEFAULT_MAX_BRANCHES, read=None) -> bool:
     """Does ``complete([c], max_branches, base=base)`` find no clash-free
     completion?
 
@@ -885,8 +867,6 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet, max_branches: int | None 
     ``read`` sees the clash-free completion, if there is one, in place
     (``_search``).
     """
-    if max_branches is None:
-        max_branches = _env_max_branches()
     base.lock.acquire()  # a third of what ``with`` costs, which shows on tiny runs
     try:
         if max_branches >= 1 and base._clashes_with(c):
@@ -932,6 +912,20 @@ def _pick(bounds, low: bool) -> Fraction:
     return (near.value + (far.value if far is not None else (1 if low else 0))) / 2
 
 
+def _bounds(bucket) -> tuple:
+    """The truth and the falsity bound of each constraint, in turn."""
+    if len(bucket) == 1:
+        return (bucket[0].tbound, bucket[0].fbound)
+    return tuple([b for c in bucket for b in (c.tbound, c.fbound)])
+
+
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
+def _bucket_pair(bounds: tuple) -> DegreePair:
+    """The model's entry for a bucket with these ``_bounds``.  A KB holds
+    few distinct bound tuples, so each pair is built once and shared."""
+    return DegreePair(_pick(bounds[0::2], low=True), _pick(bounds[1::2], low=False))
+
+
 def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     """Read a finite interpretation off a clash-free completion.
 
@@ -939,9 +933,8 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     bounds move to the midpoint of the remaining interval); falsity
     entries take the greatest value the upper bounds allow.  Entries
     nobody constrains stay at the (0, 1) default, so unconstrained
-    successors can never break a successor-wide bound.  Each bucket is
-    read once, and its entry is shared by every bucket with the same
-    bounds, of which a KB has few.
+    successors can never break a successor-wide bound.  Each entry is
+    ``_bucket_pair`` of its bucket.
     """
     if s.clash is not None:
         raise ValueError("cannot extract a model from a clashed constraint set")
@@ -950,7 +943,6 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
     element: dict = {}
     concepts: dict = {}
     roles: dict = {}
-    pairs: dict = {}
     for a, bucket in s.by_assertion.items():
         subject = a.subject
         e = element.get(subject)
@@ -966,17 +958,7 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
             if t is None:
                 t = element[target] = target.name if type(target) is Individual else f"?{target}"
             table, key = roles, (a.role, e, t)
-        # The truth and the falsity bound of each constraint, in turn.
-        if len(bucket) == 1:
-            bounds = (bucket[0].tbound, bucket[0].fbound)
-        else:
-            bounds = tuple([b for c in bucket for b in (c.tbound, c.fbound)])
-        pair = pairs.get(bounds)
-        if pair is None:
-            # Each pick lies in [0, 1] already (``_pick``).
-            pair = pairs[bounds] = DegreePair._unchecked(_pick(bounds[0::2], low=True),
-                                                         _pick(bounds[1::2], low=False))
-        table[key] = pair
+        table[key] = _bucket_pair(_bounds(bucket))
     individuals = sorted(e for o, e in element.items() if type(o) is Individual)
     variables = sorted((o for o in element if type(o) is Variable), key=lambda v: v.index)
     domain = tuple(individuals) + tuple(element[v] for v in variables)
@@ -989,11 +971,11 @@ def completion_value(s: ConstraintSet, assertion: Assertion, ch: str) -> Fractio
     assertion)`` gives, read off the clash-free completion ``s`` without
     building the model.
 
-    An atomic fact or a role edge reads the pick ``extract_model`` makes
-    from its bucket; a connective reads its parts.  A quantifier ranges
-    over the recorded successors only: every other edge keeps the
-    default (0, 1), which is neutral for both quantifiers in both
-    channels.
+    An atomic fact or a role edge reads the entry ``extract_model``
+    makes of its bucket (``_bucket_pair``); a connective reads its
+    parts.  A quantifier ranges over the recorded successors only: every
+    other edge keeps the default (0, 1), which is neutral for both
+    quantifiers in both channels.
     """
     if type(assertion) is RoleAssertion:
         return _bucket_value(s, assertion, ch)
@@ -1001,9 +983,8 @@ def completion_value(s: ConstraintSet, assertion: Assertion, ch: str) -> Fractio
 
 
 def _bucket_value(s: ConstraintSet, assertion: Assertion, ch: str) -> Fraction:
-    truth = ch == "t"
-    bucket = s.by_assertion.get(assertion, ())
-    return _pick([c.tbound if truth else c.fbound for c in bucket], low=truth)
+    pair = _bucket_pair(_bounds(s.by_assertion.get(assertion, ())))
+    return pair.n if ch == "t" else pair.m
 
 
 def _concept_value(s: ConstraintSet, concept, subject, ch: str) -> Fraction:
@@ -1051,7 +1032,6 @@ __all__ = [
     "Step",
     "apply_rules",
     "complete",
-    "conjugated",
     "extract_model",
     "find_clash",
     "variable_assignment",

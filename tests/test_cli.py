@@ -217,6 +217,34 @@ class TestOtherCommands:
                 monkeypatch.setenv("NALC_MAX_BRANCHES", value)
             assert run(argv) == code, value
 
+    def test_a_library_call_reads_no_branch_ceiling_from_the_environment(
+            self, poll_kb, monkeypatch, capsys):
+        text = "assert (some Support War)(p1) >= 0.6 <= 0.5"
+        unset = entails(parse_kb(POLL_KB), parse_query(text))
+        monkeypatch.setenv("NALC_MAX_BRANCHES", "1")
+        assert entails(parse_kb(POLL_KB), parse_query(text)) == unset
+        assert run(["entails", poll_kb, "--query", text]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["glb", "KB", "--assertion", "War(p1)"],
+        ["lub", "KB", "--assertion", "War(p1)"],
+        ["subsumes", "--sub", "A", "--super", "A"],
+        ["entails", "KB", "--query", "assert (some Support War)(p1) >= 0.6 <= 0.5"],
+    ])
+    def test_every_tableau_command_rejects_a_malformed_branch_ceiling(
+            self, poll_kb, monkeypatch, capsys, argv):
+        monkeypatch.setenv("NALC_MAX_BRANCHES", "abc")
+        assert run([poll_kb if arg == "KB" else arg for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            "NALC_MAX_BRANCHES must be a positive integer, not 'abc'\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["nnf", "A"], ["expand", "KB"]])
+    def test_a_command_without_the_tableau_ignores_the_branch_ceiling(
+            self, poll_kb, monkeypatch, argv):
+        monkeypatch.setenv("NALC_MAX_BRANCHES", "abc")
+        assert run([poll_kb if arg == "KB" else arg for arg in argv]) == 0
+
 
 class TestNoTracebackExits:
     def test_bad_degree_literal_in_a_query_exits_two(self, poll_kb, capsys):

@@ -340,8 +340,8 @@ class TestExtractModel:
     def test_extraction_matches_checked_picks(self):
         """Each table entry is the checked pair of its bucket's picks.
 
-        ``extract_model`` builds its pairs without checking the degrees
-        again; the reference here checks every one.  Each KB also runs
+        ``extract_model`` takes its pairs from a cache shared across
+        calls; the reference here builds every one afresh.  Each KB also runs
         with its bounds made strict, so that picks move to midpoints.
         """
         strict = {Rel.GE: Rel.GT, Rel.LE: Rel.LT}
@@ -391,6 +391,16 @@ class TestExtractModel:
             for c in result.witness.constraints:
                 assert satisfies(interp, c, assignment), (c, interp)
         assert checked > 50
+
+    def test_buckets_with_the_same_bounds_share_one_entry_across_models(self):
+        kb = parse_kb("assert A(a) >= 0.5 <= 0.25\n"
+                      "assert B(b) >= 0.5 <= 0.25\n"
+                      "assert (or A C)(c) >= 0.25 <= 0.5\n")
+        witness = check_satisfiable(kb).witness
+        table = extract_model(witness).concept_table
+        assert table[("A", "a")] == DegreePair(F(1, 2), F(1, 4))
+        assert table[("A", "a")] is table[("B", "b")]
+        assert extract_model(witness.copy()).concept_table[("A", "a")] is table[("A", "a")]
 
 
 # --- rule-level properties ---------------------------------------------
