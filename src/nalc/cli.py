@@ -8,6 +8,7 @@ process), 3 resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,9 +46,7 @@ OK, NO, USAGE, EXHAUSTED = 0, 1, 2, 3
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: its message goes to stderr and the exit code is ``USAGE``."""
 
 
 def _rational(value: Fraction) -> str:
@@ -184,7 +183,8 @@ def _cmd_subsumes(args) -> int:
     return OK if answer else NO
 
 
-def _cmd_bound(args, kind: str) -> int:
+def _cmd_bound(args) -> int:
+    kind = args.command
     kb = _load_kb(args.kb)
     assertion = parse_assertion(args.assertion)
     result = (glb if kind == "glb" else lub)(kb, assertion, _max_branches())
@@ -213,6 +213,7 @@ def _cmd_expand(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nalc",
@@ -226,10 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("check", help="KB satisfiability")
+    p.set_defaults(run=_cmd_check)
     common(p)
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("entails", help="entailment of an assertion")
+    p.set_defaults(run=_cmd_entails)
     common(p)
     p.add_argument("--query", help="one 'assert ...' line")
     p.add_argument("--queries", help="file of query lines, run independently")
@@ -240,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-size", type=int, help="oracle domain size override")
 
     p = sub.add_parser("subsumes", help="concept subsumption w.r.t. a terminology")
+    p.set_defaults(run=_cmd_subsumes)
     p.add_argument("kb", nargs="?", help="KB file providing the terminology")
     common(p, kb=False)
     p.add_argument("--sub", required=True, help="candidate subsumee concept")
@@ -249,39 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind in ("glb", "lub"):
         p = sub.add_parser(kind, help=f"{kind} of an assertion's degree bounds")
+        p.set_defaults(run=_cmd_bound)
         common(p)
         p.add_argument("--assertion", required=True, help="bare assertion C(a) or R(a,b)")
 
     p = sub.add_parser("nnf", help="negation normal form of a concept")
+    p.set_defaults(run=_cmd_nnf)
     p.add_argument("concept")
     common(p, kb=False)
 
     p = sub.add_parser("expand", help="print the purely assertional expansion")
+    p.set_defaults(run=_cmd_expand)
     common(p)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else OK
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "entails":
-            return _cmd_entails(args)
-        if args.command == "subsumes":
-            return _cmd_subsumes(args)
-        if args.command in ("glb", "lub"):
-            return _cmd_bound(args, args.command)
-        if args.command == "nnf":
-            return _cmd_nnf(args)
-        return _cmd_expand(args)  # argparse admits no other command
+        return args.run(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return USAGE
     except (ResourceExhausted, SearchExhausted) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXHAUSTED

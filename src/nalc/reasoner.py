@@ -61,7 +61,7 @@ from .constraints import (
 )
 from .kb import (KnowledgeBase, _check_query, resolved_definitions, unfold_assertion,
                  unfold_constraint)
-from .semantics import constraint_degrees
+from .semantics import ONE, ZERO, constraint_degrees
 from .syntax import ConceptExpr, Individual, Not
 from .tableau import (
     DEFAULT_MAX_BRANCHES,
@@ -74,9 +74,6 @@ from .tableau import (
     complete,
     completion_value,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 

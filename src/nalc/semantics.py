@@ -313,7 +313,6 @@ class _Dag:
         self.watch: list[list[int]] = []
         self.trail: list[tuple[int, int, int]] = []
         self.cells: dict = {}  # cell key -> its node
-        self.key: dict = {}  # cell node -> its key
         self._nodes: dict = {}  # structural key -> node
         self._built: dict = {}  # (concept, channel, element) -> node
 
@@ -343,7 +342,6 @@ class _Dag:
         n = self.cells.get(key)
         if n is None:
             n = self.cells[key] = self._new(_CELL, (), 0, self.scale)
-            self.key[n] = key
         return self._add(("flip", n), _FLIP, (n,), 0, self.scale) if neg else n
 
     def _const(self, top: bool) -> int:
@@ -696,12 +694,13 @@ def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
     for idx, cells in enumerate(reads):
         if cells:
             groups.setdefault(find(min(cells)), []).append(idx)
+    key = {n: k for k, n in dag.cells.items()}
     for idxs in groups.values():
         # Tight checks first: cells of small-scope checks get assigned
         # consecutively, so each check can prune as soon as possible.
         order = list(dict.fromkeys(
             n for i in sorted(idxs, key=lambda i: len(reads[i]))
-            for n in sorted(reads[i], key=dag.key.__getitem__)
+            for n in sorted(reads[i], key=key.__getitem__)
         ))
         if not _backtrack(dag, order, budget):
             return None

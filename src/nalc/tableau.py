@@ -74,7 +74,7 @@ from .constraints import (
     bounds_incompatible,
     vacuous,
 )
-from .semantics import FiniteInterpretation, takes_min
+from .semantics import ONE, ZERO, FiniteInterpretation, takes_min
 from .syntax import (
     And,
     Atomic,
@@ -291,22 +291,13 @@ class ConstraintSet:
                 seen[a.target] = None
         return list(seen)
 
-    def implied(self, assertion: Assertion, ch: str, wanted: Bound) -> bool:
-        """Does a bound on channel ``ch`` of the assertion force ``wanted`` (not vacuous)?"""
+    def first_bound(self, assertion: Assertion, ch: str, relation, bound: Bound):
+        """The first constraint of the assertion's bucket whose bound on
+        channel ``ch`` stands in ``relation`` to ``bound``, or None."""
         truth = ch == "t"
         for c in self.by_assertion.get(assertion, ()):
-            bound = c.tbound if truth else c.fbound
-            if bound is not None and bound_implies(bound, wanted):
-                return True
-        return False
-
-    def refuter(self, assertion: Assertion, ch: str, candidate: Bound):
-        """The first constraint whose bound on channel ``ch`` of the
-        assertion rules out ``candidate``, or None."""
-        truth = ch == "t"
-        for c in self.by_assertion.get(assertion, ()):
-            bound = c.tbound if truth else c.fbound
-            if bound is not None and bounds_incompatible(bound, candidate):
+            own = c.tbound if truth else c.fbound
+            if own is not None and relation(own, bound):
                 return c
         return None
 
@@ -453,9 +444,7 @@ class CompletionResult:
     def trace(self) -> list[str]:
         if self.witness is not None:
             return self.witness.trace_lines()
-        if self.clashes:
-            return self.clashes[0][0].trace_lines()
-        return []
+        return self.clashes[0][0].trace_lines()
 
 
 def find_clash(constraints) -> ClashInfo | None:
@@ -467,8 +456,8 @@ def find_clash(constraints) -> ClashInfo | None:
 _WORD = {And: "and", Or: "or", Not: "not", Exists: "some", Forall: "all"}
 
 
-def _label(concept, c: Constraint, halves=None) -> str:
-    word = _WORD[type(concept)]
+def _label(c: Constraint, halves=None) -> str:
+    word = _WORD[type(c.assertion.concept)]
     form = c.form
     if form is not None and (halves is None or len(halves) == 2):
         return f"({word}{''.join(rel.value for rel in form.value)})"
@@ -505,10 +494,14 @@ class _Engine:
         self.max_steps = max_steps
         self.steps_done = 0
 
-    def tick(self):
+    def _record(self, s: ConstraintSet, additions, label: str, premises) -> bool:
+        """Record one rule firing in ``s`` and count it; False, counting nothing, if idle."""
+        if not s.add(additions, label, premises):
+            return False
         self.steps_done += 1
         if self.steps_done > self.max_steps:
             raise ResourceExhausted(f"step ceiling {self.max_steps} exceeded")
+        return True
 
     # -- deterministic pass -------------------------------------------
 
@@ -540,13 +533,8 @@ class _Engine:
         concept = c.assertion.concept
         subject = c.assertion.subject
         if isinstance(concept, Not):
-            inner = ConceptAssertion(concept.inner, subject)
-            conclusion = Constraint(inner, c.fbound, c.tbound)
-            if conclusion in s:
-                return False
-            self.tick()
-            s.add([conclusion], _label(concept, c), [s.step_of[c]])
-            return True
+            conclusion = Constraint(ConceptAssertion(concept.inner, subject), c.fbound, c.tbound)
+            return self._record(s, [conclusion], _label(c), [s.step_of[c]])
         if isinstance(concept, (And, Or)):
             halves = _halves(c, every=True)
             if not halves:
@@ -555,11 +543,7 @@ class _Engine:
                 _make(ConceptAssertion(part, subject), halves)
                 for part in (concept.left, concept.right)
             ]
-            if all(a in s for a in additions):
-                return False
-            self.tick()
-            s.add(additions, _label(concept, c, halves), [s.step_of[c]])
-            return True
+            return self._record(s, additions, _label(c, halves), [s.step_of[c]])
         if isinstance(concept, (Exists, Forall)):
             return self._universal_det(s, c)
         return False
@@ -579,7 +563,8 @@ class _Engine:
             for target in s.successors.get((subject, concept.role), ()):
                 edge = RoleAssertion(concept.role, subject, target)
                 filler = ConceptAssertion(concept.filler, target)
-                if not (s.implied(filler, ch, bound) or s.implied(edge, role_ch, bound)):
+                if not (s.first_bound(filler, ch, bound_implies, bound)
+                        or s.first_bound(edge, role_ch, bound_implies, bound)):
                     yield bound, ch, role_ch, target, edge, filler
 
     def _universal_det(self, s: ConstraintSet, c: Constraint) -> bool:
@@ -594,11 +579,11 @@ class _Engine:
         for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
             if first is not None and target is not first:
                 continue
-            refuter = s.refuter(edge, role_ch, bound)
+            refuter = s.first_bound(edge, role_ch, bounds_incompatible, bound)
             if refuter is not None:
                 halves.append((bound, ch))
             else:
-                refuter = s.refuter(filler, ch, bound)
+                refuter = s.first_bound(filler, ch, bounds_incompatible, bound)
                 if refuter is None:
                     continue
                 additions.append(_make(edge, [(bound, role_ch)]))
@@ -608,9 +593,7 @@ class _Engine:
             return False
         if halves:
             additions.append(_make(forced_filler, halves))
-        self.tick()
-        s.add(additions, _label(c.assertion.concept, c, halves or None), premises)
-        return True
+        return self._record(s, additions, _label(c, halves or None), premises)
 
     # -- branching and generating passes --------------------------------
 
@@ -660,7 +643,7 @@ class _Engine:
                 branches.append([_make(part, hs) for part, hs in by_part.items()])
             if any(all(a in s for a in branch) for branch in branches):
                 return None
-            return c, _label(concept, c, halves), [s.step_of[c]], branches
+            return c, _label(c, halves), [s.step_of[c]], branches
         if isinstance(concept, (Exists, Forall)):
             for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
                 branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
@@ -682,16 +665,17 @@ class _Engine:
         if not isinstance(concept, (Exists, Forall)):
             return None
         subject = c.assertion.subject
+        role, filler = concept.role, concept.filler
         pending = [
             (bound, ch, role_ch) for bound, ch, role_ch in _halves(c, every=False)
             if not any(
-                s.implied(RoleAssertion(concept.role, subject, t), role_ch, bound)
-                and s.implied(ConceptAssertion(concept.filler, t), ch, bound)
-                for t in s.successors.get((subject, concept.role), ())
+                s.first_bound(RoleAssertion(role, subject, t), role_ch, bound_implies, bound)
+                and s.first_bound(ConceptAssertion(filler, t), ch, bound_implies, bound)
+                for t in s.successors.get((subject, role), ())
             )
         ]
         if pending:
-            return c, _label(concept, c, pending), [s.step_of[c]], pending
+            return c, _label(c, pending), [s.step_of[c]], pending
         return None
 
 
@@ -798,8 +782,10 @@ def complete(
     saturated under the deterministic rules; the steps that took are not
     counted against ``max_steps``.  Without ``base`` the search starts
     from ``from_constraints(constraints)`` with nothing more to add.
-    Past ``max_branches`` branches or ``max_steps`` rule firings it
-    raises ``ResourceExhausted``.
+    Past ``max_branches`` branches or ``max_steps`` deterministic rule
+    firings it raises ``ResourceExhausted``.  A firing counts when it
+    records a step: a rule whose conclusions are all in the set already
+    fires idle and counts nothing.
     """
     if base is None:
         base, constraints = ConstraintSet.from_constraints(constraints), ()
@@ -878,9 +864,6 @@ def _unsatisfiable(c: Constraint, base: ConstraintSet,
 
 
 # --- model extraction ---------------------------------------------------
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _pick(bounds, low: bool) -> Fraction:

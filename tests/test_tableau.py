@@ -837,3 +837,47 @@ def test_a_split_universal_witness_reads_each_half_s_role_in_its_own_channel():
         "(2) R(a,x1) f<= 0.5, A(x1) t<= 0.5, R(a,x2) t>= 0.5, A(x2) f>= 0.5"
         "   (all<=>=) split : (1)",
     ]
+
+
+_TRIPLE_NOT = "assert (not (not (not A)))(a) >= 0.5 <= 0.25\n"
+
+
+def test_the_step_ceiling_counts_the_rule_firings_that_record_a_step():
+    """Three negations take three steps: a ceiling of 3 lets the run
+    complete, a ceiling of 2 stops it at the third firing."""
+    hypotheses = list(parse_kb(_TRIPLE_NOT).assertions)
+    result = complete(hypotheses, max_steps=3)
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == 1
+    with pytest.raises(ResourceExhausted, match=r"^step ceiling 2 exceeded$"):
+        complete(hypotheses, max_steps=2)
+
+
+def test_an_idle_firing_counts_no_step():
+    """A rule whose conclusion is already in the set fires idle: it
+    reports False and takes nothing off the step budget."""
+    s = ConstraintSet.from_constraints(list(parse_kb(_TRIPLE_NOT).assertions))
+    engine = _Engine(1)
+    assert engine.fire(s, s.constraints[0]) is True
+    assert engine.fire(s, s.constraints[0]) is False
+    assert engine.steps_done == 1
+    with pytest.raises(ResourceExhausted, match=r"^step ceiling 1 exceeded$"):
+        engine.fire(s, s.constraints[1])
+
+
+@pytest.mark.parametrize("statements, step", [
+    # Both edges refute the role side; the first in bucket order is the premise.
+    (["(all R A)(a) >= 0.5 <= 0.5", "R(a,b) >= 1 <= 0", "R(a,b) >= 0.75 <= 0.25"],
+     "(4) A(b) >= 0.5 <= 0.5   (all>=<=) : (1), (2)"),
+    (["(all R A)(a) >= 0.5 <= 0.5", "R(a,b) >= 0.75 <= 0.25", "R(a,b) >= 1 <= 0"],
+     "(4) A(b) >= 0.5 <= 0.5   (all>=<=) : (1), (2)"),
+    # Both fillers refute the filler side.
+    (["(all R A)(a) >= 0.5 <= 0.5", "R(a,b) >= 0.5 <= 0.5", "A(b) <= 0.25 >= 0.75",
+      "A(b) <= 0 >= 1"],
+     "(5) R(a,b) f>= 0.5, R(a,b) t<= 0.5   (all>=<=) : (1), (3)"),
+])
+def test_a_forced_side_cites_the_first_refuter_of_the_other_side(statements, step):
+    result = check_satisfiable(parse_kb("".join(f"assert {s}\n" for s in statements)))
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == 1
+    assert result.trace[len(statements)] == step
