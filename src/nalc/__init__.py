@@ -37,7 +37,6 @@ from .parser import (
     KbSyntaxError,
     ParseError,
     SourceSpan,
-    format_concept,
     format_statement,
     parse_assertion,
     parse_concept,
@@ -84,6 +83,7 @@ from .syntax import (
     TOP,
     Top,
     Variable,
+    format_concept,
     nnf,
     subconcepts,
 )

@@ -19,7 +19,6 @@ from .kb import KnowledgeBase, expand, resolved_definitions, unfold_constraint
 from .parser import (
     ConceptSyntaxError,
     KbSyntaxError,
-    format_concept,
     format_statement,
     parse_assertion,
     parse_concept,
@@ -27,6 +26,7 @@ from .parser import (
     parse_query,
 )
 from .reasoner import (
+    SUBSUMPTION_GRID,
     check_satisfiable,
     entails,
     glb,
@@ -39,7 +39,7 @@ from .semantics import (
     constraint_degrees,
     oracle_entails,
 )
-from .syntax import nnf
+from .syntax import format_concept, nnf
 from .tableau import DEFAULT_MAX_BRANCHES, ResourceExhausted, Status
 
 OK, NO, USAGE, EXHAUSTED = 0, 1, 2, 3
@@ -175,9 +175,8 @@ def _cmd_subsumes(args) -> int:
     kb = _load_kb(args.kb) if args.kb else KnowledgeBase((), ())
     sub = parse_concept(args.sub)
     super_ = parse_concept(args.super)
-    grid = _parse_grid(args.grid) if args.grid else None
-    kwargs = {"grid": grid} if grid else {}
-    answer = subsumes(kb.terminology, sub, super_, max_branches=_max_branches(), **kwargs)
+    grid = _parse_grid(args.grid) if args.grid else SUBSUMPTION_GRID
+    answer = subsumes(kb.terminology, sub, super_, grid, _max_branches())
     payload = {"query": f"{args.sub} subsumed-by {args.super}", "answer": answer}
     _emit(args, payload, [f"subsumed: {str(answer).lower()}"])
     return OK if answer else NO

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .syntax import ConceptExpr, FrozenValue, Obj, frozen_value
+from .syntax import ConceptExpr, FrozenValue, Obj, format_concept, frozen_value
 
 
 def _check_degree(value: Fraction, what: str) -> None:
@@ -69,8 +69,6 @@ class ConceptAssertion(FrozenValue):
     subject: Obj
 
     def __str__(self):
-        from .parser import format_concept
-
         return f"{format_concept(self.concept)}({self.subject})"
 
 

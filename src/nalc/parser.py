@@ -44,6 +44,7 @@ from .syntax import (
     Not,
     Or,
     TOP,
+    format_concept,  # concept rendering lives in syntax; parser re-exports it
 )
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
@@ -373,27 +374,6 @@ def parse_kb(text: str) -> KnowledgeBase:
     if errors:
         raise KbSyntaxError(errors)
     return kb
-
-
-def format_concept(c: ConceptExpr) -> str:
-    """Render a concept so that ``parse_concept`` round-trips it."""
-    if isinstance(c, Atomic):
-        return c.name
-    if c == TOP:
-        return "top"
-    if c == BOT:
-        return "bot"
-    if isinstance(c, And):
-        return f"(and {format_concept(c.left)} {format_concept(c.right)})"
-    if isinstance(c, Or):
-        return f"(or {format_concept(c.left)} {format_concept(c.right)})"
-    if isinstance(c, Not):
-        return f"(not {format_concept(c.inner)})"
-    if isinstance(c, Forall):
-        return f"(all {c.role} {format_concept(c.filler)})"
-    if isinstance(c, Exists):
-        return f"(some {c.role} {format_concept(c.filler)})"
-    raise TypeError(f"not a concept expression: {c!r}")
 
 
 def format_statement(constraint: Constraint) -> str:

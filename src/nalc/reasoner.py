@@ -31,8 +31,8 @@ falsity) needs no run:
 
 A complement that clashes with the saturated set as it is added needs
 no run either (``tableau._unsatisfiable``): that run would clash before
-any rule fired.  A run that only decides a half copies nothing: neither
-a witness nor a clashed branch.
+any rule fired.  A half's run copies nothing, neither a witness nor a
+clashed branch; a traced query then makes one ``complete`` run to render.
 
 Refuting both halves of a query at once (``Constraint.negated``) would
 accept a query as soon as every model violates one side or the other;
@@ -68,7 +68,6 @@ from .tableau import (
     DEFAULT_MAX_STEPS,
     CompletionResult,
     ConstraintSet,
-    Status,
     _Engine,
     _unsatisfiable,
     complete,
@@ -118,30 +117,28 @@ def entails(
 ):
     """Does every model of the KB satisfy the (nonstrict) query?
 
-    True iff each non-vacuous half of the query is entailed, each
-    decided by its own refutation (``_half_entailed``); the first half
-    that a clash-free completion refutes settles False.  With
-    ``with_result`` every half gets a full run, and the answer
-    comes with a run to render: the refuting half's, whose witness is a
-    countermodel, for False; for True the run of the query's only
-    non-vacuous half, or else the paired run of ``query.negated()``,
-    which clashes whenever each half's run does.
+    True iff each non-vacuous half of the query is entailed, each decided
+    by its own refutation (``_half_entailed``) in every mode; the first
+    half that a clash-free completion refutes settles False, and no later
+    half runs.  ``with_result`` adds one ``complete`` run to render: the
+    refuting half's, whose witness is a countermodel, for False; for True
+    the run of the query's only non-vacuous half, or else the paired run
+    of ``query.negated()``, which clashes whenever each half's run does.
     """
     (_, root, _), resolved = _prepared(kb)
     _check_query(kb, query.assertion)
     query = unfold_constraint(query, resolved)
     halves = _query_halves(query)
+    refuted = next(((bound, ch) for bound, ch in halves
+                    if not _half_entailed(root, query.assertion, ch, bound, max_branches)), None)
     if not with_result:
-        return all(_half_entailed(root, query.assertion, ch, bound, max_branches)
-                   for bound, ch in halves)
-    for bound, ch in halves:
-        result = complete([_refutation(query.assertion, ch, bound)], max_branches=max_branches,
-                          base=root)
-        if result.status is Status.SATISFIABLE:
-            return False, result
-    if len(halves) != 1:
-        result = complete([query.negated()], max_branches=max_branches, base=root)
-    return True, result
+        return refuted is None
+    if refuted is None and len(halves) != 1:
+        shown = query.negated()
+    else:
+        bound, ch = refuted or halves[0]
+        shown = _refutation(query.assertion, ch, bound)
+    return refuted is None, complete([shown], max_branches=max_branches, base=root)
 
 
 def _half_entailed(

@@ -108,6 +108,10 @@ def eval_concept(interp: FiniteInterpretation, c: ConceptExpr, element: str) -> 
     """Evaluate the truth/falsity pair of ``c`` at a domain element."""
     if element not in interp.domain:
         raise ValueError(f"unknown element {element!r}")
+    return _eval(interp, c, element)
+
+
+def _eval(interp: FiniteInterpretation, c: ConceptExpr, element: str) -> DegreePair:
     if isinstance(c, Top):
         return DegreePair(ONE, ZERO)
     if isinstance(c, Bottom):
@@ -115,22 +119,22 @@ def eval_concept(interp: FiniteInterpretation, c: ConceptExpr, element: str) -> 
     if isinstance(c, Atomic):
         return interp.concept_value(c.name, element)
     if isinstance(c, Not):
-        inner = eval_concept(interp, c.inner, element)
+        inner = _eval(interp, c.inner, element)
         return DegreePair(inner.m, inner.n)
     if isinstance(c, And):
-        l = eval_concept(interp, c.left, element)
-        r = eval_concept(interp, c.right, element)
+        l = _eval(interp, c.left, element)
+        r = _eval(interp, c.right, element)
         return DegreePair(min(l.n, r.n), max(l.m, r.m))
     if isinstance(c, Or):
-        l = eval_concept(interp, c.left, element)
-        r = eval_concept(interp, c.right, element)
+        l = _eval(interp, c.left, element)
+        r = _eval(interp, c.right, element)
         return DegreePair(max(l.n, r.n), min(l.m, r.m))
     if isinstance(c, Forall):
         t = ONE
         f = ZERO
         for d in interp.domain:
             rv = interp.role_value(c.role, element, d)
-            fv = eval_concept(interp, c.filler, d)
+            fv = _eval(interp, c.filler, d)
             t = min(t, max(rv.m, fv.n))
             f = max(f, min(rv.n, fv.m))
         return DegreePair(t, f)
@@ -139,7 +143,7 @@ def eval_concept(interp: FiniteInterpretation, c: ConceptExpr, element: str) -> 
         f = ONE
         for d in interp.domain:
             rv = interp.role_value(c.role, element, d)
-            fv = eval_concept(interp, c.filler, d)
+            fv = _eval(interp, c.filler, d)
             t = max(t, min(rv.n, fv.n))
             f = min(f, max(rv.m, fv.m))
         return DegreePair(t, f)
@@ -582,13 +586,6 @@ def _scaled(bound: Bound, scale: int) -> tuple[int, int]:
     return 0, v - 1
 
 
-def _common_scale(fractions) -> int:
-    scale = 1
-    for value in fractions:
-        scale = scale * value.denominator // math.gcd(scale, value.denominator)
-    return scale
-
-
 def _compile(bounded, axioms, element, domain, scale: int, grid, single: bool):
     """Compile the checks into one DAG.
 
@@ -724,14 +721,14 @@ def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: 
         for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
         if bound is not None
     ]
-    objects = [o for c in constraints for o in _objects(c.assertion)]
-    individuals = sorted({o.name for o in objects if isinstance(o, Individual)})
+    individuals = sorted({o.name for c in constraints for o in _objects(c.assertion)
+                          if isinstance(o, Individual)})
     if domain_size < max(1, len(individuals)):
         raise ValueError("domain too small for the named individuals")
     domain = tuple(f"d{i}" for i in range(domain_size))
     ind_map = {name: domain[i] for i, name in enumerate(individuals)}
-    variables = sorted({o for o in objects if isinstance(o, Variable)}, key=lambda v: v.index)
-    scale = _common_scale(list(grid.values) + [b.value for _, b, _ in bounded])
+    variables = constraint_variables(constraints)
+    scale = math.lcm(*(v.denominator for v in list(grid.values) + [b.value for _, b, _ in bounded]))
     grid_ints = [v.numerator * (scale // v.denominator) for v in grid.values]
     degree = dict(zip(grid_ints, grid.values))
     budget = _Budget(max_nodes)
@@ -906,10 +903,7 @@ def fuzzy_exists_model(
     domain, ind_map, assignment, degrees = found
     interp = FuzzyInterpretation(domain, ind_map)
     for key, value in degrees.items():
-        if key[0] == "c":
-            interp.concept_table[key[1:3]] = value
-        else:
-            interp.role_table[key[1:4]] = value
+        (interp.concept_table if key[0] == "c" else interp.role_table)[key[1:-1]] = value
     _checked(_embedded(interp), constraints, assignment, axioms)
     return interp
 

@@ -2,9 +2,9 @@
 
 Concepts are immutable trees built from atomic concept names with
 conjunction, disjunction, negation and universal/existential role
-restrictions.  Structural (syntactic) equality is the only equality
-defined here; semantic equivalence is decided elsewhere, never by
-term rewriting.
+restrictions, rendered in the S-expression syntax the parser reads.
+Structural (syntactic) equality is the only equality defined here;
+semantic equivalence is decided elsewhere, never by term rewriting.
 """
 
 from __future__ import annotations
@@ -159,6 +159,25 @@ class Variable(FrozenValue):
 
 # An object is either an individual or a variable.
 Obj = Individual | Variable
+
+
+# The keyword that heads each composite concept in the concrete syntax.
+_WORD = {And: "and", Or: "or", Not: "not", Forall: "all", Exists: "some"}
+
+
+def format_concept(c: ConceptExpr) -> str:
+    """Render a concept so that ``parse_concept`` round-trips it."""
+    if isinstance(c, Atomic):
+        return c.name
+    if isinstance(c, (Top, Bottom)):
+        return "top" if isinstance(c, Top) else "bot"
+    if isinstance(c, (And, Or)):
+        return f"({_WORD[type(c)]} {format_concept(c.left)} {format_concept(c.right)})"
+    if isinstance(c, Not):
+        return f"(not {format_concept(c.inner)})"
+    if isinstance(c, (Forall, Exists)):
+        return f"({_WORD[type(c)]} {c.role} {format_concept(c.filler)})"
+    raise TypeError(f"not a concept expression: {c!r}")
 
 
 def nnf(c: ConceptExpr) -> ConceptExpr:

@@ -86,6 +86,7 @@ from .syntax import (
     Or,
     Top,
     Variable,
+    _WORD,
     frozen_value,
 )
 
@@ -379,9 +380,9 @@ class ConstraintSet:
 
         Only an existential or universal constraint's successor-wide
         decisions read state that grows (new successors, new bounds on
-        their edges and fillers); a negation or a deterministic
-        conjunction or disjunction fires on its own constraint alone,
-        and once it stops firing it never fires again.
+        their edges and fillers); a negation, conjunction or disjunction
+        goes on the agenda once and fires, if at all, on its own
+        constraint alone, and once it stops firing it never fires again.
         """
         a = c.assertion
         if isinstance(a, RoleAssertion):
@@ -397,12 +398,10 @@ class ConstraintSet:
         else:
             watching = self.watchers.get(a, ())
             concept = a.concept
-            if isinstance(concept, Not):
+            if isinstance(concept, (Not, And, Or)):
                 heapq.heappush(self.agenda, pos)
-            elif isinstance(concept, (And, Or)):
-                if _halves(c, every=True):
-                    heapq.heappush(self.agenda, pos)
-                heapq.heappush(self.splits, pos)
+                if not isinstance(concept, Not):
+                    heapq.heappush(self.splits, pos)
             elif isinstance(concept, (Exists, Forall)):
                 if _halves(c, every=True):
                     key = (a.subject, concept.role)
@@ -451,9 +450,6 @@ def find_clash(constraints) -> ClashInfo | None:
     """Clash check of a constraint collection, independent of any search."""
     s = ConstraintSet.from_constraints(constraints)
     return s.clash
-
-
-_WORD = {And: "and", Or: "or", Not: "not", Exists: "some", Forall: "all"}
 
 
 def _label(c: Constraint, halves=None) -> str:
