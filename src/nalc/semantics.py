@@ -267,8 +267,9 @@ class _Budget:
             raise SearchExhausted(self.nodes)
 
 
-def takes_min(c: ConceptExpr, ch: str) -> bool:
-    """Does channel ``ch`` of a binary or quantified concept take a minimum?
+def takes_min(kind: type, ch: str) -> bool:
+    """Does channel ``ch`` of a binary or quantified concept of type
+    ``kind`` take a minimum?
 
     True for ``and`` and ``all`` in the truth channel and for ``or`` and
     ``some`` in the falsity channel; the other four take a maximum.  A
@@ -276,7 +277,7 @@ def takes_min(c: ConceptExpr, ch: str) -> bool:
     and reads the role in the falsity channel; one that takes a maximum
     is a supremum and reads the role in the truth channel.
     """
-    return isinstance(c, (And, Forall)) == (ch == "t")
+    return issubclass(kind, (And, Forall)) == (ch == "t")
 
 
 # Node kinds of a _Dag.  A cell node holds the cell's degree; a flip node
@@ -393,12 +394,12 @@ class _Dag:
         elif isinstance(c, Not):
             n = self.node(c.inner, "f" if ch == "t" else "t", e)
         elif isinstance(c, (And, Or)):
-            low = takes_min(c, ch)
+            low = takes_min(type(c), ch)
             n = self.node(c.left, ch, e)
             if not self._absorbs(low, n):
                 n = self._op(low, (n, self.node(c.right, ch, e)))
         elif isinstance(c, (Exists, Forall)):
-            low = takes_min(c, ch)
+            low = takes_min(type(c), ch)
             role_ch = "f" if low else "t"
             parts = []
             for d in self.domain:

@@ -41,7 +41,13 @@ rescan would return.  There a constraint needs no wake-up but a new
 successor, because a branch only grows: a split is closed for good once
 one of its branches is present, an edge choice once either side is
 implied, and a witness demand once a successor meets it; only a new
-successor opens new edge choices.
+successor opens new edge choices.  So a witness demand or an
+``and``/``or`` split leaves its heap as soon as the search takes one of
+its branches, since every branch closes it.  Nor is settled work redone
+per visit: a constraint's halves are worked out once per (connective,
+bound pair), and each successor-wide half resumes its scan past the
+successors it found settled at the front, stops at its first forced
+successor, and reads the other halves at that successor only.
 
 Search.  ``complete`` searches depth-first on one constraint set: a
 choice marks the set and takes its first branch, and a clash undoes the
@@ -140,7 +146,11 @@ class ConstraintSet:
     and ``gens`` those that may demand a witness (every quantifier); a
     pass drops a position the first time it finds nothing to do there,
     which is cheaper than sorting out, on adding, the positions that
-    never will.  ``watchers`` maps a
+    never will, and a witness demand or an ``and``/``or`` split drops
+    its position at once when the search takes one of its branches.
+    ``settled`` maps a successor-wide half, as (constraint, channel), to
+    the number of its leading successors where one side already meets
+    the bound; a scan of that half starts past them.  ``watchers`` maps a
     (subject, role) pair, and a filler at one of its successors, to the
     existential and universal constraints whose per-successor decisions
     read it; adding a constraint there puts them back on the agenda, and
@@ -156,9 +166,9 @@ class ConstraintSet:
     build only repeats a position already there.
 
     While a search runs on the set, ``trail`` records the value each
-    bucket, successor-index or watch-list entry held before it was
-    replaced, and ``mark`` saves the lengths of the constraints (and so
-    of ``step_of``), the steps and the other three dicts, the
+    bucket, successor-index, watch-list or ``settled`` entry held before
+    it was replaced, and ``mark`` saves the lengths of the constraints
+    (and so of ``step_of``), the steps and the other four dicts, the
     fresh-variable counter, the clash and the three heaps; ``undo``
     restores all of that.  ``lock`` is held by every run on the set.
     """
@@ -170,6 +180,7 @@ class ConstraintSet:
         self.by_assertion: dict[Assertion, tuple[Constraint, ...]] = {}
         self.successors: dict[tuple, tuple] = {}
         self.watchers: dict[object, tuple[int, ...]] = {}
+        self.settled: dict[tuple[Constraint, str], int] = {}
         self.agenda: list[int] = []
         self.splits: list[int] = []
         self.gens: list[int] = []
@@ -232,6 +243,7 @@ class ConstraintSet:
         s.by_assertion = dict(self.by_assertion)
         s.successors = dict(self.successors)
         s.watchers = dict(self.watchers)
+        s.settled = dict(self.settled)
         s.agenda = list(self.agenda)
         s.splits = list(self.splits)
         s.gens = list(self.gens)
@@ -255,7 +267,8 @@ class ConstraintSet:
         """A point to ``undo`` back to; the trail must be on."""
         return (len(self.trail), len(self.constraints), len(self.steps),
                 len(self.by_assertion), len(self.successors), len(self.watchers),
-                self.fresh_counter, self.clash, self.agenda[:], self.splits[:], self.gens[:])
+                len(self.settled), self.fresh_counter, self.clash,
+                self.agenda[:], self.splits[:], self.gens[:])
 
     def undo(self, mark: tuple) -> None:
         """Restore the set as it was at ``mark``, which stays usable.
@@ -265,14 +278,15 @@ class ConstraintSet:
         removes them and leaves no hole: a dict with holes takes the slow
         path when it is copied.
         """
-        (n, n_constraints, n_steps, n_buckets, n_successors, n_watchers,
+        (n, n_constraints, n_steps, n_buckets, n_successors, n_watchers, n_settled,
          self.fresh_counter, self.clash, agenda, splits, gens) = mark
         trail = self.trail
         while len(trail) > n:
             table, key, old = trail.pop()
             table[key] = old
         for table, size in ((self.step_of, n_constraints), (self.by_assertion, n_buckets),
-                            (self.successors, n_successors), (self.watchers, n_watchers)):
+                            (self.successors, n_successors), (self.watchers, n_watchers),
+                            (self.settled, n_settled)):
             while len(table) > size:
                 table.popitem()
         del self.constraints[n_constraints:]
@@ -353,7 +367,7 @@ class ConstraintSet:
         for c in new:
             if c in step_of:
                 continue  # listed twice in this step, as ``(and A A)`` lists its part
-            self._index(c, len(self.constraints))
+            pos = len(self.constraints)
             self.constraints.append(c)
             step_of[c] = number
             a = c.assertion
@@ -366,6 +380,7 @@ class ConstraintSet:
                 if trail is not None:
                     trail.append((by_assertion, a, bucket))
                 by_assertion[a] = bucket + (c,)
+            self._index(c, pos)
         self.steps.append(Step(number, new, rule, tuple(sorted(set(premises)))))
         if self.clash is None:
             for c in new:
@@ -376,7 +391,8 @@ class ConstraintSet:
         return True
 
     def _index(self, c: Constraint, pos: int) -> None:
-        """Update the successor index and the heaps for a new constraint.
+        """Update the successor index and the heaps for a new constraint,
+        which its bucket already holds.
 
         Only an existential or universal constraint's successor-wide
         decisions read state that grows (new successors, new bounds on
@@ -389,7 +405,10 @@ class ConstraintSet:
             key = (a.subject, a.role)
             targets = self.successors.get(key, ())
             watching = self.watchers.get(key, ())
-            if a.target not in targets:
+            # The edge's first constraint names a new successor.  Asking
+            # ``targets`` would compare every earlier successor through
+            # the Python-level ``__eq__``: quadratic in a wide fan-out.
+            if self.by_assertion[a][0] is c:
                 self._set(self.successors, key, targets + (a.target,))
                 for p in watching:
                     filler = self.constraints[p].assertion.concept.filler
@@ -467,22 +486,44 @@ def _make(assertion: Assertion, halves) -> Constraint:
     return Constraint(assertion, parts.get("t"), parts.get("f"))
 
 
-def _halves(c: Constraint, every: bool) -> list[tuple[Bound, str, str]]:
+def _halves(c: Constraint, every: bool) -> tuple[tuple[Bound, str, str], ...]:
     """The (bound, channel, role channel) halves of a binary or quantified
-    concept constraint that go to every part (``every``) or to some part.
+    concept constraint that go to every part (``every``) or to some part."""
+    return _split_halves(type(c.assertion.concept), c.tbound, c.fbound)[not every]
+
+
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
+def _split_halves(kind: type, tbound: Bound | None, fbound: Bound | None) -> tuple:
+    """The halves of a ``kind`` constraint with these bounds that go to
+    every part, and those that go to some part.
 
     A half goes to every part exactly when its channel takes a minimum
     and it bounds from below, or takes a maximum and bounds from above
     (``takes_min``).  A quantifier reads its role in falsity when that
     channel takes a minimum, else in truth.  Vacuous halves take no rule.
+    The answer depends on the connective and the bounds only, and a KB
+    holds few distinct bound pairs, so it is worked out once per key.
     """
-    concept = c.assertion.concept
-    return [
-        (bound, ch, "f" if least else "t")
-        for bound, ch in ((c.tbound, "t"), (c.fbound, "f"))
-        if bound is not None and not vacuous(bound)
-        and ((least := takes_min(concept, ch)) == bound.rel.is_lower) == every
-    ]
+    split = ([], [])
+    for bound, ch in ((tbound, "t"), (fbound, "f")):
+        if bound is not None and not vacuous(bound):
+            least = takes_min(kind, ch)
+            split[least != bound.rel.is_lower].append((bound, ch, "f" if least else "t"))
+    return tuple(split[0]), tuple(split[1])
+
+
+def _open_sides(s: ConstraintSet, c: Constraint, half, target):
+    """The edge and the filler of a successor-wide half of ``c`` at one
+    successor, or None when either side already meets the half's bound,
+    each in its own channel."""
+    bound, ch, role_ch = half
+    concept, subject = c.assertion.concept, c.assertion.subject
+    edge = RoleAssertion(concept.role, subject, target)
+    filler = ConceptAssertion(concept.filler, target)
+    if (s.first_bound(filler, ch, bound_implies, bound)
+            or s.first_bound(edge, role_ch, bound_implies, bound)):
+        return None
+    return edge, filler
 
 
 class _Engine:
@@ -515,10 +556,7 @@ class _Engine:
         """
         agenda = s.agenda
         while agenda:
-            pos = heapq.heappop(agenda)
-            while agenda and agenda[0] == pos:
-                heapq.heappop(agenda)
-            if self.fire(s, s.constraints[pos]):
+            if self.fire(s, s.constraints[_drop(agenda)]):
                 return True
         return False
 
@@ -549,46 +587,67 @@ class _Engine:
 
         Per successor a successor-wide half holds when the role side or
         the filler side meets the very same bound, each in its own
-        channel.  Yields (bound, ch, role_ch, target, edge, filler),
+        channel (``_open_sides``).  Yields (half, target, edge, filler),
         halves major, for each successor where neither side is implied
-        yet.
+        yet.  A side once implied stays implied in its branch, so each
+        half starts past the successors it last found settled at the
+        front, and moves that mark (``s.settled``) before it yields its
+        first open decision or, with none, at its end.
         """
-        concept = c.assertion.concept
-        subject = c.assertion.subject
-        for bound, ch, role_ch in _halves(c, every=True):
-            for target in s.successors.get((subject, concept.role), ()):
-                edge = RoleAssertion(concept.role, subject, target)
-                filler = ConceptAssertion(concept.filler, target)
-                if not (s.first_bound(filler, ch, bound_implies, bound)
-                        or s.first_bound(edge, role_ch, bound_implies, bound)):
-                    yield bound, ch, role_ch, target, edge, filler
+        targets = s.successors.get((c.assertion.subject, c.assertion.concept.role), ())
+        for half in _halves(c, every=True):
+            key = (c, half[1])
+            start = s.settled.get(key, 0)
+            front = True
+            for j in range(start, len(targets)):
+                sides = _open_sides(s, c, half, targets[j])
+                if sides is None:
+                    continue
+                if front:
+                    front = False
+                    if j > start:
+                        s._set(s.settled, key, j)
+                yield (half, targets[j]) + sides
+            if front and len(targets) > start:
+                s._set(s.settled, key, len(targets))
 
     def _universal_det(self, s: ConstraintSet, c: Constraint) -> bool:
         """Fire the forced sides of the first successor that has any,
         halves major: a refuted role side forces the filler side, else a
         refuted filler side forces the role side (when both are refuted,
-        the filler side lets the clash surface).  ``c`` and each refuter
-        are the premises; the filler halves make one constraint."""
-        first = None
+        the filler side lets the clash surface).  The scan stops at the
+        first forced successor, and the later halves are read there
+        only: an earlier half forces nothing there, or its scan would
+        have stopped first.  ``c`` and each refuter are the premises;
+        the filler halves make one constraint."""
         premises = [s.step_of[c]]
         additions, halves = [], []
-        for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
-            if first is not None and target is not first:
-                continue
+
+        def force(half, edge, filler) -> bool:
+            bound, ch, role_ch = half
             refuter = s.first_bound(edge, role_ch, bounds_incompatible, bound)
             if refuter is not None:
                 halves.append((bound, ch))
             else:
                 refuter = s.first_bound(filler, ch, bounds_incompatible, bound)
                 if refuter is None:
-                    continue
+                    return False
                 additions.append(_make(edge, [(bound, role_ch)]))
-            first, forced_filler = target, filler
             premises.append(s.step_of[refuter])
-        if first is None:
+            return True
+
+        for half, first, edge, filler in self._universal_actions(s, c):
+            if force(half, edge, filler):
+                break
+        else:
             return False
+        every = _halves(c, every=True)
+        for later in every[every.index(half) + 1:]:
+            sides = _open_sides(s, c, later, first)
+            if sides is not None:
+                force(later, *sides)
         if halves:
-            additions.append(_make(forced_filler, halves))
+            additions.append(_make(filler, halves))
         return self._record(s, additions, _label(c, halves or None), premises)
 
     # -- branching and generating passes --------------------------------
@@ -600,15 +659,16 @@ class _Engine:
         The heap holds every position whose check may hit, so the lowest
         one that hits is the first hit of an in-order rescan.  A position
         that misses leaves the heap, with its duplicates: it can only hit
-        again after ``ConstraintSet._index`` pushes it back.
+        again after ``ConstraintSet._index`` pushes it back.  A position
+        that hits stays on the heap; ``_branches`` drops it when every
+        branch it offers closes it, as with a witness demand or an
+        ``and``/``or`` split.
         """
         while heap:
-            pos = heap[0]
-            found = check(s, s.constraints[pos])
+            found = check(s, s.constraints[heap[0]])
             if found is not None:
                 return found
-            while heap and heap[0] == pos:
-                heapq.heappop(heap)
+            _drop(heap)
         return None
 
     def find_branches(self, s: ConstraintSet):
@@ -641,7 +701,7 @@ class _Engine:
                 return None
             return c, _label(c, halves), [s.step_of[c]], branches
         if isinstance(concept, (Exists, Forall)):
-            for bound, ch, role_ch, target, edge, filler in self._universal_actions(s, c):
+            for (bound, ch, role_ch), target, edge, filler in self._universal_actions(s, c):
                 branches = [[_make(edge, [(bound, role_ch)])], [_make(filler, [(bound, ch)])]]
                 label = f"({_WORD[type(concept)]} {ch}{bound.rel.value} ?)"
                 return c, label, [s.step_of[c]], branches
@@ -675,6 +735,14 @@ class _Engine:
         return None
 
 
+def _drop(heap: list[int]) -> int:
+    """Pop the lowest position off a heap, with its duplicates."""
+    pos = heapq.heappop(heap)
+    while heap and heap[0] == pos:
+        heapq.heappop(heap)
+    return pos
+
+
 def _witness(c: Constraint, var: Variable, halves) -> list[Constraint]:
     """The edge and filler constraints that make ``var`` witness the halves."""
     concept = c.assertion.concept
@@ -706,9 +774,12 @@ def _branches(s: ConstraintSet, engine: _Engine):
     found = engine.find_branches(s)
     if found is not None:
         c, label, premises, branches = found
+        if type(c.assertion.concept) in (And, Or):
+            _drop(s.splits)  # each branch holds one of the split's outcomes
         return [(additions, label, premises, 0) for additions in branches]
     found = engine.find_generation(s)
     if found is not None:
+        _drop(s.gens)  # each branch witnesses every pending half
         c, label, premises, pending = found
         out = [(_witness(c, Variable(s.fresh_counter + 1), pending), label, premises, 1)]
         if len(pending) == 2:
@@ -981,7 +1052,7 @@ def _concept_value(s: ConstraintSet, concept, subject, ch: str) -> Fraction:
         return _concept_value(s, concept.inner, subject, "f" if ch == "t" else "t")
     if kind is Top or kind is Bottom:
         return ONE if (kind is Top) == (ch == "t") else ZERO
-    least = takes_min(concept, ch)
+    least = takes_min(kind, ch)
     best = min if least else max
     if kind is And or kind is Or:
         return best(_concept_value(s, concept.left, subject, ch),

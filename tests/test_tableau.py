@@ -39,9 +39,9 @@ from nalc import (
     expand,
     variable_assignment,
 )
-from nalc.constraints import vacuous
+from nalc.constraints import bound_implies, vacuous
 from nalc.semantics import default_domain_size
-from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine, _pick
+from nalc.tableau import DEFAULT_MAX_STEPS, ConstraintSet, _Engine, _halves, _pick
 from genutil import QUARTER_GRID, QUARTERS, rand_assertional_kb, rand_interpretation, stable_seed
 
 F = Fraction
@@ -578,6 +578,91 @@ def test_a_chain_decides_each_link_a_bounded_number_of_times(monkeypatch):
     assert len(calls) <= 4 * n
 
 
+def test_a_chain_asks_each_link_for_a_witness_at_most_twice(monkeypatch):
+    """A witness demand leaves its heap when the search takes one of its
+    branches, since each branch meets it: no later pass asks again."""
+    n = 160
+    kb = parse_kb("".join(
+        f"assert R(a{i}, a{i + 1}) >= 1 <= 0\n"
+        f"assert (all R (and A (some S B)))(a{i}) >= 0.5 <= 0.5\n"
+        for i in range(n)
+    ))
+    calls = []
+    demand = _Engine.demand
+    monkeypatch.setattr(_Engine, "demand",
+                        lambda self, s, c: calls.append(c) or demand(self, s, c))
+    result = check_satisfiable(kb)
+    assert result.status is Status.SATISFIABLE
+    assert result.branch_count == n + 1
+    assert len(calls) <= 2 * n
+
+
+def _fan_out(n: int):
+    """One universal over n successors whose edges each force its filler."""
+    return parse_kb("assert (all R A)(a) >= 0.5 <= 0.5\n" + "".join(
+        f"assert R(a, b{i}) >= 1 <= 0\n" for i in range(n)))
+
+
+def test_a_fan_out_is_decided_in_linear_work(monkeypatch):
+    """A universal forced at each of n successors fires one per step, and
+    each firing resumes past the successors already settled, so the
+    bound lookups grow linearly with n."""
+    calls = []
+    first_bound = ConstraintSet.first_bound
+    monkeypatch.setattr(ConstraintSet, "first_bound",
+                        lambda self, *args: calls.append(None) or first_bound(self, *args))
+    counts = []
+    for n in (100, 400):
+        calls.clear()
+        result = check_satisfiable(_fan_out(n))
+        assert result.status is Status.SATISFIABLE
+        assert result.branch_count == 1
+        counts.append(len(calls))
+    assert counts[1] <= 4.5 * counts[0]
+
+
+def test_a_fan_out_fires_its_successors_in_order():
+    assert check_satisfiable(_fan_out(3)).trace == [
+        "(1) (all R A)(a) >= 0.5 <= 0.5   [hypothesis]",
+        "(2) R(a,b0) >= 1 <= 0   [hypothesis]",
+        "(3) R(a,b1) >= 1 <= 0   [hypothesis]",
+        "(4) R(a,b2) >= 1 <= 0   [hypothesis]",
+        "(5) A(b0) >= 0.5 <= 0.5   (all>=<=) : (1), (2)",
+        "(6) A(b1) >= 0.5 <= 0.5   (all>=<=) : (1), (3)",
+        "(7) A(b2) >= 0.5 <= 0.5   (all>=<=) : (1), (4)",
+    ]
+
+
+def test_a_half_resumes_only_past_settled_successors():
+    """Along random search paths, every successor that a successor-wide
+    half's scan skips has a side that already meets the half's bound."""
+    rng = random.Random(stable_seed("settled successors"))
+    engine = _Engine(DEFAULT_MAX_STEPS)
+    skipped = 0
+    for _ in range(300):
+        kb = rand_assertional_kb(rng, size=8)
+        s = ConstraintSet.from_constraints(list(kb.assertions))
+        for _ in range(60):
+            engine.saturate(s)
+            for (c, ch), front in s.settled.items():
+                a = c.assertion
+                targets = s.successors[(a.subject, a.concept.role)]
+                assert front <= len(targets)
+                half = next(h for h in _halves(c, every=True) if h[1] == ch)
+                bound, _, role_ch = half
+                for target in targets[:front]:
+                    skipped += 1
+                    assert (s.first_bound(ConceptAssertion(a.concept.filler, target), ch,
+                                          bound_implies, bound)
+                            or s.first_bound(RoleAssertion(a.concept.role, a.subject, target),
+                                             role_ch, bound_implies, bound))
+            children = apply_rules(s)
+            if children is None:
+                break
+            s = rng.choice(children)
+    assert skipped > 300
+
+
 def test_where_the_agenda_fires_nothing_no_rule_fires():
     """The agenda misses no deterministic rule at any state a search can
     reach, completed or not, so a choice made there finds every
@@ -741,6 +826,24 @@ def test_a_run_from_a_base_set_is_the_run_from_its_hypotheses():
         assert shared.trace == whole.trace
         if whole.witness is not None:
             assert extract_model(shared.witness) == extract_model(whole.witness)
+
+
+def test_a_run_leaves_the_settled_marks_of_its_base_as_built():
+    """A run moves the settled marks of its base's successor-wide halves
+    as its successors settle, and its undo puts them back."""
+    rng = random.Random(stable_seed("settled marks of a base"))
+    marked = 0
+    for _ in range(300):
+        base = ConstraintSet.from_constraints(list(rand_assertional_kb(rng, size=8).assertions))
+        _Engine(DEFAULT_MAX_STEPS).saturate(base)
+        before = list(base.settled.items())
+        marked += bool(before)
+        extra = list(rand_assertional_kb(rng, size=2).assertions)
+        shared = complete(extra, base=base)
+        assert list(base.settled.items()) == before
+        whole = complete(list(base.constraints) + extra)
+        assert shared.status is whole.status
+    assert marked > 15
 
 
 @pytest.fixture(params=["narrow", "wide"])
