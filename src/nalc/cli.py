@@ -17,6 +17,7 @@ from fractions import Fraction
 from .constraints import Constraint, degree_str
 from .kb import KnowledgeBase, expand, resolved_definitions, unfold_constraint
 from .parser import (
+    BLANKS,
     ConceptSyntaxError,
     KbSyntaxError,
     format_statement,
@@ -132,9 +133,9 @@ def _cmd_entails(args) -> int:
         try:
             with open(args.queries, encoding="utf-8") as handle:
                 queries += [
-                    line.strip()
-                    for line in handle
-                    if line.strip() and not line.strip().startswith("#")
+                    query
+                    for query in (line.strip(BLANKS + "\n") for line in handle)
+                    if query and not query.startswith("#")
                 ]
         except OSError as exc:
             raise _CliError(f"cannot read {args.queries}: {exc}")

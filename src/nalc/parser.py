@@ -94,11 +94,15 @@ class KbSyntaxError(ValueError):
         self.errors = errors
 
 
+# The only blanks: a line holding nothing else before its comment is
+# skipped, and any other character (a no-break space, a form feed) is a
+# token, so a lex error.
+BLANKS = " \t\r"
 # One alternative per token after blanks, so that ``findall`` gives each
 # token's text: a two-character operator, a number, an identifier, or any
 # other non-blank character (a bracket, a comma, a one-character operator
 # or a bad character).  A comment is cut off before the scan.
-_TOKEN_RE = re.compile(rf"[ \t\r]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.pattern}|[^ \t\r])")
+_TOKEN_RE = re.compile(rf"[{BLANKS}]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.pattern}|[^{BLANKS}])")
 
 # A token's kind is read from its first character; ``str.isdecimal`` is
 # what ``\d`` matches, so a number starts with a decimal digit.
@@ -152,7 +156,7 @@ class _Parser:
         columns = _token_columns(self.line)
         if pos < len(columns):
             return columns[pos]
-        return "", max(1, len(self.line.rstrip()) + 1)
+        return "", max(1, len(self.line.rstrip(BLANKS)) + 1)
 
     def fail(self, message: str, kind: str = "syntax", pos: int | None = None):
         """Raise an error at token ``pos``, the current one by default.  A
@@ -334,7 +338,7 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     errors: list[ParseError] = []
     parser = _Parser()
     for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
-        stripped = line.strip()
+        stripped = line.lstrip(BLANKS)
         if not stripped or stripped.startswith("#"):
             continue
         try:
