@@ -16,6 +16,15 @@ Concepts are S-expressions::
 Degree literals are decimal strings or ``p/q`` fractions and are kept
 as exact rationals: the calculus compares bounds for equality, which
 binary floats would corrupt.
+
+A line is scanned by one regex and read by one recursive descent,
+``_Parser``.  A wide ABox repeats a few names and bound pairs, so the
+``assert`` rule reads its line by indexing the tokens and takes what it
+has seen before in place: a concept or individual name from the parse's
+dicts, and a bound pair (``>= 1/4 <= 0``), by the text of its four
+tokens, from a memo.  A name or pair enters only once the checking rules
+(``concept``, ``individual``, ``bounds``) have accepted it, and every
+error comes from those rules.
 """
 
 from __future__ import annotations
@@ -25,27 +34,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constraints import (
-    Bound,
-    ConceptAssertion,
-    Constraint,
-    Rel,
-    RoleAssertion,
-)
+from .constraints import Bound, ConceptAssertion, Constraint, Rel, RoleAssertion
 from .kb import KnowledgeBase, AxiomKind, TerminologicalAxiom, redefinitions, validate
-from .syntax import (
-    And,
-    Atomic,
-    BOT,
-    ConceptExpr,
-    Exists,
-    Forall,
-    Individual,
-    Not,
-    Or,
-    TOP,
-    format_concept,  # concept rendering lives in syntax; parser re-exports it
-)
+from .syntax import And, Atomic, BOT, ConceptExpr, Exists, Forall, Individual, Not, Or, TOP
+from .syntax import format_concept  # concept rendering lives in syntax; parser re-exports it
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
 NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
@@ -94,9 +86,8 @@ class KbSyntaxError(ValueError):
         self.errors = errors
 
 
-# The only blanks: a line holding nothing else before its comment is
-# skipped, and any other character (a no-break space, a form feed) is a
-# token, so a lex error.
+# The only blanks: a line of them, or of them and a comment, is skipped,
+# and any other character (a no-break space, a form feed) is a lex error.
 BLANKS = " \t\r"
 # One alternative per token after blanks, so that ``findall`` gives each
 # token's text: a two-character operator, a number, an identifier, or any
@@ -109,11 +100,14 @@ _TOKEN_RE = re.compile(rf"[{BLANKS}]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.patter
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _PUNCT = frozenset("(),<>=")
 _HEADS = frozenset(("and", "or", "not", "all", "some"))
+# The end of a line, four times over: the ``assert`` rule reads a bound
+# pair as the next four tokens, wherever the line stops.
+_END = ("", "", "", "")
 
 
-def _is_bad(token: str) -> bool:
-    first = token[0]
-    return not (first in _IDENT_START or first in _PUNCT or first.isdecimal())
+def _tokens(line: str) -> list[str]:
+    """The texts of a line's tokens."""
+    return _TOKEN_RE.findall(line.partition("#")[0])
 
 
 def _token_columns(line: str) -> list[tuple[str, int]]:
@@ -121,33 +115,31 @@ def _token_columns(line: str) -> list[tuple[str, int]]:
     return [(m[1], m.start(1) + 1) for m in _TOKEN_RE.finditer(line.partition("#")[0])]
 
 
-# A wide KB repeats a handful of degree literals, so each distinct text
-# is converted, range-checked and made into a bound once.
-@functools.lru_cache(maxsize=1024)
-def _degree_literal(text: str) -> tuple[Fraction, bool]:
-    """The value of a degree literal and whether it lies in [0, 1]."""
-    value = Fraction(text)
-    return value, 0 <= value <= 1
-
-
+# One bound per relation and literal, so the statements of a wide KB
+# share their bounds.
 @functools.lru_cache(maxsize=1024)
 def _bound(op: str, text: str) -> Bound:
     """The bound ``op text``, for a literal that ``degree`` has accepted."""
-    return Bound(Rel(op), _degree_literal(text)[0])
+    return Bound(Rel(op), Fraction(text))
+
+
+# The (tbound, fbound) of the four token texts of each bound pair that
+# ``_Parser.bounds`` has accepted; emptied when it is full.
+_PAIRS: dict[tuple[str, str, str, str], tuple[Bound, Bound]] = {}
 
 
 class _Parser:
     """Recursive descent over the tokens of one line at a time.
 
-    ``tokens`` holds the texts of the line's tokens and then ``""`` for
-    the end of line; ``pos`` indexes it.  Columns are worked out only for
-    an error.  A parser serves one call, and interns concept and
-    individual names in its own dicts, so a wide KB builds and hashes
-    each distinct leaf once.
+    ``tokens`` holds the texts of the line's tokens and then ``_END``;
+    ``pos`` indexes it.  Columns are worked out only for an error.  A
+    parser serves one call; ``atoms`` maps ``top``, ``bot`` and each
+    concept name read so far to its value, and ``individuals`` each
+    individual name, so the statements of a wide KB share their leaves.
     """
 
     def __init__(self):
-        self.atoms: dict[str, Atomic] = {}
+        self.atoms: dict[str, ConceptExpr] = {"top": TOP, "bot": BOT}
         self.individuals: dict[str, Individual] = {}
 
     def located(self, pos: int) -> tuple[str, int]:
@@ -163,81 +155,77 @@ class _Parser:
         bad character anywhere on the line is reported instead, as a lex
         error: no rule accepts one, so every line that holds one fails."""
         for text, column in _token_columns(self.line):
-            if _is_bad(text):
+            first = text[0]
+            if not (first in _IDENT_START or first in _PUNCT or first.isdecimal()):
                 span = SourceSpan(self.line_no, column, 1)
                 raise ConceptSyntaxError(ParseError(span, f"unexpected character {text!r}", "lex"))
         text, column = self.located(self.pos if pos is None else pos)
         span = SourceSpan(self.line_no, column, len(text) or 1)
         raise ConceptSyntaxError(ParseError(span, message, kind))
 
+    def expected(self, what: str, pos: int | None = None):
+        """Fail at token ``pos``, the current one by default, for not being ``what``."""
+        tok = self.tokens[self.pos if pos is None else pos]
+        self.fail(f"expected {what}, found {tok or 'end of line'!r}", pos=pos)
+
     def expect(self, text: str, what: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok != text:
-            self.fail(f"expected {what}, found {tok or 'end of line'!r}")
+        if self.tokens[self.pos] != text:
+            self.expected(what)
         self.pos += 1
 
     def name(self, what: str) -> str:
         tok = self.tokens[self.pos]
         if tok[:1] not in _IDENT_START or tok in _KEYWORDS:
-            self.fail(f"expected {what}, found {tok or 'end of line'!r}")
+            self.expected(what)
         self.pos += 1
         return tok
 
-    def individual(self) -> Individual:
+    def individual(self, pos: int) -> Individual:
+        """The individual named at token ``pos``, a name not seen before."""
+        self.pos = pos
         name = self.name("an individual name")
-        individual = self.individuals.get(name)
-        if individual is None:
-            individual = self.individuals[name] = Individual(name)
+        individual = self.individuals[name] = Individual(name)
         return individual
 
     def concept(self) -> ConceptExpr:
         tok = self.tokens[self.pos]
-        if tok[:1] in _IDENT_START:
+        leaf = self.atoms.get(tok)
+        if leaf is None and tok[:1] in _IDENT_START:
             if tok in _KEYWORDS:
-                if tok == "top":
-                    self.pos += 1
-                    return TOP
-                if tok == "bot":
-                    self.pos += 1
-                    return BOT
                 self.fail(f"keyword {tok!r} is not a concept")
+            leaf = self.atoms[tok] = Atomic(tok)
+        if leaf is not None:
             self.pos += 1
-            atom = self.atoms.get(tok)
-            if atom is None:
-                atom = self.atoms[tok] = Atomic(tok)
-            return atom
+            return leaf
         if tok != "(":
-            self.fail(f"expected a concept, found {tok or 'end of line'!r}")
+            self.expected("a concept")
         head = self.tokens[self.pos + 1]
         if head not in _HEADS:
             self.fail("expected one of and/or/not/all/some after '('", pos=self.pos + 1)
         self.pos += 2
+        # Arguments are evaluated left to right, so in token order.
         if head == "and" or head == "or":
-            left = self.concept()
-            right = self.concept()
-            result: ConceptExpr = (And if head == "and" else Or)(left, right)
+            result: ConceptExpr = (And if head == "and" else Or)(self.concept(), self.concept())
         elif head == "not":
             result = Not(self.concept())
         else:
-            role = self.name("a role name")
-            filler = self.concept()
-            result = (Forall if head == "all" else Exists)(role, filler)
+            result = (Forall if head == "all" else Exists)(self.name("a role name"), self.concept())
         self.expect(")", "')'")
         return result
 
-    def degree(self) -> str:
-        """The text of a degree literal in [0, 1]."""
+    def degree(self, op: str) -> Bound:
+        """The bound ``op n`` of the degree literal ``n`` here, in [0, 1]."""
         text = self.tokens[self.pos]
         if not text[:1].isdecimal():
             self.fail("expected a degree literal")
         try:
-            in_range = _degree_literal(text)[1]
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError):
             self.fail(f"bad degree literal {text!r}")
-        if not in_range:
+        if not 0 <= value <= 1:
             self.fail(f"degree {text} outside [0, 1]", "degree-range")
         self.pos += 1
-        return text
+        return _bound(op, text)
 
     def bounds(self) -> tuple[Bound, Bound]:
         """Parse ``>= n <= m`` or ``<= n >= m`` into (tbound, fbound)."""
@@ -245,44 +233,66 @@ class _Parser:
         if first != ">=" and first != "<=":
             self.fail("expected '>=' or '<='")
         self.pos += 1
-        n = self.degree()
+        tbound = self.degree(first)
         wanted = "<=" if first == ">=" else ">="
         if self.tokens[self.pos] != wanted:
             self.fail(f"expected {wanted!r} after the first bound")
         self.pos += 1
-        m = self.degree()
-        return _bound(first, n), _bound(wanted, m)
+        return tbound, self.degree(wanted)
 
     def bare_assertion(self):
-        """``<concept>(<ind>)`` or ``<role>(<ind>,<ind>)``, no bounds."""
+        """``<concept>(<ind>)`` or ``<role>(<ind>,<ind>)``, no bounds.  A
+        name seen before is taken from its dict in place; ``concept`` runs
+        for anything else, and ``individual`` for a new individual."""
+        tokens, individuals = self.tokens, self.individuals
         first = self.pos
-        expr = self.concept()
-        self.expect("(", "'('")
-        subject = self.individual()
-        if self.tokens[self.pos] == ",":
+        expr = self.atoms.get(tokens[first])
+        if expr is None:
+            expr = self.concept()
+            pos = self.pos
+        else:
+            pos = first + 1
+        if tokens[pos] != "(":
+            self.expected("'('", pos)
+        subject = individuals.get(tokens[pos + 1]) or self.individual(pos + 1)
+        pos += 2
+        if tokens[pos] == ",":
             if not isinstance(expr, Atomic):
                 self.fail("role assertions need a plain role name", pos=first)
-            self.pos += 1
-            target = self.individual()
-            self.expect(")", "')'")
-            return RoleAssertion(expr.name, subject, target)
-        self.expect(")", "')'")
-        return ConceptAssertion(expr, subject)
+            target = individuals.get(tokens[pos + 1]) or self.individual(pos + 1)
+            pos += 2
+            assertion = RoleAssertion(expr.name, subject, target)
+        else:
+            assertion = ConceptAssertion(expr, subject)
+        if tokens[pos] != ")":
+            self.expected("')'", pos)
+        self.pos = pos + 1
+        return assertion
 
     def statement(self):
         """A constraint, or an axiom with the (line, column, length) of its name."""
-        tok = self.tokens[self.pos]
+        tokens = self.tokens
+        tok = tokens[self.pos]
         if tok == "assert":
             self.pos += 1
             assertion = self.bare_assertion()
-            tb, fb = self.bounds()
-            return Constraint(assertion, tb, fb)
+            pos = self.pos
+            key = tokens[pos], tokens[pos + 1], tokens[pos + 2], tokens[pos + 3]
+            pair = _PAIRS.get(key)
+            if pair is None:
+                pair = self.bounds()
+                if len(_PAIRS) >= 1024:
+                    _PAIRS.clear()
+                _PAIRS[key] = pair
+            else:
+                self.pos = pos + 4
+            return Constraint(assertion, pair[0], pair[1])
         if tok == "spec" or tok == "define":
             self.pos += 1
             lhs = self.name("an atomic concept name")
             column = self.located(self.pos - 1)[1]
             op = "<" if tok == "spec" else "="
-            if self.tokens[self.pos] != op:
+            if tokens[self.pos] != op:
                 self.fail(f"expected {op!r} after {lhs!r}")
             self.pos += 1
             rhs = self.concept()
@@ -290,22 +300,19 @@ class _Parser:
             return TerminologicalAxiom(lhs, kind, rhs), (self.line_no, column, len(lhs))
         self.fail("expected 'assert', 'spec' or 'define'")
 
-    def line_of(self, line: str, line_no: int, rule, end: str):
-        """Run one rule on a whole line and expect the end after it."""
-        self.line = line
-        self.line_no = line_no
-        self.tokens = _TOKEN_RE.findall(line.partition("#")[0])
-        self.tokens.append("")
-        self.pos = 0
+    def line_of(self, line: str, line_no: int, tokens: list[str], rule, end: str):
+        """Run one rule on a line, given its tokens, and expect the end after it."""
+        tokens += _END
+        self.line, self.line_no, self.tokens, self.pos = line, line_no, tokens, 0
         result = rule(self)
-        if self.tokens[self.pos]:
-            self.fail(f"expected {end}, found {self.tokens[self.pos]!r}")
+        if tokens[self.pos]:
+            self.expected(end)
         return result
 
 
 def _parse(text: str, rule, end: str):
     """Run one ``_Parser`` rule on a single-line text and expect the end."""
-    return _Parser().line_of(text, 1, rule, end)
+    return _Parser().line_of(text, 1, _tokens(text), rule, end)
 
 
 def parse_concept(text: str) -> ConceptExpr:
@@ -317,9 +324,8 @@ def parse_query(text: str) -> Constraint:
     """Parse a single ``assert ...`` line into a nonstrict constraint."""
     statement = _parse(text, _Parser.statement, "end of line")
     if not isinstance(statement, Constraint):
-        raise ConceptSyntaxError(
-            ParseError(SourceSpan(1, 1, 1), "expected an 'assert' statement", "syntax")
-        )
+        error = ParseError(SourceSpan(1, 1, 1), "expected an 'assert' statement", "syntax")
+        raise ConceptSyntaxError(error)
     return statement
 
 
@@ -332,17 +338,16 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     """Parse a KB, collecting every error instead of stopping at the first."""
     assertions: list[Constraint] = []
     axioms: list[TerminologicalAxiom] = []
-    # (line, column, length) of each axiom's name; a span is built only
-    # for an error.
+    # (line, column, length) of each axiom's name, made a span only for an error.
     axiom_spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
     parser = _Parser()
     for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
-        stripped = line.lstrip(BLANKS)
-        if not stripped or stripped.startswith("#"):
-            continue
+        tokens = _tokens(line)
+        if not tokens:
+            continue  # only blanks, or a comment
         try:
-            statement = parser.line_of(line, line_no, _Parser.statement, "end of line")
+            statement = parser.line_of(line, line_no, tokens, _Parser.statement, "end of line")
         except ConceptSyntaxError as exc:
             errors.append(exc.error)
             continue
@@ -352,24 +357,15 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
             axiom, span = statement
             axiom_spans[len(axioms)] = span
             axioms.append(axiom)
-    for idx, name in redefinitions(axioms):
-        errors.append(
-            ParseError(
-                SourceSpan(*axiom_spans[idx]),
-                f"{name!r} already defined on an earlier axiom",
-                "duplicate-definition",
-            )
-        )
+    errors += [ParseError(SourceSpan(*axiom_spans[idx]), f"{name!r} already defined on an earlier axiom",
+                          "duplicate-definition") for idx, name in redefinitions(axioms)]
     if errors:
         return None, errors
     kb = KnowledgeBase(tuple(assertions), tuple(axioms))
     # Duplicates were reported above, so validate finds none of them.
-    for violation in validate(kb):
-        span = SourceSpan(*axiom_spans.get(violation.axiom_index, (1, 1, 1)))
-        errors.append(ParseError(span, violation.message, "syntax"))
-    if errors:
-        return None, errors
-    return kb, []
+    errors = [ParseError(SourceSpan(*axiom_spans.get(v.axiom_index, (1, 1, 1))), v.message, "syntax")
+              for v in validate(kb)]
+    return (None, errors) if errors else (kb, [])
 
 
 def parse_kb(text: str) -> KnowledgeBase:
