@@ -100,8 +100,7 @@ _TOKEN_RE = re.compile(rf"[{BLANKS}]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.patter
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _PUNCT = frozenset("(),<>=")
 _HEADS = frozenset(("and", "or", "not", "all", "some"))
-# The end of a line, four times over: the ``assert`` rule reads a bound
-# pair as the next four tokens, wherever the line stops.
+# Four ends of line: the ``assert`` rule reads a bound pair as the next four tokens.
 _END = ("", "", "", "")
 
 
@@ -123,8 +122,8 @@ def _bound(op: str, text: str) -> Bound:
     return Bound(Rel(op), Fraction(text))
 
 
-# The (tbound, fbound) of the four token texts of each bound pair that
-# ``_Parser.bounds`` has accepted; emptied when it is full.
+# (tbound, fbound) by the four token texts of each pair ``_Parser.bounds``
+# accepted, emptied when full; an entry depends on its key alone.
 _PAIRS: dict[tuple[str, str, str, str], tuple[Bound, Bound]] = {}
 
 
@@ -342,7 +341,8 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     axiom_spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
     parser = _Parser()
-    for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
+    lines = _LINE_BREAK.split(text) if "\r" in text else text.split("\n")  # str.split is faster
+    for line_no, line in enumerate(lines, start=1):
         tokens = _tokens(line)
         if not tokens:
             continue  # only blanks, or a comment
