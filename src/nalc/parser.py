@@ -114,12 +114,15 @@ def _token_columns(line: str) -> list[tuple[str, int]]:
     return [(m[1], m.start(1) + 1) for m in _TOKEN_RE.finditer(line.partition("#")[0])]
 
 
-# One bound per relation and literal, so the statements of a wide KB
-# share their bounds.
+# One value per degree literal and one bound per relation and literal, so
+# the statements of a wide KB share their bounds and their bounds' values.
+_degree = functools.lru_cache(maxsize=1024)(Fraction)
+
+
 @functools.lru_cache(maxsize=1024)
 def _bound(op: str, text: str) -> Bound:
     """The bound ``op text``, for a literal that ``degree`` has accepted."""
-    return Bound(Rel(op), Fraction(text))
+    return Bound(Rel(op), _degree(text))
 
 
 # (tbound, fbound) by the four token texts of each pair ``_Parser.bounds``
@@ -167,11 +170,6 @@ class _Parser:
         tok = self.tokens[self.pos if pos is None else pos]
         self.fail(f"expected {what}, found {tok or 'end of line'!r}", pos=pos)
 
-    def expect(self, text: str, what: str) -> None:
-        if self.tokens[self.pos] != text:
-            self.expected(what)
-        self.pos += 1
-
     def name(self, what: str) -> str:
         tok = self.tokens[self.pos]
         if tok[:1] not in _IDENT_START or tok in _KEYWORDS:
@@ -209,7 +207,9 @@ class _Parser:
             result = Not(self.concept())
         else:
             result = (Forall if head == "all" else Exists)(self.name("a role name"), self.concept())
-        self.expect(")", "')'")
+        if self.tokens[self.pos] != ")":
+            self.expected("')'")
+        self.pos += 1
         return result
 
     def degree(self, op: str) -> Bound:
@@ -218,7 +218,7 @@ class _Parser:
         if not text[:1].isdecimal():
             self.fail("expected a degree literal")
         try:
-            value = Fraction(text)
+            value = _degree(text)
         except (ValueError, ZeroDivisionError):
             self.fail(f"bad degree literal {text!r}")
         if not 0 <= value <= 1:

@@ -208,10 +208,10 @@ class TestBlanks:
 
 def test_one_parse_shares_its_leaves():
     """The statements of one parse share one ``Atomic`` per concept name,
-    one ``Individual`` per individual name and one ``Bound`` per
-    relation and literal: equal but distinct leaves would pass every
-    equality test and still slow down every hash and comparison of a
-    check on the KB."""
+    one ``Individual`` per individual name, one ``Bound`` per relation
+    and literal and one ``Fraction`` per literal: equal but distinct
+    leaves would pass every equality test and still slow down every hash
+    and comparison of a check on the KB."""
     rng = random.Random("shared leaves")
     lines = []
     for _ in range(10_000):
@@ -238,6 +238,8 @@ def test_one_parse_shares_its_leaves():
         *_, op, n, op2, m = line.split()
         share(("bound", op, n), constraint.tbound)
         share(("bound", op2, m), constraint.fbound)
+        share(("degree", n), constraint.tbound.value)
+        share(("degree", m), constraint.fbound.value)
     assert len([k for k in leaves if k[0] == "concept"]) == 4
     assert len([k for k in leaves if k[0] == "bound"]) == 2 * len(DEGREES)
 
