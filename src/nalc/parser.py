@@ -45,8 +45,7 @@ NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
 # break at form feeds, \x85, \u2028 and the like.
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
-_KEYWORDS = {"and", "or", "not", "all", "some", "top", "bot",
-             "assert", "spec", "define"}
+_KEYWORDS = {"and", "or", "not", "all", "some", "top", "bot", "assert", "spec", "define"}
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,17 @@ def _token_columns(line: str) -> list[tuple[str, int]]:
 
 # One value per degree literal and one bound per relation and literal, so
 # the statements of a wide KB share their bounds and their bounds' values.
-_degree = functools.lru_cache(maxsize=1024)(Fraction)
+@functools.lru_cache(maxsize=1024)
+def _degree_literal(text: str) -> tuple[Fraction, bool]:
+    """The value of a degree literal and whether it lies in [0, 1]."""
+    value = Fraction(text)
+    return value, 0 <= value <= 1
 
 
 @functools.lru_cache(maxsize=1024)
 def _bound(op: str, text: str) -> Bound:
     """The bound ``op text``, for a literal that ``degree`` has accepted."""
-    return Bound(Rel(op), _degree(text))
+    return Bound(Rel(op), _degree_literal(text)[0])
 
 
 # (tbound, fbound) by the four token texts of each pair ``_Parser.bounds``
@@ -133,11 +136,10 @@ _PAIRS: dict[tuple[str, str, str, str], tuple[Bound, Bound]] = {}
 class _Parser:
     """Recursive descent over the tokens of one line at a time.
 
-    ``tokens`` holds the texts of the line's tokens and then ``_END``;
-    ``pos`` indexes it.  Columns are worked out only for an error.  A
-    parser serves one call; ``atoms`` maps ``top``, ``bot`` and each
-    concept name read so far to its value, and ``individuals`` each
-    individual name, so the statements of a wide KB share their leaves.
+    ``tokens`` holds the line's token texts and then ``_END``; ``pos``
+    indexes it.  Columns are worked out only for an error.  A parser
+    serves one call; ``atoms`` maps ``top``, ``bot`` and each concept name
+    read so far to its value, and ``individuals`` each individual name.
     """
 
     def __init__(self):
@@ -157,8 +159,7 @@ class _Parser:
         bad character anywhere on the line is reported instead, as a lex
         error: no rule accepts one, so every line that holds one fails."""
         for text, column in _token_columns(self.line):
-            first = text[0]
-            if not (first in _IDENT_START or first in _PUNCT or first.isdecimal()):
+            if not (text[0] in _IDENT_START or text[0] in _PUNCT or text[0].isdecimal()):
                 span = SourceSpan(self.line_no, column, 1)
                 raise ConceptSyntaxError(ParseError(span, f"unexpected character {text!r}", "lex"))
         text, column = self.located(self.pos if pos is None else pos)
@@ -218,10 +219,10 @@ class _Parser:
         if not text[:1].isdecimal():
             self.fail("expected a degree literal")
         try:
-            value = _degree(text)
+            in_range = _degree_literal(text)[1]
         except (ValueError, ZeroDivisionError):
             self.fail(f"bad degree literal {text!r}")
-        if not 0 <= value <= 1:
+        if not in_range:
             self.fail(f"degree {text} outside [0, 1]", "degree-range")
         self.pos += 1
         return _bound(op, text)
@@ -294,9 +295,8 @@ class _Parser:
             if tokens[self.pos] != op:
                 self.fail(f"expected {op!r} after {lhs!r}")
             self.pos += 1
-            rhs = self.concept()
-            kind = AxiomKind.SPECIALIZATION if tok == "spec" else AxiomKind.DEFINITION
-            return TerminologicalAxiom(lhs, kind, rhs), (self.line_no, column, len(lhs))
+            axiom = TerminologicalAxiom(lhs, AxiomKind(tok), self.concept())
+            return axiom, (self.line_no, column, len(lhs))
         self.fail("expected 'assert', 'spec' or 'define'")
 
     def line_of(self, line: str, line_no: int, tokens: list[str], rule, end: str):
@@ -338,7 +338,7 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     assertions: list[Constraint] = []
     axioms: list[TerminologicalAxiom] = []
     # (line, column, length) of each axiom's name, made a span only for an error.
-    axiom_spans: dict[int, tuple[int, int, int]] = {}
+    spans: dict[int, tuple[int, int, int]] = {}
     errors: list[ParseError] = []
     parser = _Parser()
     lines = _LINE_BREAK.split(text) if "\r" in text else text.split("\n")  # str.split is faster
@@ -355,15 +355,15 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
             assertions.append(statement)
         else:
             axiom, span = statement
-            axiom_spans[len(axioms)] = span
+            spans[len(axioms)] = span
             axioms.append(axiom)
-    errors += [ParseError(SourceSpan(*axiom_spans[idx]), f"{name!r} already defined on an earlier axiom",
+    errors += [ParseError(SourceSpan(*spans[idx]), f"{name!r} already defined on an earlier axiom",
                           "duplicate-definition") for idx, name in redefinitions(axioms)]
     if errors:
         return None, errors
     kb = KnowledgeBase(tuple(assertions), tuple(axioms))
     # Duplicates were reported above, so validate finds none of them.
-    errors = [ParseError(SourceSpan(*axiom_spans.get(v.axiom_index, (1, 1, 1))), v.message, "syntax")
+    errors = [ParseError(SourceSpan(*spans.get(v.axiom_index, (1, 1, 1))), v.message, "syntax")
               for v in validate(kb)]
     return (None, errors) if errors else (kb, [])
 
