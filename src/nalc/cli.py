@@ -101,7 +101,7 @@ def _oracle_check(constraints: list[Constraint], query: Constraint, answer: bool
     """Does the enumerator agree with ``answer``?  ``constraints`` and
     ``query`` are unfolded through the KB's terminology."""
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = DegreeGrid.containing(
             set(_parse_grid(args.grid))
             | constraint_degrees(constraints + [query])
@@ -176,7 +176,7 @@ def _cmd_subsumes(args) -> int:
     kb = _load_kb(args.kb) if args.kb else KnowledgeBase((), ())
     sub = parse_concept(args.sub)
     super_ = parse_concept(args.super)
-    grid = _parse_grid(args.grid) if args.grid else SUBSUMPTION_GRID
+    grid = _parse_grid(args.grid) if args.grid is not None else SUBSUMPTION_GRID
     answer = subsumes(kb.terminology, sub, super_, grid, _max_branches())
     payload = {"query": f"{args.sub} subsumed-by {args.super}", "answer": answer}
     _emit(args, payload, [f"subsumed: {str(answer).lower()}"])

@@ -140,9 +140,17 @@ def vacuous(bound: Bound) -> bool:
 
 # The two relations between bounds below are memoized: the tableau asks
 # them for every pair of bounds that meet on an assertion, a KB holds few
-# distinct bounds, and a ``Bound`` keeps its hash.  The caches are bounded
-# so that a long-lived process that sees many KBs keeps a fixed size.
+# distinct bounds, and a ``Bound`` keeps its hash.  So is a bound's
+# complement, which every refutation poses.  The caches are bounded so
+# that a long-lived process that sees many KBs keeps a fixed size.
 _BOUND_PAIRS = 1 << 16
+
+
+@functools.lru_cache(maxsize=_BOUND_PAIRS)
+def _complement(bound: Bound) -> Bound:
+    """The bound that holds at a degree exactly where ``bound`` fails,
+    built once per distinct bound."""
+    return Bound(bound.rel.complement, bound.value)
 
 
 @functools.lru_cache(maxsize=_BOUND_PAIRS)
@@ -257,10 +265,7 @@ class Constraint(FrozenValue):
         """
         if not self.nonstrict:
             raise ValueError("only nonstrict constraints can be queried")
-        t, f = self.tbound, self.fbound
-        return Constraint(
-            self.assertion, Bound(t.rel.complement, t.value), Bound(f.rel.complement, f.value)
-        )
+        return Constraint(self.assertion, _complement(self.tbound), _complement(self.fbound))
 
     def __str__(self):
         parts = [str(self.assertion)]
@@ -308,7 +313,7 @@ def _query_halves(query: Constraint) -> list[tuple[Bound, str]]:
 def _refutation(assertion: Assertion, ch: str, bound: Bound) -> Constraint:
     """The complement of one bound on one channel of an assertion: the
     half a query is entailed by iff no model satisfies this."""
-    complement = Bound(bound.rel.complement, bound.value)
+    complement = _complement(bound)
     if ch == "t":
         return Constraint(assertion, complement, None)
     return Constraint(assertion, None, complement)

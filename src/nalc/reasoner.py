@@ -29,6 +29,11 @@ falsity) needs no run:
   every candidate its value violates, so the search jumps past them to
   the first candidate that value meets.
 
+Every bound the reasoner poses, other than a caller's, is built once: a
+KB's candidate bounds with its candidate degrees, on its first search; a
+subsumption probe's bounds with the module; and a refutation's
+complement in a memo (``constraints._complement``).
+
 A complement that clashes with the saturated set as it is added needs
 no run either (``tableau._unsatisfiable``): that run would clash before
 any rule fired.  A half's run copies nothing, neither a witness nor a
@@ -53,6 +58,7 @@ from .constraints import (
     Constraint,
     DegreePair,
     Form,
+    Rel,
     RoleAssertion,
     _check_degree,
     _query_halves,
@@ -75,11 +81,14 @@ from .tableau import (
 )
 
 SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
+# The bounds of a subsumption probe, built once.
+_GE_ONE, _LE_ONE, _GE_ZERO = Bound(Rel.GE, ONE), Bound(Rel.LE, ONE), Bound(Rel.GE, ZERO)
 
 
 # KB -> [unfolded assertions, their hypothesis set saturated under the
-# deterministic rules, the glb/lub candidate degrees or None before the
-# first bound search]; an entry lives as long as its KB.
+# deterministic rules, None before the first bound search and then the
+# glb/lub candidate degrees beside their bounds]; an entry lives as long
+# as its KB.
 _PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -172,12 +181,17 @@ class BtvbResult:
 def _candidate_degrees(prepared: list) -> list[Fraction]:
     """The degrees a bound search scans: the KB's own, with 0 and 1.
 
-    They are gathered on the KB's first search and kept in its entry; a
-    check or an entailment never reads them, so it does not pay for them.
+    They are gathered on the KB's first search and kept in its entry,
+    beside the candidate bounds of each relation a search poses, in the
+    order it scans them: ``>=`` from the top degree, ``<=`` from the
+    bottom.  A check or an entailment never reads them, so it does not
+    pay for them.
     """
     if prepared[2] is None:
-        prepared[2] = sorted(constraint_degrees(prepared[0]) | {ZERO, ONE})
-    return prepared[2]
+        degrees = sorted(constraint_degrees(prepared[0]) | {ZERO, ONE})
+        scans = {Rel.GE: degrees[::-1], Rel.LE: degrees}
+        prepared[2] = degrees, {rel: [Bound(rel, v) for v in scan] for rel, scan in scans.items()}
+    return prepared[2][0]
 
 
 _FORM = {BoundKind.GLB: Form.GEQ_LEQ, BoundKind.LUB: Form.LEQ_GEQ}
@@ -195,25 +209,27 @@ def _best_bound(kb: KnowledgeBase, assertion: Assertion, kind: BoundKind,
     of the probed component (``completion_value``) refutes every
     candidate that v violates, so the search goes on at the first later
     candidate that v meets.  It finds the answer a linear scan finds and
-    probes no candidate that scan would not.
+    probes no candidate that scan would not.  Each probe, and each check
+    that skips a candidate, indexes the bounds built with the KB's
+    candidate degrees, so a search builds no ``Bound``.
     """
     prepared, resolved = _prepared(kb)
     _check_query(kb, assertion)
     assertion = unfold_assertion(assertion, resolved)
-    root, degrees = prepared[1], _candidate_degrees(prepared)
+    _candidate_degrees(prepared)
+    root, candidates = prepared[1], prepared[2][1]
     best, examined = [], 0
     for rel, ch in zip(_FORM[kind].value, "tf"):
-        order = degrees[::-1] if rel.is_lower else degrees
+        bounds = candidates[rel]
         values = []  # one per refuted probe: its countermodel's value
         read = lambda s: values.append(completion_value(s, assertion, ch))
         index = 0
-        while not _half_entailed(root, assertion, ch, Bound(rel, order[index]), max_branches,
-                                 read):
+        while not _half_entailed(root, assertion, ch, bounds[index], max_branches, read):
             index += 1
-            while not Bound(rel, order[index]).holds(values[-1]):
+            while not bounds[index].holds(values[-1]):
                 index += 1
         examined += len(values) + 1
-        best.append(order[index])
+        best.append(bounds[index].value)
     return BtvbResult(DegreePair(*best), kind, examined)
 
 
@@ -296,9 +312,9 @@ def subsumes(
         _check_degree(Fraction(degree), "grid degree")
     o = Individual("_probe")
     sub_a, super_a = ConceptAssertion(sub, o), ConceptAssertion(super_, o)
-    probe = KnowledgeBase((Constraint.geq_leq(sub_a, ONE, ONE),
-                           Constraint.geq_leq(super_a, ZERO, ONE)), tuple(terminology))
-    return entails(probe, Constraint.geq_leq(super_a, ONE, ONE), max_branches)
+    probe = KnowledgeBase((Constraint(sub_a, _GE_ONE, _LE_ONE),
+                           Constraint(super_a, _GE_ZERO, _LE_ONE)), tuple(terminology))
+    return entails(probe, Constraint(super_a, _GE_ONE, _LE_ONE), max_branches)
 
 
 def check_satisfiable(kb: KnowledgeBase,

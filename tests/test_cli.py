@@ -292,6 +292,14 @@ class TestGridTraceAndQuerySources:
         assert run(["subsumes", "--grid", "abc", "--sub", "A", "--super", "A"]) == 2
         assert capsys.readouterr().err.startswith("bad grid 'abc': ")
 
+    def test_an_empty_grid_is_a_usage_error(self, poll_kb, capsys):
+        # An empty value is checked like any other, not taken as no grid.
+        assert run(["subsumes", "--grid", "", "--sub", "A", "--super", "A"]) == 2
+        assert capsys.readouterr().err.startswith("bad grid '': ")
+        assert run(["entails", poll_kb, "--oracle", "--grid", "",
+                    "--query", "assert (some Support War)(p1) >= 0.6 <= 0.5"]) == 2
+        assert capsys.readouterr().err.startswith("bad grid '': ")
+
     def test_the_oracle_agrees_on_a_grid_of_its_own(self, poll_kb, capsys):
         code = run(["entails", poll_kb, "--oracle", "--grid", "0.25,0.75",
                     "--query", "assert (some Support War)(p1) <= 0 >= 0"])

@@ -20,6 +20,7 @@ from nalc import (
     KnowledgeBase,
     Not,
     Or,
+    Rel,
     RoleAssertion,
     TerminologicalAxiom,
     check_satisfiable,
@@ -589,3 +590,62 @@ class TestSpecializationPropagation:
             (TerminologicalAxiom("C", AxiomKind.SPECIALIZATION, D),),
         )
         assert entails(kb, Constraint.leq_geq(ConceptAssertion(C, a), F(1, 4), F(3, 4)))
+
+
+class TestBoundsBuiltOnce:
+    """The bounds the reasoner poses, other than a caller's, are built
+    once and shared by every call that poses them."""
+
+    def test_a_refutation_reuses_its_complement(self):
+        from nalc.constraints import _refutation
+
+        bound = Bound(Rel.GE, F(3, 4))
+        first = _refutation(ConceptAssertion(A, a), "t", bound)
+        second = _refutation(ConceptAssertion(B, b), "f", bound)
+        assert first.tbound == Bound(Rel.LT, F(3, 4))
+        assert second.fbound is first.tbound
+
+    def test_a_bound_search_poses_the_bounds_its_kb_holds(self, monkeypatch):
+        import nalc.reasoner
+        from nalc.reasoner import _PREPARED
+
+        posed = []
+        half_entailed = nalc.reasoner._half_entailed
+
+        def spy(root, assertion, ch, bound, *rest):
+            posed.append(bound)
+            return half_entailed(root, assertion, ch, bound, *rest)
+
+        monkeypatch.setattr(nalc.reasoner, "_half_entailed", spy)
+        kb, pairs = chain_kb(random.Random(907), 4)
+        calls = [(search, ConceptAssertion(concept, there))
+                 for there, _ in pairs for concept in (A, Not(A), Exists("S", B))
+                 for search in (glb, lub)]
+        rounds = []
+        for _ in range(2):
+            posed.clear()
+            for search, target in calls:
+                search(kb, target)
+            rounds.append(list(posed))
+        held = {id(bound) for bounds in _PREPARED[kb][2][1].values() for bound in bounds}
+        assert len(rounds[0]) > 2 * len(calls)
+        assert all(id(bound) in held for bound in rounds[0])
+        assert [id(bound) for bound in rounds[1]] == [id(bound) for bound in rounds[0]]
+
+    def test_two_subsumptions_pose_the_same_bounds(self, monkeypatch):
+        import nalc.reasoner
+
+        probes = []
+        entails_ = nalc.reasoner.entails
+        monkeypatch.setattr(nalc.reasoner, "entails",
+                            lambda kb, query, *rest: probes.append((kb, query))
+                            or entails_(kb, query, *rest))
+        assert subsumes((), And(A, B), A)
+        assert not subsumes((), Or(A, B), A, (F(1, 4), F(3, 4)))
+
+        def bounds(kb, query):
+            return [bound for c in kb.assertions + (query,) for bound in (c.tbound, c.fbound)]
+
+        first, second = (bounds(*probe) for probe in probes)
+        assert len(first) == len(second) == 6
+        assert all(x is y for x, y in zip(first, second))
