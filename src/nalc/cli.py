@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .constraints import Constraint, degree_str
+from .constraints import Constraint, _check_degree, degree_str
 from .kb import KnowledgeBase, expand, resolved_definitions, unfold_constraint
 from .parser import (
     BLANKS,
@@ -84,8 +84,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliError(f"bad grid {text!r}: {exc}")
     for v in values:
-        if not 0 <= v <= 1:
-            raise _CliError(f"grid degree {v} outside [0, 1]")
+        _check_degree(v, "grid degree")
     return values
 
 

@@ -97,13 +97,11 @@ class Rel(enum.Enum):
         self.is_lower = symbol[0] == ">"
         self.is_strict = len(symbol) == 1
 
-    @property
-    def complement(self) -> "Rel":
-        """The relation that holds at a degree exactly where this one fails."""
-        return _COMPLEMENT[self]
 
-
-_COMPLEMENT = {Rel.GE: Rel.LT, Rel.GT: Rel.LE, Rel.LE: Rel.GT, Rel.LT: Rel.GE}
+# A relation's complement, which holds at a degree exactly where it fails,
+# flips both its direction and its strictness.
+for _rel in Rel:
+    _rel.complement = Rel(("<" if _rel.is_lower else ">") + ("=" if _rel.is_strict else ""))
 
 
 @frozen_value
@@ -115,13 +113,10 @@ class Bound(FrozenValue):
         _check_degree(self.value, "bound")
 
     def holds(self, v: Fraction) -> bool:
-        if self.rel is Rel.GE:
-            return v >= self.value
-        if self.rel is Rel.GT:
-            return v > self.value
-        if self.rel is Rel.LE:
-            return v <= self.value
-        return v < self.value
+        rel = self.rel
+        if rel.is_lower:
+            return v > self.value if rel.is_strict else v >= self.value
+        return v < self.value if rel.is_strict else v <= self.value
 
     def __str__(self):
         return f"{self.rel.value} {degree_str(self.value)}"
@@ -133,9 +128,7 @@ def vacuous(bound: Bound) -> bool:
     On either channel such a half takes no rule, and a query for it
     needs no refutation.
     """
-    return (bound.rel is Rel.GE and bound.value == 0) or (
-        bound.rel is Rel.LE and bound.value == 1
-    )
+    return not bound.rel.is_strict and bound.value == (0 if bound.rel.is_lower else 1)
 
 
 # The two relations between bounds below are memoized: the tableau asks
@@ -155,17 +148,16 @@ def _complement(bound: Bound) -> Bound:
 
 @functools.lru_cache(maxsize=_BOUND_PAIRS)
 def bound_implies(given: Bound, wanted: Bound) -> bool:
-    """Does ``x given`` force ``x wanted`` for every x in [0, 1]?"""
+    """Does ``x given`` force ``x wanted`` for every x in [0, 1]?
+
+    ``wanted`` must not be vacuous (``>= 0``, ``<= 1``): across directions
+    the answer is False.  No rule asks, as ``_split_halves`` drops them."""
     if given.rel.is_lower != wanted.rel.is_lower:
         return False
     g, w = given.value, wanted.value
-    if given.rel.is_lower:
-        if wanted.rel is Rel.GT and given.rel is Rel.GE:
-            return g > w
-        return g >= w
-    if wanted.rel is Rel.LT and given.rel is Rel.LE:
-        return g < w
-    return g <= w
+    if g == w:
+        return given.rel.is_strict or not wanted.rel.is_strict
+    return (g > w) == given.rel.is_lower
 
 
 @functools.lru_cache(maxsize=_BOUND_PAIRS)
@@ -179,11 +171,9 @@ def bounds_incompatible(a: Bound, b: Bound) -> bool:
     if a.rel.is_lower == b.rel.is_lower:
         return False
     lo, up = (a, b) if a.rel.is_lower else (b, a)
-    if lo.value > up.value:
-        return True
     if lo.value == up.value:
         return lo.rel.is_strict or up.rel.is_strict
-    return False
+    return lo.value > up.value
 
 
 class Form(enum.Enum):

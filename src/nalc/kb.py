@@ -21,7 +21,7 @@ from .constraints import (
     Constraint,
     DegreePair,
     Form,
-    Rel,
+    _check_degree,
 )
 from .syntax import (
     And,
@@ -339,8 +339,7 @@ class FuzzyAssertion:
     degree: Fraction
 
     def __post_init__(self):
-        if not 0 <= self.degree <= 1:
-            raise ValueError(f"fuzzy degree {self.degree} outside [0, 1]")
+        _check_degree(self.degree, "fuzzy degree")
 
 
 @dataclass(frozen=True)
@@ -375,7 +374,7 @@ def _project(kb: KnowledgeBase, truth_side: bool) -> FuzzyKb:
         if not constraint.nonstrict:
             raise ValueError(f"projections are defined on nonstrict assertions: {constraint}")
         bound = constraint.tbound if truth_side else constraint.fbound
-        rel = FuzzyRel.GEQ if bound.rel is Rel.GE else FuzzyRel.LEQ
+        rel = FuzzyRel(bound.rel.value)
         assertions.append(FuzzyAssertion(constraint.assertion, rel, bound.value))
     return FuzzyKb(tuple(assertions), kb.terminology)
 

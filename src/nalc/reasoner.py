@@ -302,14 +302,15 @@ def subsumes(
     same.  That a grid inside (0, 1) answers the same only the tests
     show, against every per-half pair of such grids.
 
-    The grid's degrees are checked and change nothing else.  A vacuous
+    A caller's grid is checked and changes nothing else.  A vacuous
     ``super_ >= 0 <= 1`` in the probe KB keeps the names that
     specializations reserve out of both concepts.
     """
-    if not grid:
-        raise ValueError(f"subsumption needs a non-empty grid of degrees, got {grid!r}")
-    for degree in grid:
-        _check_degree(Fraction(degree), "grid degree")
+    if grid is not SUBSUMPTION_GRID:
+        if not grid:
+            raise ValueError(f"subsumption needs a non-empty grid of degrees, got {grid!r}")
+        for degree in grid:
+            _check_degree(Fraction(degree), "grid degree")
     o = Individual("_probe")
     sub_a, super_a = ConceptAssertion(sub, o), ConceptAssertion(super_, o)
     probe = KnowledgeBase((Constraint(sub_a, _GE_ONE, _LE_ONE),

@@ -44,7 +44,7 @@ from .constraints import (
     _refutation,
     vacuous,
 )
-from .kb import AxiomKind, FuzzyAssertion, FuzzyRel, TerminologicalAxiom
+from .kb import AxiomKind, FuzzyAssertion, TerminologicalAxiom
 from .syntax import (
     And,
     Atomic,
@@ -578,13 +578,9 @@ def _scaled(bound: Bound, scale: int) -> tuple[int, int]:
     """The integer interval a bound allows."""
     v = bound.value.numerator * (scale // bound.value.denominator)
     rel = bound.rel
-    if rel is Rel.GE:
-        return v, scale
-    if rel is Rel.GT:
-        return v + 1, scale
-    if rel is Rel.LE:
-        return 0, v
-    return 0, v - 1
+    if rel.is_lower:
+        return v + rel.is_strict, scale
+    return 0, v - rel.is_strict
 
 
 def _compile(bounded, axioms, element, domain, scale: int, grid, single: bool):
@@ -919,8 +915,7 @@ def fuzzy_entails(
     """Single-valued entailment by refuted-query model search."""
 
     def truth_only(fa: FuzzyAssertion) -> Constraint:
-        rel = Rel.GE if fa.rel is FuzzyRel.GEQ else Rel.LE
-        return Constraint(fa.assertion, Bound(rel, fa.degree), None)
+        return Constraint(fa.assertion, Bound(Rel(fa.rel.value), fa.degree), None)
 
     wanted = truth_only(query)
     # a vacuous query holds of every degree: it has no refutation

@@ -288,6 +288,12 @@ class TestGridTraceAndQuerySources:
         assert run(["subsumes", "--grid", "1.5", "--sub", "A", "--super", "A"]) == 2
         assert capsys.readouterr().err == "grid degree 3/2 outside [0, 1]\n"
 
+    def test_an_oracle_grid_degree_above_one_is_a_usage_error(self, capsys):
+        polls = str(Path(__file__).parent / "data" / "polls.nalc")
+        assert run(["entails", polls, "--oracle", "--grid", "1.5",
+                    "--query", "assert (some Support War)(p1) >= 0.6 <= 0.5"]) == 2
+        assert capsys.readouterr() == ("", "grid degree 3/2 outside [0, 1]\n")
+
     def test_a_grid_that_is_no_number_is_a_usage_error(self, capsys):
         assert run(["subsumes", "--grid", "abc", "--sub", "A", "--super", "A"]) == 2
         assert capsys.readouterr().err.startswith("bad grid 'abc': ")
