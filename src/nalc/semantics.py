@@ -703,15 +703,17 @@ def _solve(dag: _Dag, narrowings, checks, budget) -> dict | None:
 
 
 def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: int,
-            single: bool):
+            single: bool) -> FiniteInterpretation | None:
     """Grid search shared by both oracles.
 
     Individuals map injectively onto the first elements; variables are
-    taken existentially over the whole domain.  Returns ``(domain,
-    individual map, assignment, degrees)`` for the first assignment with
-    a model, where ``degrees`` maps every cell read to its degree, or
-    None when there is no model.
+    taken existentially over the whole domain.  Returns the model found
+    for the first assignment that has one, or None.  A ``single``-valued
+    search reads each truth cell ``x`` as the pair ``(x, 1 - x)``.  The
+    model must satisfy every constraint and axiom, else AssertionError.
     """
+    constraints = list(constraints)
+    axioms = list(axioms)
     bounded = [
         (c.assertion, bound, ch)
         for c in constraints
@@ -738,8 +740,17 @@ def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: 
         cells = _solve(*_compile(bounded, axioms, element, domain, scale, grid_ints, single),
                        budget)
         if cells is not None:
-            degrees = {k: degree[v] for k, v in cells.items()}
-            return domain, ind_map, assignment, degrees
+            interp = FiniteInterpretation(domain, ind_map)
+            for key in dict.fromkeys(k[:-1] for k in cells):
+                t = degree[cells.get(key + ("t",), 0)]
+                f = 1 - t if single else degree[cells.get(key + ("f",), scale)]
+                table = interp.concept_table if key[0] == "c" else interp.role_table
+                table[key[1:]] = DegreePair(t, f)
+            if all(satisfies(interp, c, assignment) for c in constraints) and all(
+                satisfies_axiom(interp, ax) for ax in axioms
+            ):
+                return interp
+            raise AssertionError("search produced a non-model; pruning is unsound")
     return None
 
 
@@ -760,28 +771,7 @@ def exists_model(
     fully-false default.  Raises SearchExhausted when the search exceeds
     ``max_nodes`` nodes.
     """
-    constraints = list(constraints)
-    axioms = list(axioms)
-    found = _search(constraints, axioms, domain_size, grid, max_nodes, single=False)
-    if found is None:
-        return None
-    domain, ind_map, assignment, degrees = found
-    interp = FiniteInterpretation(domain, ind_map)
-    for key in dict.fromkeys(k[:-1] for k in degrees):
-        table = interp.concept_table if key[0] == "c" else interp.role_table
-        table[key[1:]] = DegreePair(degrees.get(key + ("t",), ZERO),
-                                    degrees.get(key + ("f",), ONE))
-    return _checked(interp, constraints, assignment, axioms)
-
-
-def _checked(interp: FiniteInterpretation, constraints, assignment, axioms) -> FiniteInterpretation:
-    """``interp``, which the search returned as a model: it must satisfy
-    every constraint under ``assignment`` and every axiom."""
-    if all(satisfies(interp, c, assignment) for c in constraints) and all(
-        satisfies_axiom(interp, ax) for ax in axioms
-    ):
-        return interp
-    raise AssertionError("search produced a non-model; pruning is unsound")
+    return _search(constraints, axioms, domain_size, grid, max_nodes, single=False)
 
 
 def constraint_degrees(constraints) -> set[Fraction]:
@@ -823,12 +813,13 @@ def oracle_entails(
     midpoints give the strict complements room to be satisfied,
     mirroring the midpoint choice model extraction makes.
     """
-    return _entailed(list(constraints), query, _query_halves(query), domain_size, grid,
-                     lambda refuted, n, g: exists_model(refuted, n, g, max_nodes=max_nodes))
+    return _entailed(list(constraints), (), query, _query_halves(query), domain_size, grid,
+                     max_nodes, single=False)
 
 
-def _entailed(constraints, query: Constraint, halves, domain_size, grid, model) -> bool:
-    """Refutation driver shared by both oracles: does ``model`` find no
+def _entailed(constraints, axioms, query: Constraint, halves, domain_size, grid, max_nodes: int,
+              single: bool) -> bool:
+    """Refutation driver shared by both oracles: does the search find no
     model of the constraints plus the complement of any (bound, channel)
     half of the query?  The constraints and the query set the default
     grid (their degrees plus midpoints) and the default domain."""
@@ -838,7 +829,8 @@ def _entailed(constraints, query: Constraint, halves, domain_size, grid, model) 
     if domain_size is None:
         domain_size = default_domain_size(posed)
     return all(
-        model(constraints + [_refutation(query.assertion, ch, bound)], domain_size, grid) is None
+        _search(constraints + [_refutation(query.assertion, ch, bound)], axioms, domain_size,
+                grid, max_nodes, single) is None
         for bound, ch in halves
     )
 
@@ -889,20 +881,19 @@ def fuzzy_exists_model(
     ``bounded_assertions`` is an iterable of ``(assertion, Bound)``
     pairs (strict bounds welcome); ``axioms`` are checked pointwise.
     This is the two-valued search with one truth cell per name, the
-    falsity channel read as one minus truth.  A returned model is
-    checked as its embedding, with each bound on truth.
+    falsity channel read as one minus truth.  The model is the truth
+    component of the checked one, whose bounds are all on truth.
     """
     constraints = [Constraint(a, bound, None) for a, bound in bounded_assertions]
-    axioms = list(axioms)
-    found = _search(constraints, axioms, domain_size, grid, max_nodes, single=True)
-    if found is None:
+    model = _search(constraints, axioms, domain_size, grid, max_nodes, single=True)
+    if model is None:
         return None
-    domain, ind_map, assignment, degrees = found
-    interp = FuzzyInterpretation(domain, ind_map)
-    for key, value in degrees.items():
-        (interp.concept_table if key[0] == "c" else interp.role_table)[key[1:-1]] = value
-    _checked(_embedded(interp), constraints, assignment, axioms)
-    return interp
+    return FuzzyInterpretation(
+        model.domain,
+        model.individual_map,
+        {k: v.n for k, v in model.concept_table.items()},
+        {k: v.n for k, v in model.role_table.items()},
+    )
 
 
 def fuzzy_entails(
@@ -920,8 +911,5 @@ def fuzzy_entails(
     wanted = truth_only(query)
     # a vacuous query holds of every degree: it has no refutation
     halves = [] if vacuous(wanted.tbound) else [(wanted.tbound, "t")]
-    return _entailed(
-        [truth_only(fa) for fa in fkb.assertions], wanted, halves, domain_size, grid,
-        lambda refuted, n, g: fuzzy_exists_model(
-            [(c.assertion, c.tbound) for c in refuted], fkb.terminology, n, g, max_nodes),
-    )
+    return _entailed([truth_only(fa) for fa in fkb.assertions], fkb.terminology, wanted, halves,
+                     domain_size, grid, max_nodes, single=True)
