@@ -18,7 +18,9 @@ from nalc import (
     Exists,
     FiniteInterpretation,
     Forall,
+    FuzzyAssertion,
     FuzzyInterpretation,
+    FuzzyKb,
     FuzzyRel,
     Individual,
     Not,
@@ -30,6 +32,7 @@ from nalc import (
     TerminologicalAxiom,
     eval_concept,
     exists_model,
+    fuzzy_entails,
     fuzzy_eval,
     fuzzy_exists_model,
     oracle_entails,
@@ -485,6 +488,33 @@ class TestFuzzyExistsModel:
                     name, rhs = model.concept_value("X", d), fuzzy_eval(model, ax.rhs, d)
                     assert name <= rhs if ax.kind is AxiomKind.SPECIALIZATION else name == rhs
         assert found and refuted
+
+
+class TestFuzzyEntailsGrid:
+    """The single-valued oracle reads a negated name as ``1 - x``, so its
+    default grid holds ``1 - d`` beside every posed degree ``d``."""
+
+    def test_a_negated_bound_needs_the_complement_degree(self):
+        b = Individual("b")
+        fkb = FuzzyKb((FuzzyAssertion(ConceptAssertion(Not(B), b), FuzzyRel.LEQ, F(1, 5)),))
+        # B(b) = 4/5 meets the KB and refutes <B(b) >= 1>
+        model = FuzzyInterpretation(("d0",), {"b": "d0"}, {("B", "d0"): F(4, 5)})
+        assert fuzzy_eval(model, Not(B), "d0") <= F(1, 5) and fuzzy_eval(model, B, "d0") < 1
+        assert not fuzzy_entails(fkb, FuzzyAssertion(ConceptAssertion(B, b), FuzzyRel.GEQ, F(1)))
+        assert fuzzy_entails(fkb, FuzzyAssertion(ConceptAssertion(B, b), FuzzyRel.GEQ, F(4, 5)))
+
+    def test_default_grid_answers_as_the_thirtieths(self):
+        """Every posed degree, its ``1 - d`` and each midpoint are
+        multiples of 1/30, so the finer grid only adds room."""
+        degrees = (F(0), F(1, 5), F(1, 3), F(3, 5), F(1))
+        thirtieths = DegreeGrid.containing(F(i, 30) for i in range(31))
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            for i in range(300):
+                fkb = rand_fuzzy_kb(rng, size=rng.randint(1, 3), depth=1, degrees=degrees)
+                query = rand_fuzzy_kb(rng, size=1, depth=1, degrees=degrees).assertions[0]
+                assert fuzzy_entails(fkb, query) == fuzzy_entails(fkb, query, grid=thirtieths), (
+                    seed, i, fkb, query)
 
 
 class TestPropagation:
