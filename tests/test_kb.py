@@ -9,11 +9,15 @@ from nalc import (
     AxiomKind,
     ConceptAssertion,
     Constraint,
+    DegreePair,
+    FiniteInterpretation,
     FuzzyAssertion,
     FuzzyKb,
     FuzzyRel,
     Individual,
     KnowledgeBase,
+    Not,
+    Or,
     Status,
     TerminologicalAxiom,
     check_satisfiable,
@@ -23,6 +27,7 @@ from nalc import (
     fuzzy_entails,
     oracle_entails,
     parse_kb,
+    satisfies,
     sharp,
     star,
     validate,
@@ -31,6 +36,7 @@ from nalc import cli
 from nalc.kb import resolved_definitions
 from genutil import rand_fuzzy_kb
 
+from test_acceptance import _falsity_as_truth
 from test_parser import EXAMPLE_KB
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
@@ -280,3 +286,43 @@ class TestEmbeddingFaithfulness:
             if checked >= 40:
                 break
         assert checked >= 20
+
+
+def embedded(fkb: FuzzyKb, query: FuzzyAssertion):
+    return embed_fuzzy(fkb), embed_fuzzy(FuzzyKb((query,), ())).assertions[0]
+
+
+class TestEmbeddingDirection:
+    """Every single-valued model embeds as a model of the embedded KB, so
+    an entailment of the embedding is a single-valued entailment.  The
+    converse fails: excluded middle is a fuzzy theorem, not a NALC one."""
+
+    def test_excluded_middle_holds_single_valued_only(self):
+        fkb = FuzzyKb((FuzzyAssertion(ConceptAssertion(B, a), FuzzyRel.GEQ, Fraction(1, 4)),))
+        query = FuzzyAssertion(ConceptAssertion(Or(A, Not(A)), a), FuzzyRel.GEQ, Fraction(1, 2))
+        # max(x, 1 - x) >= 1/2 in every single-valued model
+        assert fuzzy_entails(fkb, query)
+        nkb, nquery = embedded(fkb, query)
+        assert not entails(nkb, nquery)
+        countermodel = FiniteInterpretation(("d0",), {"a": "d0"}, {
+            ("A", "d0"): DegreePair(Fraction(0), Fraction(0)),
+            ("B", "d0"): DegreePair(Fraction(1, 4), Fraction(3, 4)),
+        })
+        assert all(satisfies(countermodel, c) for c in nkb.assertions)
+        assert not satisfies(countermodel, nquery)
+        # both projections, star read as falsity, still call it entailed
+        posed = KnowledgeBase((nquery,), ())
+        assert fuzzy_entails(sharp(nkb), sharp(posed).assertions[0])
+        assert fuzzy_entails(_falsity_as_truth(star(nkb)),
+                             _falsity_as_truth(star(posed)).assertions[0])
+
+    def test_embedded_consequences_hold_single_valued(self):
+        rng = random.Random(43)
+        entailed = 0
+        for i in range(200):
+            fkb = rand_fuzzy_kb(rng, size=rng.randint(1, 3), depth=1)
+            query = rand_fuzzy_kb(rng, size=1, depth=1).assertions[0]
+            if entails(*embedded(fkb, query)):
+                entailed += 1
+                assert fuzzy_entails(fkb, query), (i, fkb, query)
+        assert entailed >= 20
