@@ -145,18 +145,22 @@ def redefinitions(terminology) -> Iterator[tuple[int, str]]:
 
 def _walk(deps: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
     """One depth-first walk of a definition graph: the defined names in
-    post-order, and for each back edge the cycle it closes.
+    post-order, and the cycles that back edges close.
 
-    Roots are taken in the order of ``deps`` and each body's names in
-    sorted order; names ``deps`` does not define are skipped.  The walk
-    keeps its own stack, so a long chain needs no recursion, and it
-    enters every name once.
+    A back edge is reported, with the cycle it closes, when it is a
+    self-definition or when no reported cycle closes on its target yet.
+    A back edge's target lies in its own strongly connected set, so every
+    cyclic set still gets a report.  Roots are taken in the order of
+    ``deps`` and each body's names in sorted order; names ``deps`` does
+    not define are skipped.  The walk keeps its own stack, so a long
+    chain needs no recursion, and it enters every name once.
     """
     finished: dict[str, None] = {}
     place: dict[str, int] = {}  # a name on the path -> its index there
     path: list[str] = []
     todo: list[Iterator[str]] = []
     cycles: list[list[str]] = []
+    closed: set[str] = set()  # the names a reported cycle closes on
     for root in deps:
         if root in finished:
             continue
@@ -171,7 +175,9 @@ def _walk(deps: dict[str, frozenset[str]]) -> tuple[list[str], list[list[str]]]:
                 del place[name]
                 finished[name] = None
             elif dep in place:
-                cycles.append(path[place[dep]:] + [dep])
+                if dep not in closed or dep == path[-1]:
+                    closed.add(dep)
+                    cycles.append(path[place[dep]:] + [dep])
             elif dep in deps and dep not in finished:
                 place[dep] = len(path)
                 path.append(dep)
@@ -200,7 +206,7 @@ def _find_violations(kb: KnowledgeBase) -> list[Violation]:
         if name in used_concepts
     )
 
-    # One cycle per back edge of the definition dependency graph.
+    # The cycles the walk of the definition dependency graph reports.
     index_of = {name: idx for idx, name in enumerate(lhs)}
     _, cycles = _walk(dict(zip(lhs, body_names)))
     violations.extend(
