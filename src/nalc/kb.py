@@ -206,7 +206,7 @@ def _find_violations(kb: KnowledgeBase) -> list[Violation]:
         if name in used_concepts
     )
 
-    # The cycles the walk of the definition dependency graph reports.
+    # One cycle per name a back edge closes on, and one per self-definition.
     index_of = {name: idx for idx, name in enumerate(lhs)}
     _, cycles = _walk(dict(zip(lhs, body_names)))
     violations.extend(

@@ -823,9 +823,8 @@ def _entailed(constraints, axioms, query: Constraint, halves, domain_size, grid,
     model of the constraints plus the complement of any (bound, channel)
     half of the query?  The constraints and the query set the default
     grid (their degrees plus midpoints) and the default domain.  The
-    single-valued search reads a negated name as ``1 - x``, so a model
-    may need ``1 - d`` for a degree ``d``: its grid closes the degrees
-    under ``x -> 1 - x`` before the midpoints."""
+    single-valued search reads a negated name as ``1 - x``, so its grid
+    holds each degree's ``1 - d`` too."""
     posed = constraints + [query]
     if grid is None:
         degrees = constraint_degrees(posed)
@@ -889,9 +888,8 @@ def fuzzy_exists_model(
     This is the two-valued search with one truth cell per name, the
     falsity channel read as one minus truth.  The model is the truth
     component of the checked one, whose bounds are all on truth.  A
-    negated name reads ``1 - x``, so a grid that must hold a model
-    where one exists needs every degree ``d`` with ``1 - d`` beside it,
-    as ``fuzzy_entails``'s default grid has.
+    negated name reads ``1 - x``, so a grid needs ``1 - d`` beside each
+    degree ``d``, as ``fuzzy_entails``'s default grid has.
     """
     constraints = [Constraint(a, bound, None) for a, bound in bounded_assertions]
     model = _search(constraints, axioms, domain_size, grid, max_nodes, single=True)
@@ -912,11 +910,8 @@ def fuzzy_entails(
     grid: DegreeGrid | None = None,
     max_nodes: int = 5_000_000,
 ) -> bool:
-    """Single-valued entailment by refuted-query model search.
-
-    The default grid holds every degree of the KB and the query, each
-    one's ``1 - d``, and the midpoints between neighbours.
-    """
+    """Single-valued entailment by refuted-query model search.  The
+    default grid also holds ``1 - d`` for every posed degree ``d``."""
 
     def truth_only(fa: FuzzyAssertion) -> Constraint:
         return Constraint(fa.assertion, Bound(Rel(fa.rel.value), fa.degree), None)
