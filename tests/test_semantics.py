@@ -30,6 +30,7 @@ from nalc import (
     SearchExhausted,
     TOP,
     TerminologicalAxiom,
+    Variable,
     eval_concept,
     exists_model,
     fuzzy_entails,
@@ -39,6 +40,7 @@ from nalc import (
     parse_kb,
     parse_query,
     satisfies,
+    satisfies_all,
     satisfies_axiom,
     expand,
 )
@@ -250,6 +252,48 @@ class TestExistsModel:
         model = exists_model(constraints, 1, DegreeGrid((F(0), F(1, 4), F(1, 2), F(1))))
         assert model is not None
         assert model.concept_value("A", "d0").n == model.concept_value("B", "d0").n == F(1, 4)
+
+
+class TestExistentialVariables:
+    """A variable ranges over the whole domain, individuals' elements
+    included: the enumerator tries each element for it in turn."""
+
+    x1 = Variable(1)
+    EDGE = Constraint.geq_leq(RoleAssertion("R", a, x1), F(1), F(0))
+    FILLER = Constraint.geq_leq(ConceptAssertion(A, x1), F(1), F(0))
+    NOT_A = Constraint.leq_geq(ConceptAssertion(A, a), F(0), F(1))
+
+    def test_a_variable_may_share_an_individuals_element(self):
+        constraints = [self.EDGE, self.FILLER]
+        model = exists_model(constraints, 1, QUARTER_GRID)
+        assert model is not None
+        assert model.role_value("R", "d0", "d0") == DegreePair(F(1), F(0))
+        assert all(satisfies(model, c, {self.x1: "d0"}) for c in constraints)
+        assert satisfies_all(model, constraints)
+
+    def test_a_variable_moves_to_a_fresh_element_when_it_must(self):
+        constraints = [self.EDGE, self.FILLER, self.NOT_A]
+        assert exists_model(constraints, 1, QUARTER_GRID) is None
+        model = exists_model(constraints, 2, QUARTER_GRID)
+        assert model is not None
+        assert model.role_value("R", "d0", "d1") == DegreePair(F(1), F(0))
+        assert all(satisfies(model, c, {self.x1: "d1"}) for c in constraints)
+        assert not all(satisfies(model, c, {self.x1: "d0"}) for c in constraints)
+        assert satisfies_all(model, constraints)
+
+    def test_the_oracle_reads_variables_existentially(self):
+        constraints = [self.EDGE, self.FILLER, self.NOT_A]
+        assert oracle_entails(constraints, Constraint.geq_leq(
+            ConceptAssertion(Exists("R", A), a), F(1), F(0)))
+        assert not oracle_entails(constraints, Constraint.geq_leq(
+            ConceptAssertion(B, a), F(1), F(0)))
+
+    def test_the_single_valued_search_reads_variables_existentially(self):
+        bounded = [(c.assertion, c.tbound) for c in (self.EDGE, self.FILLER, self.NOT_A)]
+        assert fuzzy_exists_model(bounded, (), 1, QUARTER_GRID) is None
+        model = fuzzy_exists_model(bounded, (), 2, QUARTER_GRID)
+        assert model is not None
+        assert model.role_value("R", "d0", "d1") == 1 and model.concept_value("A", "d1") == 1
 
 
 class TestChannelSwap:
