@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .constraints import Bound, ConceptAssertion, Constraint, Rel, RoleAssertion
 from .kb import KnowledgeBase, AxiomKind, TerminologicalAxiom, redefinitions, validate
-from .syntax import And, Atomic, BOT, ConceptExpr, Exists, Forall, Individual, Not, Or, TOP
+from .syntax import And, Atomic, BOT, ConceptExpr, Individual, Not, Or, TOP, _WORD
 from .syntax import format_concept  # concept rendering lives in syntax; parser re-exports it
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_*]*")
@@ -45,7 +45,9 @@ NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
 # break at form feeds, \x85, \u2028 and the like.
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
-_KEYWORDS = {"and", "or", "not", "all", "some", "top", "bot", "assert", "spec", "define"}
+# The connective a ``(``-headed concept names, by its word (``syntax._WORD``).
+_CONNECTIVE = {word: kind for kind, word in _WORD.items()}
+_KEYWORDS = {*_CONNECTIVE, "top", "bot", "assert", "spec", "define"}
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,6 @@ _TOKEN_RE = re.compile(rf"[{BLANKS}]*([<>]=|{NUMBER_RE.pattern}|{IDENT_RE.patter
 # what ``\d`` matches, so a number starts with a decimal digit.
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _PUNCT = frozenset("(),<>=")
-_HEADS = frozenset(("and", "or", "not", "all", "some"))
 # Four ends of line: the ``assert`` rule reads a bound pair as the next four tokens.
 _END = ("", "", "", "")
 
@@ -198,16 +199,17 @@ class _Parser:
         if tok != "(":
             self.expected("a concept")
         head = self.tokens[self.pos + 1]
-        if head not in _HEADS:
-            self.fail("expected one of and/or/not/all/some after '('", pos=self.pos + 1)
+        if head not in _CONNECTIVE:
+            self.fail(f"expected one of {'/'.join(_CONNECTIVE)} after '('", pos=self.pos + 1)
+        kind = _CONNECTIVE[head]
         self.pos += 2
         # Arguments are evaluated left to right, so in token order.
-        if head == "and" or head == "or":
-            result: ConceptExpr = (And if head == "and" else Or)(self.concept(), self.concept())
-        elif head == "not":
+        if kind is And or kind is Or:
+            result: ConceptExpr = kind(self.concept(), self.concept())
+        elif kind is Not:
             result = Not(self.concept())
         else:
-            result = (Forall if head == "all" else Exists)(self.name("a role name"), self.concept())
+            result = kind(self.name("a role name"), self.concept())
         if self.tokens[self.pos] != ")":
             self.expected("')'")
         self.pos += 1

@@ -63,6 +63,7 @@ from .syntax import (
 ZERO = Fraction(0)
 ONE = Fraction(1)
 _FALSE = DegreePair(ZERO, ONE)  # what a missing table entry reads
+DEFAULT_MAX_NODES = 5_000_000  # the enumerator's node ceiling
 
 
 class SearchExhausted(RuntimeError):
@@ -193,17 +194,19 @@ def constraint_variables(constraints) -> list[Variable]:
     return sorted(out, key=lambda v: v.index)
 
 
+def _assignments(constraints, domain):
+    """Every assignment of the constraints' variables to elements of the
+    domain; just the empty one when they have none."""
+    variables = constraint_variables(constraints)
+    for combo in itertools.product(domain, repeat=len(variables)):
+        yield dict(zip(variables, combo))
+
+
 def satisfies_all(interp: FiniteInterpretation, constraints) -> bool:
     """Satisfaction of a set; variables are taken existentially."""
     constraints = list(constraints)
-    variables = constraint_variables(constraints)
-    if not variables:
-        return all(satisfies(interp, c) for c in constraints)
-    for combo in itertools.product(interp.domain, repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
-        if all(satisfies(interp, c, assignment) for c in constraints):
-            return True
-    return False
+    return any(all(satisfies(interp, c, assignment) for c in constraints)
+               for assignment in _assignments(constraints, interp.domain))
 
 
 def satisfies_axiom(interp: FiniteInterpretation, axiom: TerminologicalAxiom) -> bool:
@@ -241,9 +244,6 @@ class DegreeGrid:
         vals = list(self.values)
         mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
         return DegreeGrid.containing(vals + mids)
-
-
-QUARTER_GRID = DegreeGrid.containing([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 
 
 # --- exhaustive model search ------------------------------------------
@@ -726,13 +726,11 @@ def _search(constraints, axioms, domain_size: int, grid: DegreeGrid, max_nodes: 
         raise ValueError("domain too small for the named individuals")
     domain = tuple(f"d{i}" for i in range(domain_size))
     ind_map = {name: domain[i] for i, name in enumerate(individuals)}
-    variables = constraint_variables(constraints)
     scale = math.lcm(*(v.denominator for v in list(grid.values) + [b.value for _, b, _ in bounded]))
     grid_ints = [v.numerator * (scale // v.denominator) for v in grid.values]
     degree = dict(zip(grid_ints, grid.values))
     budget = _Budget(max_nodes)
-    for combo in itertools.product(domain, repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
+    for assignment in _assignments(constraints, domain):
 
         def element(obj) -> str:
             return ind_map[obj.name] if isinstance(obj, Individual) else assignment[obj]
@@ -758,7 +756,7 @@ def exists_model(
     constraints,
     domain_size: int,
     grid: DegreeGrid,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
     axioms=(),
 ) -> FiniteInterpretation | None:
     """Search for a grid-valued model of the constraints.
@@ -802,7 +800,7 @@ def oracle_entails(
     query: Constraint,
     domain_size: int | None = None,
     grid: DegreeGrid | None = None,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> bool:
     """Brute-force entailment: no model violates a half of the query.
 
@@ -879,7 +877,7 @@ def fuzzy_exists_model(
     axioms,
     domain_size: int,
     grid: DegreeGrid,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> FuzzyInterpretation | None:
     """Grid search for a single-valued model.
 
@@ -908,7 +906,7 @@ def fuzzy_entails(
     query: FuzzyAssertion,
     domain_size: int | None = None,
     grid: DegreeGrid | None = None,
-    max_nodes: int = 5_000_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> bool:
     """Single-valued entailment by refuted-query model search.  The
     default grid also holds ``1 - d`` for every posed degree ``d``."""

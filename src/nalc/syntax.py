@@ -161,7 +161,8 @@ class Variable(FrozenValue):
 Obj = Individual | Variable
 
 
-# The keyword that heads each composite concept in the concrete syntax.
+# The keyword that heads each composite concept in the concrete syntax: the
+# one table the renderer writes and the parser reads.
 _WORD = {And: "and", Or: "or", Not: "not", Forall: "all", Exists: "some"}
 
 
@@ -174,7 +175,7 @@ def format_concept(c: ConceptExpr) -> str:
     if isinstance(c, (And, Or)):
         return f"({_WORD[type(c)]} {format_concept(c.left)} {format_concept(c.right)})"
     if isinstance(c, Not):
-        return f"(not {format_concept(c.inner)})"
+        return f"({_WORD[Not]} {format_concept(c.inner)})"
     if isinstance(c, (Forall, Exists)):
         return f"({_WORD[type(c)]} {c.role} {format_concept(c.filler)})"
     raise TypeError(f"not a concept expression: {c!r}")

@@ -80,7 +80,7 @@ from .constraints import (
     bounds_incompatible,
     vacuous,
 )
-from .semantics import ONE, ZERO, FiniteInterpretation, takes_min
+from .semantics import ONE, ZERO, FiniteInterpretation, _objects, takes_min
 from .syntax import (
     And,
     Atomic,
@@ -204,13 +204,13 @@ class ConstraintSet:
         heaps already, and nothing pops a heap during the build.
         """
         s = ConstraintSet()
-        step_of, steps, by_assertion = s.step_of, s.steps, s.by_assertion
-        indexed = []
+        placed, step_of, steps, by_assertion = s.constraints, s.step_of, s.steps, s.by_assertion
         clash = None
         for c in constraints:
             number = len(steps) + 1
             if step_of.setdefault(c, number) != number:
                 continue
+            placed.append(c)
             one = (c,)
             steps.append(Step(number, one, "hypothesis", ()))
             a = c.assertion
@@ -219,18 +219,15 @@ class ConstraintSet:
             if check:
                 by_assertion[a] = bucket + one
             if type(a) is RoleAssertion:
-                indexed.append(number - 1)
+                s._index(c, number - 1)
             elif type(a.concept) is not Atomic:
-                indexed.append(number - 1)
+                s._index(c, number - 1)
                 check = check or type(a.concept) in (Top, Bottom)
             if clash is None:
                 t, f = c.tbound, c.fbound
                 if (check or (t is not None and t.rel.is_strict)
                         or (f is not None and f.rel.is_strict)):
                     clash = s._check_clash(c, number)
-        s.constraints = list(step_of)
-        for pos in indexed:
-            s._index(s.constraints[pos], pos)
         s.agenda, s.splits, s.gens = (sorted(set(heap)) for heap in (s.agenda, s.splits, s.gens))
         s.clash = clash
         return s
@@ -299,12 +296,8 @@ class ConstraintSet:
         return c in self.step_of
 
     def objects(self):
-        seen: dict = {}
-        for a in self.by_assertion:  # assertions in order of first constraint
-            seen[a.subject] = None
-            if isinstance(a, RoleAssertion):
-                seen[a.target] = None
-        return list(seen)
+        """The individuals and variables the set names, in order of first mention."""
+        return list(dict.fromkeys(o for a in self.by_assertion for o in _objects(a)))
 
     def first_bound(self, assertion: Assertion, ch: str, relation, bound: Bound):
         """The first constraint of the assertion's bucket whose bound on
@@ -1071,18 +1064,3 @@ def variable_assignment(s: ConstraintSet) -> dict:
     return {
         o: f"?{o}" for o in s.objects() if isinstance(o, Variable)
     }
-
-
-__all__ = [
-    "ClashInfo",
-    "CompletionResult",
-    "ConstraintSet",
-    "ResourceExhausted",
-    "Status",
-    "Step",
-    "apply_rules",
-    "complete",
-    "extract_model",
-    "find_clash",
-    "variable_assignment",
-]
