@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .constraints import Constraint, _check_degree, degree_str
+from .constraints import _check_degree, degree_str
 from .kb import KnowledgeBase, expand, resolved_definitions, unfold_constraint
 from .parser import (
     BLANKS,
@@ -34,20 +34,11 @@ from .reasoner import (
     lub,
     subsumes,
 )
-from .semantics import (
-    DegreeGrid,
-    SearchExhausted,
-    constraint_degrees,
-    oracle_entails,
-)
+from .semantics import DegreeGrid, SearchExhausted, oracle_entails
 from .syntax import format_concept, nnf
 from .tableau import DEFAULT_MAX_BRANCHES, ResourceExhausted, Status
 
 OK, NO, USAGE, EXHAUSTED = 0, 1, 2, 3
-
-
-class _CliError(Exception):
-    """A usage error: its message goes to stderr and the exit code is ``USAGE``."""
 
 
 def _rational(value: Fraction) -> str:
@@ -59,12 +50,12 @@ def _load_kb(path: str) -> KnowledgeBase:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return parse_kb(text)
     except KbSyntaxError as exc:
         lines = [f"{path}:{err}" for err in exc.errors]
-        raise _CliError("\n".join(lines))
+        raise ValueError("\n".join(lines))
 
 
 def _max_branches() -> int:
@@ -74,7 +65,7 @@ def _max_branches() -> int:
     if text is None:
         return DEFAULT_MAX_BRANCHES
     if not text.strip().isdecimal() or int(text) < 1:
-        raise _CliError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
+        raise ValueError(f"NALC_MAX_BRANCHES must be a positive integer, not {text!r}")
     return int(text)
 
 
@@ -82,7 +73,7 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
     try:
         values = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliError(f"bad grid {text!r}: {exc}")
+        raise ValueError(f"bad grid {text!r}: {exc}")
     for v in values:
         _check_degree(v, "grid degree")
     return values
@@ -94,20 +85,6 @@ def _emit(args, payload: dict, human: list[str]) -> None:
     else:
         for line in human:
             print(line)
-
-
-def _oracle_check(constraints: list[Constraint], query: Constraint, answer: bool, args) -> bool:
-    """Does the enumerator agree with ``answer``?  ``constraints`` and
-    ``query`` are unfolded through the KB's terminology."""
-    grid = None
-    if args.grid is not None:
-        grid = DegreeGrid.containing(
-            set(_parse_grid(args.grid))
-            | constraint_degrees(constraints + [query])
-        )
-    domain_size = args.domain_size
-    oracle = oracle_entails(constraints, query, domain_size=domain_size, grid=grid)
-    return oracle == answer
 
 
 def _cmd_check(args) -> int:
@@ -137,18 +114,19 @@ def _cmd_entails(args) -> int:
                     if query and not query.startswith("#")
                 ]
         except OSError as exc:
-            raise _CliError(f"cannot read {args.queries}: {exc}")
+            raise ValueError(f"cannot read {args.queries}: {exc}")
     if not queries:
-        raise _CliError("entails needs --query or --queries")
+        raise ValueError("entails needs --query or --queries")
     if args.oracle:
         resolved = resolved_definitions(kb)
         expanded = [unfold_constraint(c, resolved) for c in kb.assertions]
+        grid = DegreeGrid.containing(_parse_grid(args.grid)) if args.grid is not None else None
     exit_code = OK
     for text in queries:
         try:
             query = parse_query(text)
         except ConceptSyntaxError as exc:
-            raise _CliError(f"bad query {text!r}: {exc.error}")
+            raise ValueError(f"bad query {text!r}: {exc.error}")
         max_branches = _max_branches()
         if args.trace:
             answer, result = entails(kb, query, max_branches, with_result=True)
@@ -160,10 +138,9 @@ def _cmd_entails(args) -> int:
             payload["trace"] = result.trace
             human += result.trace
         if args.oracle:
-            agreement = _oracle_check(
-                expanded, unfold_constraint(query, resolved), answer, args
-            )
-            payload["oracle_agreement"] = agreement
+            oracle = oracle_entails(expanded, unfold_constraint(query, resolved),
+                                    args.domain_size, grid)
+            payload["oracle_agreement"] = agreement = oracle == answer
             human.append(f"oracle agreement: {str(agreement).lower()}")
         _emit(args, payload, human)
         if not answer:
@@ -238,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="print the derivation")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against brute-force model enumeration")
-    p.add_argument("--grid", help="comma-separated degrees for the oracle grid")
+    p.add_argument("--grid", help="comma-separated degrees the oracle adds to its default grid")
     p.add_argument("--domain-size", type=int, help="oracle domain size override")
 
     p = sub.add_parser("subsumes", help="concept subsumption w.r.t. a terminology")
@@ -274,9 +251,6 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code else OK
     try:
         return args.run(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE
     except (ResourceExhausted, SearchExhausted) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXHAUSTED

@@ -44,7 +44,8 @@ from .constraints import (
     _refutation,
     vacuous,
 )
-from .kb import AxiomKind, FuzzyAssertion, TerminologicalAxiom
+from .kb import (AxiomKind, FuzzyAssertion, TerminologicalAxiom, _unfold_definitions,
+                 unfold_constraint)
 from .syntax import (
     And,
     Atomic,
@@ -806,10 +807,8 @@ def oracle_entails(
 
     One search per non-vacuous half of the query, each for a model of
     the constraints with that half's complement; the query holds iff
-    none is found.  The default grid contains every degree of the
-    constraints and the query plus the midpoints between neighbours;
-    midpoints give the strict complements room to be satisfied,
-    mirroring the midpoint choice model extraction makes.
+    none is found.  The search's grid is the default grid of
+    ``_entailed`` plus the degrees of ``grid``, if given.
     """
     return _entailed(list(constraints), (), query, _query_halves(query), domain_size, grid,
                      max_nodes, single=False)
@@ -819,18 +818,26 @@ def _entailed(constraints, axioms, query: Constraint, halves, domain_size, grid,
               single: bool) -> bool:
     """Refutation driver shared by both oracles: does the search find no
     model of the constraints plus the complement of any (bound, channel)
-    half of the query?  The constraints and the query set the default
-    grid (their degrees plus midpoints) and the default domain.  The
-    single-valued search reads a negated name as ``1 - x``, so its grid
-    holds each degree's ``1 - d`` too."""
+    half of the query?
+
+    The search's grid is always the default grid, and a caller's
+    ``grid`` only adds degrees to it: a model on the default grid is a
+    model on any larger one, so no grid hides a countermodel the default
+    grid has.  The default grid holds the posed degrees (the
+    constraints' and the query's), their ``1 - d`` in the single-valued
+    reading, where a negated name reads ``1 - x``, and the midpoints
+    between neighbours, which give strict refutation bounds room.  The
+    default domain counts the posed constraints unfolded through the
+    axioms, so a definition's quantifiers count."""
     posed = constraints + [query]
-    if grid is None:
-        degrees = constraint_degrees(posed)
-        if single:
-            degrees |= {1 - d for d in degrees}
-        grid = DegreeGrid.containing(degrees).with_midpoints()
+    degrees = constraint_degrees(posed)
+    if single:
+        degrees |= {1 - d for d in degrees}
+    default = DegreeGrid.containing(degrees).with_midpoints()
+    grid = default if grid is None else DegreeGrid.containing(default.values + grid.values)
     if domain_size is None:
-        domain_size = default_domain_size(posed)
+        resolved = _unfold_definitions(axioms)
+        domain_size = default_domain_size([unfold_constraint(c, resolved) for c in posed])
     return all(
         _search(constraints + [_refutation(query.assertion, ch, bound)], axioms, domain_size,
                 grid, max_nodes, single) is None
@@ -908,8 +915,9 @@ def fuzzy_entails(
     grid: DegreeGrid | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> bool:
-    """Single-valued entailment by refuted-query model search.  The
-    default grid also holds ``1 - d`` for every posed degree ``d``."""
+    """Single-valued entailment by refuted-query model search, on the
+    default grid of ``_entailed`` (which holds ``1 - d`` beside every
+    posed degree ``d``) plus the degrees of ``grid``, if given."""
 
     def truth_only(fa: FuzzyAssertion) -> Constraint:
         return Constraint(fa.assertion, Bound(Rel(fa.rel.value), fa.degree), None)

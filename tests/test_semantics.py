@@ -31,6 +31,8 @@ from nalc import (
     TOP,
     TerminologicalAxiom,
     Variable,
+    embed_fuzzy,
+    entails,
     eval_concept,
     exists_model,
     fuzzy_entails,
@@ -59,6 +61,11 @@ from genutil import (
 F = Fraction
 A, B, C, D = Atomic("A"), Atomic("B"), Atomic("C"), Atomic("D")
 a = Individual("a")
+
+
+def embedded(fa: FuzzyAssertion) -> Constraint:
+    """The paired-degree constraint ``embed_fuzzy`` makes of ``fa``."""
+    return embed_fuzzy(FuzzyKb((fa,))).assertions[0]
 
 
 def tiny_interp(**concept_values):
@@ -412,6 +419,19 @@ class TestMonotoneBounds:
         )
         assert default_domain_size(list(kb.assertions)) == 4
 
+    def test_a_definitions_quantifier_counts_toward_the_domain(self):
+        """``A(a) >= 1`` with ``A = (some R B)`` and ``B(a) <= 0`` needs a
+        successor of ``a`` besides ``a``: on a one-element domain the KB
+        has no model and every query would hold."""
+        fkb = FuzzyKb(
+            (FuzzyAssertion(ConceptAssertion(A, a), FuzzyRel.GEQ, F(1)),
+             FuzzyAssertion(ConceptAssertion(B, a), FuzzyRel.LEQ, F(0))),
+            (TerminologicalAxiom("A", AxiomKind.DEFINITION, Exists("R", B)),),
+        )
+        query = FuzzyAssertion(ConceptAssertion(C, a), FuzzyRel.GEQ, F(1))
+        assert not fuzzy_entails(fkb, query)
+        assert not entails(embed_fuzzy(fkb), embedded(query))
+
 
 class TestSingleChannelTerms:
     def test_assigned_interval_is_the_evaluated_degree(self):
@@ -559,6 +579,37 @@ class TestFuzzyEntailsGrid:
                 query = rand_fuzzy_kb(rng, size=1, depth=1, degrees=degrees).assertions[0]
                 assert fuzzy_entails(fkb, query) == fuzzy_entails(fkb, query, grid=thirtieths), (
                     seed, i, fkb, query)
+
+
+class TestCallerGrid:
+    """A caller's grid only adds degrees to the oracle's default grid, so
+    a grid that lacks a posed degree hides no countermodel.  Each KB pins
+    ``A(a)`` at 3/10, a degree the quarters lack, and entails nothing
+    about ``C``."""
+
+    def test_a_two_valued_pin_off_the_grid_entails_nothing_new(self):
+        kb = parse_kb("assert A(a) >= 3/10 <= 7/10\nassert A(a) <= 3/10 >= 7/10\n")
+        query = parse_query("assert C(a) >= 1 <= 0")
+        assert not oracle_entails(kb.assertions, query, grid=QUARTER_GRID)
+        assert not entails(kb, query)
+
+    def test_a_single_valued_pin_off_the_grid_entails_nothing_new(self):
+        fkb = FuzzyKb((FuzzyAssertion(ConceptAssertion(A, a), FuzzyRel.GEQ, F(3, 10)),
+                       FuzzyAssertion(ConceptAssertion(A, a), FuzzyRel.LEQ, F(3, 10))))
+        query = FuzzyAssertion(ConceptAssertion(C, a), FuzzyRel.GEQ, F(1))
+        assert not fuzzy_entails(fkb, query, grid=QUARTER_GRID)
+        assert not entails(embed_fuzzy(fkb), embedded(query))
+
+
+class TestNotAConcept:
+    def test_the_evaluator_refuses_what_is_no_concept(self):
+        with pytest.raises(TypeError, match=r"^not a concept expression: 42$"):
+            eval_concept(tiny_interp(), 42, "d0")
+
+    def test_the_search_refuses_what_is_no_concept(self):
+        constraint = Constraint.geq_leq(ConceptAssertion(42, a), F(1), F(0))
+        with pytest.raises(TypeError, match=r"^not a concept expression: 42$"):
+            exists_model([constraint], 1, QUARTER_GRID)
 
 
 class TestPropagation:

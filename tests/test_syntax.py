@@ -25,9 +25,11 @@ from nalc import (
     Or,
     TOP,
     eval_concept,
+    format_concept,
     nnf,
     subconcepts,
 )
+from nalc.syntax import quantifier_depth
 from nalc.tableau import Step
 from genutil import rand_concept, rand_interpretation
 
@@ -262,3 +264,9 @@ class TestGeneratedConstructors:
 
     def test_a_value_without_fields_hashes_the_empty_tuple(self):
         assert hash(TOP) == hash(()) == hash(BOT)
+
+
+@pytest.mark.parametrize("walk", [format_concept, nnf, quantifier_depth])
+def test_a_concept_walk_refuses_what_is_no_concept(walk):
+    with pytest.raises(TypeError, match=r"^not a concept expression: 42$"):
+        walk(42)
