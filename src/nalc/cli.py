@@ -169,6 +169,7 @@ def _cmd_bound(args) -> int:
         "query": f"{kind} {args.assertion}",
         "answer": True,
         "bound": {"n": _rational(n), "m": _rational(m)},
+        "candidates_examined": result.candidates_examined,
     }
     human = [f"{kind}: {_rational(n)} {_rational(m)} ({degree_str(n)} {degree_str(m)})"]
     _emit(args, payload, human)

@@ -130,7 +130,8 @@ def _bound(op: str, text: str) -> Bound:
 
 
 # (tbound, fbound) by the four token texts of each pair ``_Parser.bounds``
-# accepted, emptied when full; an entry depends on its key alone.
+# accepted, emptied when full; an entry depends on its key alone.  The key
+# also files each parse's first statement of a pair (``_Parser.pairs``).
 _PAIRS: dict[tuple[str, str, str, str], tuple[Bound, Bound]] = {}
 
 
@@ -140,12 +141,14 @@ class _Parser:
     ``tokens`` holds the line's token texts and then ``_END``; ``pos``
     indexes it.  Columns are worked out only for an error.  A parser
     serves one call; ``atoms`` maps ``top``, ``bot`` and each concept name
-    read so far to its value, and ``individuals`` each individual name.
+    read so far to its value, ``individuals`` each individual name, and
+    ``pairs`` the four token texts of each bound pair to its first statement.
     """
 
     def __init__(self):
         self.atoms: dict[str, ConceptExpr] = {"top": TOP, "bot": BOT}
         self.individuals: dict[str, Individual] = {}
+        self.pairs: dict[tuple[str, str, str, str], Constraint] = {}
 
     def located(self, pos: int) -> tuple[str, int]:
         """The text and column of token ``pos``; the end of line sits past
@@ -288,7 +291,9 @@ class _Parser:
                 _PAIRS[key] = pair
             else:
                 self.pos = pos + 4
-            return Constraint(assertion, pair[0], pair[1])
+            constraint = Constraint(assertion, pair[0], pair[1])
+            self.pairs.setdefault(key, constraint)
+            return constraint
         if tok == "spec" or tok == "define":
             self.pos += 1
             lhs = self.name("an atomic concept name")
@@ -367,7 +372,11 @@ def try_parse_kb(text: str) -> tuple[KnowledgeBase | None, list[ParseError]]:
     # Duplicates were reported above, so validate finds none of them.
     errors = [ParseError(SourceSpan(*spans.get(v.axiom_index, (1, 1, 1))), v.message, "syntax")
               for v in validate(kb)]
-    return (None, errors) if errors else (kb, [])
+    if errors:
+        return None, errors
+    # Not a field: a copy, an unpickled KB or one built by hand lacks it.
+    object.__setattr__(kb, "_pair_statements", tuple(parser.pairs.values()))
+    return kb, []
 
 
 def parse_kb(text: str) -> KnowledgeBase:

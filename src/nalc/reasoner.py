@@ -32,7 +32,9 @@ falsity) needs no run:
 Every bound the reasoner poses, other than a caller's, is built once: a
 KB's candidate bounds with its candidate degrees, on its first search; a
 subsumption probe's bounds with the module; and a refutation's
-complement in a memo (``constraints._complement``).
+complement in a memo (``constraints._complement``).  A parsed KB hands
+its first statement of each distinct bound pair to the degree scan, so
+a wide ABox's first search reads some 50 statements, not all 10^4.
 
 A complement that clashes with the saturated set as it is added needs
 no run either (``tableau._unsatisfiable``): that run would clash before
@@ -85,10 +87,10 @@ SUBSUMPTION_GRID = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 _GE_ONE, _LE_ONE, _GE_ZERO = Bound(Rel.GE, ONE), Bound(Rel.LE, ONE), Bound(Rel.GE, ZERO)
 
 
-# KB -> [unfolded assertions, their hypothesis set saturated under the
-# deterministic rules, None before the first bound search and then the
-# glb/lub candidate degrees beside their bounds]; an entry lives as long
-# as its KB.
+# KB -> [the statements the degree scan reads, the unfolded assertions'
+# hypothesis set saturated under the deterministic rules, None before the
+# first bound search and then the glb/lub candidate degrees beside their
+# bounds]; an entry lives as long as its KB.
 _PREPARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -114,7 +116,9 @@ def _prepared(kb: KnowledgeBase):
         assertions = [unfold_constraint(c, resolved) for c in kb.assertions]
         root = ConstraintSet.from_constraints(assertions)
         _Engine(DEFAULT_MAX_STEPS).saturate(root)
-        prepared = _PREPARED[kb] = [assertions, root, None]
+        # Unfolding keeps every bound, so the KB's own statements serve.
+        scanned = getattr(kb, "_pair_statements", kb.assertions)
+        prepared = _PREPARED[kb] = [scanned, root, None]
     return prepared, resolved
 
 
@@ -185,7 +189,9 @@ def _candidate_degrees(prepared: list) -> list[Fraction]:
     beside the candidate bounds of each relation a search poses, in the
     order it scans them: ``>=`` from the top degree, ``<=`` from the
     bottom.  A check or an entailment never reads them, so it does not
-    pay for them.
+    pay for them.  The scan reads the parse's first statement of each
+    distinct bound pair when ``parser.try_parse_kb`` made the KB, and every
+    statement of a KB built, copied or unpickled otherwise: same degrees.
     """
     if prepared[2] is None:
         degrees = sorted(constraint_degrees(prepared[0]) | {ZERO, ONE})

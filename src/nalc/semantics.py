@@ -776,7 +776,9 @@ def exists_model(
 def constraint_degrees(constraints) -> set[Fraction]:
     """The degrees the constraints' bounds mention.
 
-    A parse shares one ``Bound`` per literal, so few ``Fraction``s are hashed.
+    A parse shares one ``Bound`` per literal, so few ``Fraction``s are
+    hashed, and the glb/lub search passes a parsed KB's first statement of
+    each distinct bound pair alone, some 50 on a 10^4-statement ABox.
     """
     bounds = set()
     for c in constraints:

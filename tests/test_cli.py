@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nalc import entails, parse_kb, parse_query
+from nalc import entails, glb, lub, parse_assertion, parse_kb, parse_query
 from nalc.cli import run
 
 POLL_KB = (
@@ -157,6 +157,17 @@ class TestOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert Fraction(payload["bound"]["n"]) == Fraction(2, 3)
         assert Fraction(payload["bound"]["m"]) == Fraction(1, 4)
+
+    def test_bound_json_counts_the_candidates_examined(self, tmp_path, capsys):
+        path = tmp_path / "bounds.nalc"
+        path.write_text("assert R(a,b) >= 0.5 <= 0.25\nassert A(a) >= 1/2 <= 1/4\n",
+                        encoding="utf-8")
+        kb = parse_kb(path.read_text(encoding="utf-8"))
+        for kind, search, assertion in (("glb", glb, "R(a,b)"), ("lub", lub, "A(a)")):
+            assert run([kind, str(path), "--json", "--assertion", assertion]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            examined = search(kb, parse_assertion(assertion)).candidates_examined
+            assert payload["candidates_examined"] == examined == {"glb": 4, "lub": 6}[kind]
 
     def test_lub_rejects_role_assertions(self, tmp_path, capsys):
         path = tmp_path / "role.nalc"
