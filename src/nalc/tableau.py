@@ -163,20 +163,25 @@ class ConstraintSet:
     the same constraints, steps, buckets, index, watch lists and first
     clash.  Its heaps hold the same positions, each once: ``add`` pushes
     a watcher again each time what it watches grows, which during the
-    build only repeats a position already there.
+    build only repeats a position already there.  It keeps its steps as
+    positions: step n of the first ``hypotheses`` is the hypothesis
+    ``constraints[n - 1]``, and ``recorded`` holds the steps ``add``
+    makes after them.  ``steps`` builds the whole list on each read.
 
     While a search runs on the set, ``trail`` records the value each
     bucket, successor-index, watch-list or ``settled`` entry held before
     it was replaced, and ``mark`` saves the lengths of the constraints
-    (and so of ``step_of``), the steps and the other four dicts, the
-    fresh-variable counter, the clash and the three heaps; ``undo``
-    restores all of that.  ``lock`` is held by every run on the set.
+    (and so of ``step_of``), of ``recorded`` and of the other four dicts,
+    the fresh-variable counter, the clash and the three heaps; ``undo``
+    restores all of that.  No mark reaches into the hypotheses.  ``lock``
+    is held by every run on the set.
     """
 
     def __init__(self):
         self.constraints: list[Constraint] = []
         self.step_of: dict[Constraint, int] = {}
-        self.steps: list[Step] = []
+        self.hypotheses = 0
+        self.recorded: list[Step] = []
         self.by_assertion: dict[Assertion, tuple[Constraint, ...]] = {}
         self.successors: dict[tuple, tuple] = {}
         self.watchers: dict[object, tuple[int, ...]] = {}
@@ -204,22 +209,29 @@ class ConstraintSet:
         heaps already, and nothing pops a heap during the build.
         """
         s = ConstraintSet()
-        placed, step_of, steps, by_assertion = s.constraints, s.step_of, s.steps, s.by_assertion
+        placed, step_of, by_assertion = s.constraints, s.step_of, s.by_assertion
+        successors, watchers = s.successors, s.watchers
         clash = None
         for c in constraints:
-            number = len(steps) + 1
+            number = len(placed) + 1
             if step_of.setdefault(c, number) != number:
                 continue
             placed.append(c)
             one = (c,)
-            steps.append(Step(number, one, "hypothesis", ()))
             a = c.assertion
             bucket = by_assertion.setdefault(a, one)
             check = bucket is not one
             if check:
-                by_assertion[a] = bucket + one
+                bucket = by_assertion[a] = bucket + one
             if type(a) is RoleAssertion:
-                s._index(c, number - 1)
+                if not check:
+                    # ``_index`` of the edge's first constraint, minus the
+                    # heap pushes: its watchers are on the heaps already.
+                    key, target = (a.subject, a.role), a.target
+                    successors[key] = successors.get(key, ()) + (target,)
+                    for p in watchers.get(key, ()):
+                        filler = ConceptAssertion(placed[p].assertion.concept.filler, target)
+                        watchers[filler] = watchers.get(filler, ()) + (p,)
             elif type(a.concept) is not Atomic:
                 s._index(c, number - 1)
                 check = check or type(a.concept) in (Top, Bottom)
@@ -227,16 +239,26 @@ class ConstraintSet:
                 t, f = c.tbound, c.fbound
                 if (check or (t is not None and t.rel.is_strict)
                         or (f is not None and f.rel.is_strict)):
-                    clash = s._check_clash(c, number)
+                    clash = s._check_clash(c, number, bucket)
+        s.hypotheses = len(placed)
         s.agenda, s.splits, s.gens = (sorted(set(heap)) for heap in (s.agenda, s.splits, s.gens))
         s.clash = clash
         return s
+
+    @property
+    def steps(self) -> list[Step]:
+        """The bulk build's hypothesis steps, then the ``recorded`` ones:
+        a new list on each read."""
+        hypotheses = [Step(n, (c,), "hypothesis", ())
+                      for n, c in enumerate(self.constraints[:self.hypotheses], 1)]
+        return hypotheses + self.recorded
 
     def copy(self) -> "ConstraintSet":
         s = ConstraintSet.__new__(ConstraintSet)
         s.constraints = list(self.constraints)
         s.step_of = dict(self.step_of)
-        s.steps = list(self.steps)
+        s.hypotheses = self.hypotheses
+        s.recorded = list(self.recorded)
         s.by_assertion = dict(self.by_assertion)
         s.successors = dict(self.successors)
         s.watchers = dict(self.watchers)
@@ -262,7 +284,7 @@ class ConstraintSet:
 
     def mark(self) -> tuple:
         """A point to ``undo`` back to; the trail must be on."""
-        return (len(self.trail), len(self.constraints), len(self.steps),
+        return (len(self.trail), len(self.constraints), len(self.recorded),
                 len(self.by_assertion), len(self.successors), len(self.watchers),
                 len(self.settled), self.fresh_counter, self.clash,
                 self.agenda[:], self.splits[:], self.gens[:])
@@ -275,7 +297,7 @@ class ConstraintSet:
         removes them and leaves no hole: a dict with holes takes the slow
         path when it is copied.
         """
-        (n, n_constraints, n_steps, n_buckets, n_successors, n_watchers, n_settled,
+        (n, n_constraints, n_recorded, n_buckets, n_successors, n_watchers, n_settled,
          self.fresh_counter, self.clash, agenda, splits, gens) = mark
         trail = self.trail
         while len(trail) > n:
@@ -287,7 +309,7 @@ class ConstraintSet:
             while len(table) > size:
                 table.popitem()
         del self.constraints[n_constraints:]
-        del self.steps[n_steps:]
+        del self.recorded[n_recorded:]
         self.agenda[:] = agenda
         self.splits[:] = splits
         self.gens[:] = gens
@@ -314,14 +336,16 @@ class ConstraintSet:
         set itself is left as it is."""
         if self.clash is not None:
             return True
-        return c not in self.step_of and self._check_clash(c, len(self.steps) + 1) is not None
+        return c not in self.step_of and self._check_clash(
+            c, self.hypotheses + len(self.recorded) + 1, self.by_assertion.get(c.assertion, ())
+        ) is not None
 
-    def _check_clash(self, c: Constraint, step: int) -> ClashInfo | None:
-        """The clash ``c`` exposes on its own or with a constraint of its
-        assertion: its truth bound is checked before its falsity bound."""
+    def _check_clash(self, c: Constraint, step: int, bucket) -> ClashInfo | None:
+        """The clash ``c`` exposes on its own or with a constraint of
+        ``bucket``, its assertion's: its truth bound is checked before its
+        falsity bound."""
         a = c.assertion
         constant = isinstance(a, ConceptAssertion) and isinstance(a.concept, (Top, Bottom))
-        bucket = self.by_assertion.get(a, ())
         for truth in (True, False):
             bound = c.tbound if truth else c.fbound
             if bound is None:
@@ -354,7 +378,7 @@ class ConstraintSet:
         new = tuple([c for c in constraints if c not in step_of])
         if not new:
             return False
-        number = len(self.steps) + 1
+        number = self.hypotheses + len(self.recorded) + 1
         by_assertion = self.by_assertion
         trail = self.trail
         for c in new:
@@ -374,10 +398,11 @@ class ConstraintSet:
                     trail.append((by_assertion, a, bucket))
                 by_assertion[a] = bucket + (c,)
             self._index(c, pos)
-        self.steps.append(Step(number, new, rule, tuple(sorted(set(premises)))))
+        premises = tuple(premises) if len(premises) < 2 else tuple(sorted(set(premises)))
+        self.recorded.append(Step(number, new, rule, premises))
         if self.clash is None:
             for c in new:
-                info = self._check_clash(c, number)
+                info = self._check_clash(c, number, by_assertion[c.assertion])
                 if info is not None:
                     self.clash = info
                     break
@@ -983,28 +1008,32 @@ def extract_model(s: ConstraintSet) -> FiniteInterpretation:
         raise ValueError("cannot extract a model from a clashed constraint set")
     # '?' cannot occur in identifiers, so variable elements never
     # collide with individual names.
-    element: dict = {}
+    names: set = set()
+    variables: dict = {}
     concepts: dict = {}
     roles: dict = {}
     for a, bucket in s.by_assertion.items():
         subject = a.subject
-        e = element.get(subject)
-        if e is None:
-            e = element[subject] = subject.name if type(subject) is Individual else f"?{subject}"
+        if type(subject) is Individual:
+            e = subject.name
+            names.add(e)
+        else:
+            e = variables[subject] = f"?{subject}"
         if type(a) is ConceptAssertion:
             if type(a.concept) is not Atomic:
                 continue
             table, key = concepts, (a.concept.name, e)
         else:
             target = a.target
-            t = element.get(target)
-            if t is None:
-                t = element[target] = target.name if type(target) is Individual else f"?{target}"
+            if type(target) is Individual:
+                t = target.name
+                names.add(t)
+            else:
+                t = variables[target] = f"?{target}"
             table, key = roles, (a.role, e, t)
         table[key] = _bucket_pair(_bounds(bucket))
-    individuals = sorted(e for o, e in element.items() if type(o) is Individual)
-    variables = sorted((o for o in element if type(o) is Variable), key=lambda v: v.index)
-    domain = tuple(individuals) + tuple(element[v] for v in variables)
+    individuals = sorted(names)
+    domain = tuple(individuals) + tuple(variables[v] for v in sorted(variables, key=lambda v: v.index))
     return FiniteInterpretation(domain or ("d0",), {name: name for name in individuals},
                                 concepts, roles)
 

@@ -26,7 +26,9 @@ from nalc import (
     Constraint,
     Forall,
     Individual,
+    Or,
     Rel,
+    ResourceExhausted,
     RoleAssertion,
     Status,
     TOP,
@@ -132,6 +134,46 @@ def test_the_bulk_build_is_the_sequential_one(chunk):
             assert_same_run(bulk, seq, extra)
         # The runs leave both sets as they were built.
         assert_same_set(bulk, seq)
+
+
+# A split on names no corpus KB uses: a run that adds it to a satisfiable
+# KB must branch.
+FRESH_SPLIT = Constraint.geq_leq(ConceptAssertion(Or(Atomic("X"), Atomic("Y")), Individual("z")), 1, 0)
+
+
+@pytest.mark.parametrize("chunk", range(CHUNKS))
+def test_the_bulk_built_steps_survive_every_path(chunk):
+    """Copies, pickles, a run that keeps its witness and a run that
+    raises all leave the bulk-built set with the sequential one's steps."""
+    witnessed = exhausted = 0
+    for h, _ in corpus(chunk):
+        bulk, seq = ConstraintSet.from_constraints(h), sequential(h)
+        steps = seq.steps
+        assert bulk.copy().steps == steps
+        assert pickle.loads(pickle.dumps(bulk)).steps == steps
+        mine, theirs = complete([], base=bulk), complete([], base=seq)
+        assert bulk.steps == steps
+        if mine.status is Status.SATISFIABLE:
+            witnessed += 1
+            assert mine.witness.steps == theirs.witness.steps
+            assert mine.witness.copy().steps == theirs.witness.steps
+            with pytest.raises(ResourceExhausted):
+                complete([FRESH_SPLIT], max_branches=1, base=bulk)
+            exhausted += 1
+            assert bulk.steps == steps
+    assert witnessed >= 5 and exhausted >= 5, (witnessed, exhausted)
+
+
+def test_each_read_of_the_steps_is_a_fresh_list():
+    h = next(corpus(0))[0]
+    s = ConstraintSet.from_constraints(h)
+    complete([], base=s)
+    lines = s.trace_lines()
+    first, second = s.steps, s.steps
+    assert first == second and first is not second
+    first.append(Step(len(first) + 1, (h[0],), "hypothesis", ()))
+    assert s.trace_lines() == lines
+    assert s.steps == second
 
 
 def test_a_bulk_built_step_is_a_step():

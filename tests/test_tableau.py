@@ -402,6 +402,25 @@ class TestExtractModel:
         assert table[("A", "a")] is table[("B", "b")]
         assert extract_model(witness.copy()).concept_table[("A", "a")] is table[("A", "a")]
 
+    def test_the_domain_lists_individuals_by_name_then_variables_by_index(self):
+        """Twelve witnesses: ``?x10`` follows ``?x9``, where a sort by
+        element name would put it after ``?x1``.  The tables keep the
+        order in which the completion met their assertions."""
+        lines = [f"assert (some R A{i})(b) >= 1 <= 0" for i in range(1, 7)]
+        lines += [f"assert (some S A{i})(a) >= 1 <= 0" for i in range(1, 7)]
+        lines.append("assert R(b,c) >= 1 <= 0")
+        witness = check_satisfiable(parse_kb("\n".join(lines) + "\n")).witness
+        interp = extract_model(witness)
+        variables = tuple(f"?x{k}" for k in range(1, 13))
+        assert interp.domain == ("a", "b", "c") + variables
+        assert interp.individual_map == {"a": "a", "b": "b", "c": "c"}
+        one = DegreePair(F(1), F(0))
+        assert list(interp.concept_table.items()) == [
+            ((f"A{(k - 1) % 6 + 1}", x), one) for k, x in enumerate(variables, 1)]
+        assert list(interp.role_table.items()) == [(("R", "b", "c"), one)] + [
+            (("R" if k <= 6 else "S", "b" if k <= 6 else "a", x), one)
+            for k, x in enumerate(variables, 1)]
+
 
 # --- rule-level properties ---------------------------------------------
 
